@@ -19,13 +19,11 @@ package cloudalloc
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/model"
 	"repro/internal/multitier"
@@ -539,23 +537,6 @@ func BenchmarkAssignDistribute(b *testing.B) {
 		if _, _, err := solver.AssignDistribute(a, id, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkDispatchRoute is the per-request routing cost.
-func BenchmarkDispatchRoute(b *testing.B) {
-	d, err := dispatch.New([]alloc.Portion{
-		{Server: 0, Alpha: 0.5},
-		{Server: 1, Alpha: 0.3},
-		{Server: 2, Alpha: 0.2},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Route(rng)
 	}
 }
 

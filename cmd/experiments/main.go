@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments -run fig4|fig5|complexity|sim|ablation|reassign|multistart|scale|all [-quick] [-seed 1]
+//	experiments -run fig4|fig5|complexity|sim|ablation|comparators|epochs|predictors|scale|all [-quick] [-seed 1]
 //
 // -quick reduces scenario and Monte-Carlo draw counts for a fast run;
 // without it the sweep uses the paper's counts (≥20 scenarios per point,
@@ -29,9 +29,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		which     = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, comparators, epochs, predictors, reassign, multistart, scale or all")
-		benchOut  = fs.String("bench-out", "BENCH_reassign.json", "output path for the reassign benchmark record (empty = don't write)")
-		msOut     = fs.String("multistart-out", "BENCH_multistart.json", "output path for the multistart benchmark record (empty = don't write)")
+		which     = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, comparators, epochs, predictors, scale or all")
 		scaleOut  = fs.String("scale-out", "BENCH_scale.json", "output path for the scale benchmark record (empty = don't write)")
 		scaleMax  = fs.Int("scale-max", 0, "cap the scale ladder's client counts (0 = full 1k..1M ladder)")
 		quick     = fs.Bool("quick", false, "reduced scenario/draw counts")
@@ -91,10 +89,6 @@ func run(args []string) error {
 		return runEpochs(*quick, *seed, tel)
 	case "predictors":
 		return runPredictors(*quick, *seed, tel)
-	case "reassign":
-		return runReassign(*quick, *seed, tel, *benchOut)
-	case "multistart":
-		return runMultistart(*quick, *seed, tel, *msOut)
 	case "scale":
 		return runScale(*quick, *seed, *scaleOut, *scaleMax)
 	case "all":
@@ -117,13 +111,7 @@ func run(args []string) error {
 		if err := runEpochs(*quick, *seed, tel); err != nil {
 			return err
 		}
-		if err := runPredictors(*quick, *seed, tel); err != nil {
-			return err
-		}
-		if err := runReassign(*quick, *seed, tel, *benchOut); err != nil {
-			return err
-		}
-		return runMultistart(*quick, *seed, tel, *msOut)
+		return runPredictors(*quick, *seed, tel)
 	default:
 		return fmt.Errorf("unknown experiment %q", *which)
 	}
@@ -233,63 +221,6 @@ func runEpochs(quick bool, seed int64, tel *telemetry.Set) error {
 	}
 	fmt.Println(experiment.EpochsTable(rows))
 	return nil
-}
-
-func runReassign(quick bool, seed int64, tel *telemetry.Set, out string) error {
-	cfg := experiment.DefaultReassignConfig()
-	cfg.BaseSeed = seed
-	cfg.Solver.Telemetry = tel
-	if quick {
-		cfg.ClientCounts = []int{50, 250}
-		cfg.Repeats = 2
-	}
-	rep, err := experiment.RunReassign(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.ReassignTable(rep))
-	if out == "" {
-		return nil
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiment.WriteReassignJSON(f, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return f.Close()
-}
-
-func runMultistart(quick bool, seed int64, tel *telemetry.Set, out string) error {
-	cfg := experiment.DefaultMultistartConfig()
-	cfg.BaseSeed = seed
-	cfg.Solver.Telemetry = tel
-	if quick {
-		cfg.ClientCounts = []int{50}
-		cfg.MCDraws = 16
-		cfg.Repeats = 2
-	}
-	rep, err := experiment.RunMultistart(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.MultistartTable(rep))
-	if out == "" {
-		return nil
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiment.WriteMultistartJSON(f, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return f.Close()
 }
 
 func runPredictors(quick bool, seed int64, tel *telemetry.Set) error {

@@ -356,6 +356,32 @@ func TestClusterTxnDeltaExact(t *testing.T) {
 	}
 }
 
+// TestTxnRollbackReportsFailedRestore: when a captured placement no longer
+// fits — here the client's rates grew a millionfold behind the
+// allocation's back, so the stability check rejects it — Rollback returns
+// an error naming the client instead of panicking, and the client stays
+// unassigned.
+func TestTxnRollbackReportsFailedRestore(t *testing.T) {
+	s := testScenario(t)
+	a := New(s)
+	if err := a.Assign(0, 0, fullPortion(0)); err != nil {
+		t.Fatal(err)
+	}
+	txn := a.Begin()
+	txn.Capture(0)
+	a.Unassign(0)
+	s.Clients[0].ArrivalRate *= 1e6
+	s.Clients[0].PredictedRate *= 1e6
+
+	err := txn.Rollback()
+	if err == nil || !strings.Contains(err.Error(), "client 0") {
+		t.Fatalf("Rollback err = %v, want an error naming client 0", err)
+	}
+	if a.Assigned(0) {
+		t.Fatal("client 0 assigned after a failed restore")
+	}
+}
+
 // TestRevenueErrDistinguishesZeroCases: unassigned and saturated clients
 // both price at zero but must be distinguishable for the local search.
 func TestRevenueErrDistinguishesZeroCases(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // mutateAndMeasureGain is the reference the View must reproduce: the
 // exact marginal gain of placing client i on (k, portions), measured by
 // actually unassigning, assigning, reading revenue and server costs, and
-// undoing everything — the sequence the legacy reassignment pass runs.
+// undoing everything.
 func mutateAndMeasureGain(a *Allocation, i model.ClientID, k model.ClusterID, portions []Portion) (float64, bool) {
 	prevK, prev := a.Unassign(i)
 	restore := func() {

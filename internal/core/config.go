@@ -67,12 +67,6 @@ type Config struct {
 	// but differ from the unsharded solve (a different, equally valid
 	// search trajectory).
 	Shards int
-	// DisableParallelReassign falls back to the legacy strictly
-	// sequential reassignment pass — score and commit one client at a
-	// time in ID order — instead of the two-stage score/commit pipeline.
-	// Kept as the pre-pipeline baseline and escape hatch; the pipeline
-	// may visit a different (equally valid) local optimum.
-	DisableParallelReassign bool
 	// AdmissionControl lets the provider leave a client unserved when
 	// serving it would lose money (negative marginal profit). The paper's
 	// constraint (6) nominally serves everyone, but its experiments only

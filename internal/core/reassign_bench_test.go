@@ -37,16 +37,13 @@ func benchReassignSetup(b *testing.B, clients int, mutate func(*Config)) (*Solve
 }
 
 // BenchmarkReassignmentPass measures one reassignment pass over a fresh
-// greedy allocation in the three modes: the legacy sequential pass (the
-// pre-pipeline baseline), the pipeline with one scoring worker, and the
-// pipeline with the full worker pool. Run with -cpu 1,4,8 for the
-// scaling row.
+// greedy allocation with one scoring worker and with the full worker
+// pool. Run with -cpu 1,4,8 for the scaling row.
 func BenchmarkReassignmentPass(b *testing.B) {
 	modes := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"legacy", func(c *Config) { c.DisableParallelReassign = true }},
 		{"workers1", func(c *Config) { c.Workers = 1 }},
 		{"parallel", func(c *Config) { c.Workers = 0 }},
 	}
@@ -69,30 +66,17 @@ func BenchmarkReassignmentPass(b *testing.B) {
 
 // BenchmarkReassignmentPassConverged measures the cross-round skip path:
 // repeated passes over an already-converged allocation, where the
-// pipeline's dirty-cluster marks reduce the pass to a clean-scan —
+// dirty-cluster marks reduce the pass to a clean-scan —
 // O(clients) instead of O(clients × clusters × servers).
 func BenchmarkReassignmentPassConverged(b *testing.B) {
-	modes := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"legacy", func(c *Config) { c.DisableParallelReassign = true }},
-		{"parallel", func(c *Config) { c.Workers = 0 }},
+	s, a := benchReassignSetup(b, 250, nil)
+	for i := 0; i < 10 && s.ReassignmentPass(a) > 0; i++ {
 	}
-	for _, clients := range []int{250} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("clients=%d/mode=%s", clients, mode.name), func(b *testing.B) {
-				s, a := benchReassignSetup(b, clients, mode.mutate)
-				for i := 0; i < 10 && s.ReassignmentPass(a) > 0; i++ {
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					if moves := s.ReassignmentPass(a); moves != 0 {
-						b.Fatalf("converged allocation moved %d clients", moves)
-					}
-				}
-			})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if moves := s.ReassignmentPass(a); moves != 0 {
+			b.Fatalf("converged allocation moved %d clients", moves)
 		}
 	}
 }

@@ -189,23 +189,3 @@ func TestReassignmentPassDirtySkip(t *testing.T) {
 		t.Fatal("perturbed cluster did not trigger rescoring")
 	}
 }
-
-// TestReassignmentPassLegacyMatchesPreviousBehaviour pins the legacy
-// (DisableParallelReassign) pass: it must still converge to a valid
-// allocation and never lose profit.
-func TestReassignmentPassLegacySequential(t *testing.T) {
-	scen := smallScenario(t, 30, 4)
-	s := newTestSolver(t, scen, func(c *Config) { c.DisableParallelReassign = true })
-	a, err := s.InitialSolution(rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := a.Profit()
-	s.ReassignmentPass(a)
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Profit() < before-1e-9 {
-		t.Fatalf("legacy pass lost profit: %v -> %v", before, a.Profit())
-	}
-}

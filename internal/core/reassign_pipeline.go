@@ -13,8 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The pipelined reassignment pass (the default, see ReassignmentPass)
-// splits the work the legacy pass interleaves:
+// The reassignment pass (see ReassignmentPass) runs in two stages:
 //
 //  1. Scoring: a worker pool prices every client's candidate placements
 //     (one Assign_Distribute plus one exact marginal gain per cluster)
@@ -145,8 +144,11 @@ func (s *Solver) reassignWorkers(n int) int {
 	return w
 }
 
-func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocation, reconcile bool) int {
-	ref := telemetry.RefFromContext(ctx)
+// reassignmentPass is the pass behind ReassignmentPassCtx. reconcile
+// marks the sharded solve's serial cross-shard reconciliation: successful
+// moves are then logged (sampled) to the flight recorder as
+// reconcile_move events.
+func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reconcile bool) int {
 	n := s.scen.NumClients()
 	st := s.takeReassignState(a, n)
 	defer s.storeReassignState(st)
@@ -236,13 +238,44 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 	}
 
 	// Stage 2: serial commit loop in descending-delta order.
+	moves := s.commitCandidates(ctx, a, heap, outGain, &st.scratch, ix, nil, st.marks, reconcile, ixEvaluated, ixPruned)
+	st.heap = heap[:0]
+	return moves
+}
+
+// commitCandidates is stage 2 of a reassignment pass: pop candidates in
+// descending-delta order and apply each through a Txn, revalidating the
+// exact delta against the live allocation; a candidate priced against a
+// cluster that an earlier commit dirtied is rescored and re-enters the
+// queue. Returns the number of committed moves.
+//
+// A nil scope is the whole-cloud pass: transactions and index refreshes
+// span the cloud, marks (the cross-pass skip marks) follow every rescore
+// and commit, and the commit/rescore split is timed. A non-nil scope is
+// one shard's clusters: transactions, index refreshes and rescoring stay
+// inside it, so concurrent shards never read or settle each other's
+// ledgers; marks is nil there. ixEvaluated and ixPruned are the scoring
+// stage's index tallies, reported together with this stage's own.
+func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap []reassignCand,
+	outGain float64, ws *reassignScratch, ix *alloc.Index, scope []model.ClusterID,
+	marks []clientMark, reconcile bool, ixEvaluated, ixPruned int64) int {
+	ref := telemetry.RefFromContext(ctx)
+	timed := s.tel != nil && scope == nil
 	var tCommit time.Time
-	if s.tel != nil {
+	if timed {
 		tCommit = time.Now()
 	}
 	var moves int
 	var rescores, commitFails, restoreFails int64
 	var rescoreDur time.Duration
+	rollback := func(txn *alloc.Txn, c *reassignCand) {
+		if err := txn.Rollback(); err != nil {
+			restoreFails++
+			s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
+				Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
+			s.debugf("reassign: rollback failed", "client", c.client, "err", err)
+		}
+	}
 	for len(heap) > 0 {
 		var c reassignCand
 		heap, c = candPop(heap)
@@ -252,18 +285,22 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 			// An earlier commit dirtied a cluster this candidate was
 			// priced against: rescore against the live allocation.
 			var tr time.Time
-			if s.tel != nil {
+			if timed {
 				tr = time.Now()
 			}
-			if ix != nil {
+			if ix != nil && scope == nil {
 				ix.Refresh() // lazy: only the committed-to clusters recompute
+			} else if ix != nil {
+				ix.RefreshClusters(scope)
 			}
-			r := s.scoreClient(a, c.client, outGain, &st.scratch, ix, nil)
-			st.marks[c.client] = r.mark
+			r := s.scoreClient(a, c.client, outGain, ws, ix, scope)
+			if marks != nil {
+				marks[c.client] = r.mark
+			}
 			ixEvaluated += r.evaluated
 			ixPruned += r.pruned
 			rescores++
-			if s.tel != nil {
+			if timed {
 				rescoreDur += time.Since(tr)
 			}
 			if r.hasCand {
@@ -272,7 +309,19 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 			continue
 		}
 
-		txn := a.Begin()
+		// A scoped transaction covers exactly the clusters the move
+		// touches, so no other shard's ledger is read or settled.
+		var txn *alloc.Txn
+		switch {
+		case scope == nil:
+			txn = a.Begin()
+		case c.fromK >= 0 && c.toK >= 0 && c.fromK != c.toK:
+			txn = a.BeginClusters(model.ClusterID(c.fromK), model.ClusterID(c.toK))
+		case c.fromK >= 0:
+			txn = a.BeginClusters(model.ClusterID(c.fromK))
+		default:
+			txn = a.BeginClusters(model.ClusterID(c.toK))
+		}
 		txn.Capture(c.client)
 		if c.fromK >= 0 {
 			a.Unassign(c.client)
@@ -288,12 +337,7 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 					Delta: finiteOr0(c.delta), Trace: ref})
 				s.debugf("reassign: commit of scored candidate failed",
 					"client", c.client, "cluster", c.toK, "err", err)
-				if rbErr := txn.Rollback(); rbErr != nil {
-					restoreFails++
-					s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
-						Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
-					s.debugf("reassign: rollback failed", "client", c.client, "err", rbErr)
-				}
+				rollback(txn, &c)
 				continue
 			}
 		}
@@ -307,23 +351,23 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 						Delta: delta, Trace: ref})
 				}
 			}
-			// The commit changed the clusters this client's own decision
-			// depended on; make sure the next pass rescores it.
-			st.marks[c.client] = clientMark{}
-		} else if rbErr := txn.Rollback(); rbErr != nil {
-			restoreFails++
-			s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
-				Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
-			s.debugf("reassign: rollback failed", "client", c.client, "err", rbErr)
+			if marks != nil {
+				// The commit changed the clusters this client's own decision
+				// depended on; make sure the next pass rescores it.
+				marks[c.client] = clientMark{}
+			}
+		} else {
+			rollback(txn, &c)
 		}
 	}
-	st.heap = heap[:0]
 	if s.tel != nil {
-		s.tel.reassignCommitDur.Observe(max(0, time.Since(tCommit)-rescoreDur).Seconds())
-		if rescoreDur > 0 {
-			s.tel.reassignRescoreDur.Observe(rescoreDur.Seconds())
+		if timed {
+			s.tel.reassignCommitDur.Observe(max(0, time.Since(tCommit)-rescoreDur).Seconds())
+			if rescoreDur > 0 {
+				s.tel.reassignRescoreDur.Observe(rescoreDur.Seconds())
+			}
+			s.tel.reassignRescores.Add(rescores)
 		}
-		s.tel.reassignRescores.Add(rescores)
 		if commitFails > 0 {
 			s.tel.reassignCommitFails.Add(commitFails)
 		}
@@ -341,9 +385,11 @@ func (s *Solver) reassignmentPassPipelined(ctx context.Context, a *alloc.Allocat
 }
 
 // scoreClient prices candidate clusters for one client against the
-// current allocation (read-only, through an exclusion view) and
-// translates the legacy pass's commit switch into at most one candidate
-// action. The mark records what the decision depended on.
+// current allocation (read-only, through an exclusion view) and picks at
+// most one candidate action: move to the best cluster when its gain beats
+// both staying put (by more than 1e-9) and leaving the client out, else
+// evict when staying put earns less than leaving it out. The mark records
+// what the decision depended on.
 //
 // With a nil ix every cluster in scope is evaluated exactly (the seed
 // behaviour). With an index, the client's own cluster is always evaluated
@@ -432,9 +478,8 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	}
 	res := scoreResult{mark: mark, evaluated: evaluated, pruned: int64(scope) - evaluated}
 
-	// The legacy commit switch, split into "which action" (decided here
-	// on scored gains) and "apply" (the commit loop, revalidated against
-	// the live ledger).
+	// "Which action" is decided here on scored gains; "apply" is the
+	// commit loop's, revalidated against the live ledger.
 	switch {
 	case bestK >= 0 && bestGain > prevGain+1e-9 && bestGain > outGain:
 		c := reassignCand{
@@ -454,8 +499,8 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 				c.minDelta = math.Inf(-1)
 			}
 		case math.IsInf(prevGain, -1):
-			// The current placement is saturated; any feasible move out
-			// of it is taken, as the legacy pass would.
+			// The current placement is saturated (no finite gain): any
+			// feasible move out of it is taken, and taken first.
 			c.delta = math.Inf(1)
 			c.minDelta = math.Inf(-1)
 		default:

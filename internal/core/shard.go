@@ -262,12 +262,11 @@ func (s *Solver) clustersProfit(a *alloc.Allocation, clusters []model.ClusterID)
 
 // reassignScoped is the shard-local reassignment pass: score the shard's
 // clients against the shard's clusters only, then commit improving moves
-// serially in descending-delta order through shard-scoped transactions.
-// It runs inside a shard goroutine, so everything it reads or writes —
-// exclusion views, candidate index, transactions, version counters —
-// stays within the shard's clusters.
+// through commitCandidates scoped to those clusters. It runs inside a
+// shard goroutine, so everything it reads or writes — exclusion views,
+// candidate index, transactions, version counters — stays within the
+// shard's clusters.
 func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, clients []model.ClientID, clusters []model.ClusterID) int {
-	ref := telemetry.RefFromContext(ctx)
 	outGain := math.Inf(-1)
 	if s.cfg.AdmissionControl {
 		outGain = 0
@@ -289,77 +288,5 @@ func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, client
 			heap = candPush(heap, r.cand)
 		}
 	}
-
-	var moves int
-	var restoreFails int64
-	for len(heap) > 0 {
-		var c reassignCand
-		heap, c = candPop(heap)
-		if (c.fromK >= 0 && a.ClusterVersion(model.ClusterID(c.fromK)) != c.fromVer) ||
-			(c.toK >= 0 && a.ClusterVersion(model.ClusterID(c.toK)) != c.toVer) {
-			if ix != nil {
-				ix.RefreshClusters(clusters)
-			}
-			r := s.scoreClient(a, c.client, outGain, &ws, ix, clusters)
-			ixEvaluated += r.evaluated
-			ixPruned += r.pruned
-			if r.hasCand {
-				heap = candPush(heap, r.cand)
-			}
-			continue
-		}
-
-		// Scope the transaction to exactly the clusters the move touches,
-		// so no other shard's ledger is read or settled.
-		var txn *alloc.Txn
-		switch {
-		case c.fromK >= 0 && c.toK >= 0 && c.fromK != c.toK:
-			txn = a.BeginClusters(model.ClusterID(c.fromK), model.ClusterID(c.toK))
-		case c.fromK >= 0:
-			txn = a.BeginClusters(model.ClusterID(c.fromK))
-		default:
-			txn = a.BeginClusters(model.ClusterID(c.toK))
-		}
-		txn.Capture(c.client)
-		if c.fromK >= 0 {
-			a.Unassign(c.client)
-		}
-		if c.toK >= 0 {
-			if err := a.Assign(c.client, model.ClusterID(c.toK), c.portions); err != nil {
-				s.flightRecord(telemetry.Event{Kind: telemetry.EventCommitFail,
-					Client: int64(c.client), Cluster: int64(c.toK),
-					Delta: finiteOr0(c.delta), Trace: ref})
-				s.debugf("shard reassign: commit of scored candidate failed",
-					"client", c.client, "cluster", c.toK, "err", err)
-				if rbErr := txn.Rollback(); rbErr != nil {
-					restoreFails++
-					s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
-						Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
-					s.debugf("shard reassign: rollback failed", "client", c.client, "err", rbErr)
-				}
-				continue
-			}
-		}
-		if txn.Delta() > c.minDelta {
-			txn.Commit()
-			moves++
-		} else if rbErr := txn.Rollback(); rbErr != nil {
-			restoreFails++
-			s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
-				Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
-			s.debugf("shard reassign: rollback failed", "client", c.client, "err", rbErr)
-		}
-	}
-	if s.tel != nil {
-		if restoreFails > 0 {
-			s.tel.reassignRestoreFails.Add(restoreFails)
-		}
-		if ixEvaluated > 0 {
-			s.tel.indexEvaluated.Add(ixEvaluated)
-		}
-		if ixPruned > 0 {
-			s.tel.indexPruned.Add(ixPruned)
-		}
-	}
-	return moves
+	return s.commitCandidates(ctx, a, heap, outGain, &ws, ix, clusters, nil, false, ixEvaluated, ixPruned)
 }

@@ -15,7 +15,7 @@ const (
 	phaseTurnOff    = "turn_off"
 	phaseReassign   = "reassign"
 
-	// Sub-phases of the pipelined reassignment pass (reassign.go):
+	// Sub-phases of the reassignment pass (reassign_pipeline.go):
 	// parallel candidate scoring, the serial commit loop, and the
 	// rescoring of candidates invalidated by earlier commits.
 	phaseReassignScore   = "reassign_score"

@@ -194,7 +194,7 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 		cfg.Solver.Telemetry = cfg.Telemetry
 	}
 
-	cur := CloneScenario(scen)
+	cur := model.CloneScenario(scen)
 	var (
 		summary      ControllerSummary
 		current      *alloc.Allocation

@@ -140,7 +140,7 @@ func Run(scen *model.Scenario, cfg Config) ([]Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Work on a private copy: epochs mutate client rates.
-	cur := CloneScenario(scen)
+	cur := model.CloneScenario(scen)
 	var (
 		results []Result
 		prev    *alloc.Allocation
@@ -272,12 +272,4 @@ func sameServers(a, b []alloc.Portion) bool {
 		}
 	}
 	return true
-}
-
-// CloneScenario deep-copies a scenario so callers can mutate rates
-// without touching the original. It now lives in internal/model (the
-// online service needs it without importing epoch); this alias keeps the
-// historical epoch-level name working.
-func CloneScenario(s *model.Scenario) *model.Scenario {
-	return model.CloneScenario(s)
 }
