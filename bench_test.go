@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/model"
-	"repro/internal/multitier"
 	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -401,35 +400,6 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkComparators runs the quality-vs-time table (proposed vs PS vs
-// MC vs SA vs GA) once per iteration on reduced settings.
-func BenchmarkComparators(b *testing.B) {
-	cfg := experiment.DefaultComparatorConfig()
-	cfg.Clients = 30
-	cfg.Scenarios = 2
-	cfg.MC.Draws = 20
-	cfg.SA.Anneal.Steps = 50
-	cfg.GA.Population = 8
-	cfg.GA.Generations = 4
-	var rows []experiment.ComparatorRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiment.RunComparators(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Method == "modified PS" {
-			b.ReportMetric(r.Relative, "ps/proposed")
-		}
-		if r.Method == "simulated annealing" {
-			b.ReportMetric(r.Relative, "sa/proposed")
-		}
-	}
-}
-
 // BenchmarkEpochPolicies runs the decision-policy trace experiment.
 func BenchmarkEpochPolicies(b *testing.B) {
 	cfg := experiment.DefaultEpochsConfig()
@@ -535,29 +505,6 @@ func BenchmarkAssignDistribute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := model.ClientID(i % scen.NumClients())
 		if _, _, err := solver.AssignDistribute(a, id, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiTier solves a 3-tier × N-apps instance.
-func BenchmarkMultiTier(b *testing.B) {
-	scen := benchScenario(b, 1, 15)
-	apps := make([]multitier.App, 10)
-	for i := range apps {
-		apps[i] = multitier.App{
-			ID: i, Base: 9, Slope: 0.8,
-			ArrivalRate: 1 + float64(i%3)*0.5, PredictedRate: 1 + float64(i%3)*0.5,
-			Tiers: []multitier.Tier{
-				{ProcTime: 0.3, CommTime: 0.5, DiskNeed: 0.3},
-				{ProcTime: 0.8, CommTime: 0.3, DiskNeed: 0.5},
-				{ProcTime: 0.5, CommTime: 0.4, DiskNeed: 1.5},
-			},
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := multitier.Solve(scen.Cloud, apps, multitier.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cloudalloc gen -out scenario.json [-clients 50] [-seed 1]
-//	cloudalloc solve -scenario scenario.json [-method proposed|ps|montecarlo|annealing|genetic|exhaustive] [-simulate]
+//	cloudalloc solve -scenario scenario.json [-method proposed|ps|montecarlo|exhaustive] [-simulate]
 //	cloudalloc inspect -scenario scenario.json
 //	cloudalloc trace -scenario scenario.json -out trace.csv [-epochs 24]
 //	cloudalloc controller -scenario scenario.json -trace trace.csv [-policy threshold:0.2] [-predictor ewma:0.5]
@@ -86,7 +86,7 @@ func runSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	var (
 		path         = fs.String("scenario", "", "scenario JSON path (required)")
-		method       = fs.String("method", "proposed", "proposed, ps, montecarlo, annealing, genetic or exhaustive")
+		method       = fs.String("method", "proposed", "proposed, ps, montecarlo or exhaustive")
 		seed         = fs.Int64("seed", 1, "solver seed")
 		parallel     = fs.Bool("parallel", false, "parallel per-cluster evaluation")
 		workers      = fs.Int("workers", 0, "fan-out workers for multi-start, Monte-Carlo draws and the PS sweep (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
@@ -154,20 +154,6 @@ func runSolve(args []string) error {
 		fmt.Printf("monte carlo over %d draws: best %.2f worst %.2f (initial: best %.2f worst %.2f)\n",
 			env.Draws, env.BestOptimized, env.WorstOptimized, env.BestInitial, env.WorstInitial)
 		a = env.Best
-	case "annealing":
-		cfg := cloudalloc.DefaultSAConfig()
-		cfg.Seed = *seed
-		a, err = cloudalloc.SolveAnnealing(scen, cfg)
-		if err != nil {
-			return err
-		}
-	case "genetic":
-		cfg := cloudalloc.DefaultGAConfig()
-		cfg.Seed = *seed
-		a, err = cloudalloc.SolveGenetic(scen, cfg)
-		if err != nil {
-			return err
-		}
 	case "exhaustive":
 		a, err = cloudalloc.SolveExhaustive(scen)
 		if err != nil {

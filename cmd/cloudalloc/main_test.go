@@ -41,8 +41,10 @@ func TestSolveValidation(t *testing.T) {
 	if err := runGen([]string{"-out", path, "-clients", "5"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSolve([]string{"-scenario", path, "-method", "nope"}); err == nil {
-		t.Fatal("unknown method accepted")
+	for _, method := range []string{"nope", "annealing"} {
+		if err := runSolve([]string{"-scenario", path, "-method", method}); err == nil {
+			t.Fatalf("unknown method %q accepted", method)
+		}
 	}
 	if err := runSolve([]string{"-scenario", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing file accepted")

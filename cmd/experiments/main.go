@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments -run fig4|fig5|complexity|sim|ablation|comparators|epochs|predictors|scale|all [-quick] [-seed 1]
+//	experiments -run fig4|fig5|complexity|sim|ablation|epochs|predictors|scale|all [-quick] [-seed 1]
 //
 // -quick reduces scenario and Monte-Carlo draw counts for a fast run;
 // without it the sweep uses the paper's counts (≥20 scenarios per point,
@@ -29,7 +29,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		which     = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, comparators, epochs, predictors, scale or all")
+		which     = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, epochs, predictors, scale or all")
 		scaleOut  = fs.String("scale-out", "BENCH_scale.json", "output path for the scale benchmark record (empty = don't write)")
 		scaleMax  = fs.Int("scale-max", 0, "cap the scale ladder's client counts (0 = full 1k..1M ladder)")
 		quick     = fs.Bool("quick", false, "reduced scenario/draw counts")
@@ -83,8 +83,6 @@ func run(args []string) error {
 		return runSim(*quick, *seed, tel)
 	case "ablation":
 		return runAblation(*quick, *seed, tel)
-	case "comparators":
-		return runComparators(*quick, *seed, tel)
 	case "epochs":
 		return runEpochs(*quick, *seed, tel)
 	case "predictors":
@@ -103,9 +101,6 @@ func run(args []string) error {
 			return err
 		}
 		if err := runAblation(*quick, *seed, tel); err != nil {
-			return err
-		}
-		if err := runComparators(*quick, *seed, tel); err != nil {
 			return err
 		}
 		if err := runEpochs(*quick, *seed, tel); err != nil {
@@ -187,23 +182,6 @@ func runAblation(quick bool, seed int64, tel *telemetry.Set) error {
 		return err
 	}
 	fmt.Println(experiment.AblationTable(rows))
-	return nil
-}
-
-func runComparators(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultComparatorConfig()
-	cfg.BaseSeed = seed
-	cfg.Solver.Telemetry = tel
-	if quick {
-		cfg.Clients = 40
-		cfg.Scenarios = 3
-		cfg.MC.Draws = 50
-	}
-	rows, err := experiment.RunComparators(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.ComparatorTable(rows))
 	return nil
 }
 

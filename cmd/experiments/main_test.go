@@ -3,8 +3,10 @@ package main
 import "testing"
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "frobnicate"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, which := range []string{"frobnicate", "comparators"} {
+		if err := run([]string{"-run", which}); err == nil {
+			t.Fatalf("unknown experiment %q accepted", which)
+		}
 	}
 }
 

@@ -6,23 +6,11 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/multitier"
 	"repro/internal/predict"
 )
 
-// Extension types: decision epochs, stochastic comparators, multi-tier
-// applications.
+// Extension types: rate traces, decision policies, predictors.
 type (
-	// EpochConfig drives the decision-epoch controller.
-	EpochConfig = epoch.Config
-	// EpochResult is one epoch's outcome.
-	EpochResult = epoch.Result
-	// RateProcess evolves client arrival rates between epochs.
-	RateProcess = epoch.RateProcess
-	// RandomWalk is a multiplicative random-walk rate process.
-	RandomWalk = epoch.RandomWalk
-	// Burst is a bursty rate process.
-	Burst = epoch.Burst
 	// Trace is a per-epoch, per-client matrix of arrival rates.
 	Trace = epoch.Trace
 	// Pattern shapes a client's rate over epochs.
@@ -52,33 +40,7 @@ type (
 	Predictor = predict.Predictor
 	// PredictMetrics summarize a forecast backtest.
 	PredictMetrics = predict.Metrics
-
-	// SAConfig tunes the simulated-annealing comparator.
-	SAConfig = baseline.SAConfig
-	// GAConfig tunes the genetic-search comparator.
-	GAConfig = baseline.GAConfig
-
-	// Tier is one stage of a multi-tier application.
-	Tier = multitier.Tier
-	// App is a multi-tier application with an end-to-end SLA.
-	App = multitier.App
-	// MultiTierConfig tunes the multi-tier solve.
-	MultiTierConfig = multitier.Config
-	// MultiTierSolution is a multi-tier solve result.
-	MultiTierSolution = multitier.Solution
-	// TierPlacement reports where one tier landed.
-	TierPlacement = multitier.TierPlacement
 )
-
-// DefaultEpochConfig drifts rates with a 10% random walk over 20 epochs,
-// warm-starting like the paper's pseudo-code.
-func DefaultEpochConfig() EpochConfig { return epoch.DefaultConfig() }
-
-// RunEpochs simulates decision epochs with drifting arrival rates,
-// re-solving each epoch (warm or cold) and measuring realized profit.
-func RunEpochs(scen *Scenario, cfg EpochConfig) ([]EpochResult, error) {
-	return epoch.Run(scen, cfg)
-}
 
 // GenerateTrace builds a per-epoch rate trace from base rates, patterns
 // and multiplicative noise.
@@ -103,37 +65,10 @@ func (al *Allocator) SolveFrom(prev *Allocation) (*Allocation, SolveStats, error
 	return al.solver.SolveFrom(prev)
 }
 
-// DefaultSAConfig returns a medium-effort annealing schedule.
-func DefaultSAConfig() SAConfig { return baseline.DefaultSAConfig() }
-
-// SolveAnnealing optimizes the client→cluster assignment by simulated
-// annealing (the stochastic alternative the paper names in Section V).
-func SolveAnnealing(scen *Scenario, cfg SAConfig) (*Allocation, error) {
-	return baseline.SolveAnnealing(scen, cfg)
-}
-
-// DefaultGAConfig returns a small genetic-search configuration.
-func DefaultGAConfig() GAConfig { return baseline.DefaultGAConfig() }
-
-// SolveGenetic optimizes the client→cluster assignment with a simple
-// generational genetic algorithm.
-func SolveGenetic(scen *Scenario, cfg GAConfig) (*Allocation, error) {
-	return baseline.SolveGenetic(scen, cfg)
-}
-
 // SolveExhaustive enumerates every client→cluster assignment; tiny
 // instances only (≤ baseline.MaxExhaustiveClients clients).
 func SolveExhaustive(scen *Scenario) (*Allocation, error) {
 	return baseline.SolveExhaustive(scen, core.DefaultConfig())
-}
-
-// DefaultMultiTierConfig uses the standard solver settings.
-func DefaultMultiTierConfig() MultiTierConfig { return multitier.DefaultConfig() }
-
-// SolveMultiTier places every tier of every multi-tier application on the
-// cloud (the paper's future-work extension).
-func SolveMultiTier(cloud Cloud, apps []App, cfg MultiTierConfig) (*MultiTierSolution, error) {
-	return multitier.Solve(cloud, apps, cfg)
 }
 
 // NewLastValuePredictor forecasts a repeat of the last observation.

@@ -6,24 +6,6 @@ import (
 	"testing"
 )
 
-func TestPublicAPIEpochs(t *testing.T) {
-	scen := genScenario(t, 15, 31)
-	cfg := DefaultEpochConfig()
-	cfg.Epochs = 4
-	results, err := RunEpochs(scen, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if r.PlannedProfit <= 0 {
-			t.Fatalf("epoch %d planned %v", r.Epoch, r.PlannedProfit)
-		}
-	}
-}
-
 func TestPublicAPISolveFrom(t *testing.T) {
 	scen := genScenario(t, 15, 32)
 	al, err := NewAllocator(scen)
@@ -45,29 +27,6 @@ func TestPublicAPISolveFrom(t *testing.T) {
 	// profit.
 	if a.Profit() < prev.Profit()-1e-6 {
 		t.Fatalf("warm restart lost profit: %v -> %v", prev.Profit(), a.Profit())
-	}
-}
-
-func TestPublicAPIStochasticComparators(t *testing.T) {
-	scen := genScenario(t, 12, 33)
-	sa := DefaultSAConfig()
-	sa.Anneal.Steps = 40
-	fromSA, err := SolveAnnealing(scen, sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fromSA.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ga := DefaultGAConfig()
-	ga.Population = 6
-	ga.Generations = 3
-	fromGA, err := SolveGenetic(scen, ga)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fromGA.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -108,27 +67,6 @@ func TestPublicAPIExhaustiveMatchesHeuristicOnTiny(t *testing.T) {
 	}
 	if mean := ratioSum / seeds; mean < 0.9 {
 		t.Fatalf("mean heuristic/exhaustive ratio %v below the paper's band", mean)
-	}
-}
-
-func TestPublicAPIMultiTier(t *testing.T) {
-	scen := genScenario(t, 1, 35)
-	apps := []App{{
-		ID: 0, Base: 8, Slope: 1, ArrivalRate: 1.5, PredictedRate: 1.5,
-		Tiers: []Tier{
-			{ProcTime: 0.4, CommTime: 0.5, DiskNeed: 0.5},
-			{ProcTime: 0.6, CommTime: 0.4, DiskNeed: 1},
-		},
-	}}
-	sol, err := SolveMultiTier(scen.Cloud, apps, DefaultMultiTierConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Served[0] {
-		t.Fatal("app not served")
-	}
-	if math.IsNaN(sol.Profit) {
-		t.Fatal("NaN profit")
 	}
 }
 

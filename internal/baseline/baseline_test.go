@@ -191,6 +191,3 @@ func TestMonteCarloDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different envelopes: %+v vs %+v", e1, e2)
 	}
 }
-
-// randSource builds a deterministic rand.Rand for tests.
-func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -56,20 +56,7 @@ type ThresholdPolicy struct {
 
 // ShouldResolve implements Policy.
 func (p ThresholdPolicy) ShouldResolve(lastDecision, current []float64) bool {
-	for i := range current {
-		base := lastDecision[i]
-		if base <= 0 {
-			return true
-		}
-		diff := current[i] - base
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff/base > p.RelChange {
-			return true
-		}
-	}
-	return false
+	return maxRelDrift(lastDecision, current) > p.RelChange
 }
 
 // PeriodicPolicy re-decides every Every epochs regardless of drift. The
@@ -205,8 +192,9 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 		// is always priced at the actual rates.
 		forecast := rates
 		if cfg.Predictor != nil && e > 0 {
-			if f := cfg.Predictor.Predict(); len(f) == len(rates) {
-				forecast = f
+			forecast = cfg.Predictor.Predict()
+			if len(forecast) != len(rates) {
+				return ControllerSummary{}, fmt.Errorf("epoch: predictor returned %d rates, want %d", len(forecast), len(rates))
 			}
 		}
 		for i := range cur.Clients {

@@ -5,8 +5,22 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/predict"
+	"repro/internal/workload"
 )
+
+func genScenario(t *testing.T, n int, seed int64) *model.Scenario {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.NumClients = n
+	cfg.Seed = seed
+	scen, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scen
+}
 
 func baseRates(scenClients int) []float64 {
 	rates := make([]float64, scenClients)
@@ -157,6 +171,24 @@ func TestRunControllerPolicies(t *testing.T) {
 	if sAlways.Decisions != 8 {
 		t.Fatalf("always policy decided %d times", sAlways.Decisions)
 	}
+	// The run works on a private copy: the trace's rates never reach the
+	// caller's scenario.
+	for i := range base {
+		if scen.Clients[i].ArrivalRate != base[i] {
+			t.Fatalf("RunController mutated the caller's scenario: client %d rate %v, was %v",
+				i, scen.Clients[i].ArrivalRate, base[i])
+		}
+	}
+	// Warm starts must stay competitive with re-solving from scratch.
+	cold := always
+	cold.WarmStart = false
+	sCold, err := RunController(scen, tr, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sAlways.TotalProfit < 0.9*sCold.TotalProfit {
+		t.Fatalf("warm-start profit %v far below cold %v", sAlways.TotalProfit, sCold.TotalProfit)
+	}
 
 	never := DefaultControllerConfig()
 	never.Policy = NeverPolicy{}
@@ -212,7 +244,20 @@ func TestRunControllerValidation(t *testing.T) {
 	if _, err := RunController(scen, badTr, DefaultControllerConfig()); err == nil {
 		t.Fatal("shape-mismatched trace accepted")
 	}
+	// A forecast of the wrong length is an error, not a silent fall back
+	// to the actual rates (which would score the predictor as an oracle).
+	cfg = DefaultControllerConfig()
+	cfg.Predictor = shortPredictor{}
+	if _, err := RunController(scen, tr, cfg); err == nil {
+		t.Fatal("wrong-length forecast accepted")
+	}
 }
+
+// shortPredictor always forecasts one rate, whatever it observed.
+type shortPredictor struct{}
+
+func (shortPredictor) Observe([]float64) error { return nil }
+func (shortPredictor) Predict() []float64      { return []float64{1} }
 
 func TestRunControllerWithPredictor(t *testing.T) {
 	scen := genScenario(t, 20, 43)

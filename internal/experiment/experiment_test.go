@@ -179,45 +179,6 @@ func TestRunAblation(t *testing.T) {
 	}
 }
 
-func TestRunComparators(t *testing.T) {
-	cfg := DefaultComparatorConfig()
-	cfg.Clients = 15
-	cfg.Scenarios = 2
-	cfg.MC.Draws = 5
-	cfg.SA.Anneal.Steps = 20
-	cfg.GA.Population = 4
-	cfg.GA.Generations = 2
-	rows, err := RunComparators(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Method != "proposed (Resource_Alloc)" || rows[0].Relative != 1 {
-		t.Fatalf("first row must be the proposed solver: %+v", rows[0])
-	}
-	var psRel float64
-	for _, r := range rows {
-		if r.MeanTime <= 0 {
-			t.Fatalf("method %s has no timing", r.Method)
-		}
-		if r.Method == "modified PS" {
-			psRel = r.Relative
-		}
-	}
-	if psRel >= 1 {
-		t.Fatalf("modified PS should trail the proposed solver, got relative %v", psRel)
-	}
-	if !strings.Contains(ComparatorTable(rows), "meanProfit") {
-		t.Fatal("table missing header")
-	}
-	cfg.Scenarios = 0
-	if _, err := RunComparators(cfg); err == nil {
-		t.Fatal("zero scenarios accepted")
-	}
-}
-
 func TestRunEpochsExperiment(t *testing.T) {
 	cfg := DefaultEpochsConfig()
 	cfg.Clients = 15
