@@ -18,6 +18,7 @@ package cloudalloc
 // live in the test suite and EXPERIMENTS.md records a full run.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -441,7 +442,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.SolveFrom(prev); err != nil {
+			if _, _, err := solver.SolveFromCtx(context.Background(), prev); err != nil {
 				b.Fatal(err)
 			}
 		}

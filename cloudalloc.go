@@ -32,6 +32,7 @@
 package cloudalloc
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -323,7 +324,7 @@ func (al *Allocator) Solve() (*Allocation, SolveStats, error) { return al.solver
 
 // Improve runs the local-search phases on an existing allocation.
 func (al *Allocator) Improve(a *Allocation) {
-	al.solver.ImproveLocal(a, nil)
+	al.solver.ImproveLocalCtx(context.Background(), a, nil)
 }
 
 // Evaluate returns the approximate profit and portions of placing client

@@ -1,6 +1,7 @@
 package cloudalloc
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/baseline"
@@ -62,7 +63,7 @@ func RunController(scen *Scenario, tr Trace, cfg ControllerConfig) (ControllerSu
 // previous epoch's allocation (paper Figure 3's "state of the cluster at
 // end of prev. epoch").
 func (al *Allocator) SolveFrom(prev *Allocation) (*Allocation, SolveStats, error) {
-	return al.solver.SolveFrom(prev)
+	return al.solver.SolveFromCtx(context.Background(), prev)
 }
 
 // SolveExhaustive enumerates every client→cluster assignment; tiny

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -85,7 +86,7 @@ func SolveExhaustive(scen *model.Scenario, cfg core.Config) (*alloc.Allocation, 
 			if err != nil {
 				return err
 			}
-			improver.ImproveLocal(a, nil)
+			improver.ImproveLocalCtx(context.Background(), a, nil)
 			if p := a.Profit(); p > bestProfit {
 				best, bestProfit = a, p
 			}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -188,12 +189,12 @@ func randomAssign(solver *core.Solver, a *alloc.Allocation, rng *rand.Rand) erro
 // solutions: each client in turn is removed and re-placed on its best
 // cluster; passes repeat until no reassignment improves the profit or the
 // pass budget is exhausted. It delegates to the solver's cloud-level
-// ReassignmentPass (the same move the proposed heuristic uses). Returns
+// ReassignmentPassCtx (the same move the proposed heuristic uses). Returns
 // the number of improving moves.
 func ReassignmentSearch(solver *core.Solver, a *alloc.Allocation, maxPasses int) int {
 	var moves int
 	for pass := 0; pass < maxPasses; pass++ {
-		m := solver.ReassignmentPass(a)
+		m := solver.ReassignmentPassCtx(context.Background(), a)
 		moves += m
 		if m == 0 {
 			break

@@ -46,9 +46,10 @@ func (at Attribution) Residual() float64 {
 	return at.Final - at.Initial - at.PhaseSum()
 }
 
-// PhaseTimings reports where a solve's wall-clock time went. In sharded
-// mode Sweep and Reassign sum the per-shard goroutines' busy time, so
-// they may exceed the solve's elapsed wall clock.
+// PhaseTimings reports where a solve's wall-clock time went. Sweep (and
+// Reassign in sharded mode) sum the busy time of the sweep's parts: wall
+// time for the single-part default, more than the elapsed wall clock when
+// Config.Parallel or shards run parts concurrently.
 type PhaseTimings struct {
 	// Greedy covers the initial-solution construction (all starts, or
 	// the warm-start replay plus re-placements).

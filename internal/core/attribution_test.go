@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"testing"
@@ -14,8 +15,13 @@ import (
 // reproduce the final profit up to ledger-style float regrouping (the
 // deltas are plain differences of Kahan-compensated cluster sums, so
 // the residual is bounded by the same drift tolerance the ledger uses).
+// Every solve — cold, sharded or warm — also reports its wall clock and
+// the time its initial solution took.
 func checkAttribution(t *testing.T, st Stats) {
 	t.Helper()
+	if st.Elapsed <= 0 || st.Timings.Greedy <= 0 {
+		t.Fatalf("solve timing not recorded: elapsed %v, greedy %v", st.Elapsed, st.Timings.Greedy)
+	}
 	at := st.Attribution
 	if at.Initial != st.InitialProfit || at.Final != st.FinalProfit {
 		t.Fatalf("attribution endpoints %v→%v disagree with stats %v→%v",
@@ -50,9 +56,6 @@ func TestAttributionIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAttribution(t, st)
-			if st.Timings.Greedy <= 0 {
-				t.Fatal("greedy phase timing not recorded")
-			}
 			if st.LocalSearchIters > 0 && st.Timings.Sweep <= 0 {
 				t.Fatal("sweep phase timing not recorded despite local-search rounds")
 			}
@@ -71,7 +74,7 @@ func TestAttributionIdentity(t *testing.T) {
 			next.Clients[i].PredictedRate *= 1.05
 		}
 		s2 := newTestSolver(t, next, nil)
-		_, st, err := s2.SolveFrom(a)
+		_, st, err := s2.SolveFromCtx(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,8 +92,9 @@ func TestAttributionWithTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := newTestSolver(t, scen, func(c *Config) { c.Telemetry = telemetry.New(nil) })
-	_, stOn, err := on.Solve()
+	tel := telemetry.New(nil)
+	on := newTestSolver(t, scen, func(c *Config) { c.Telemetry = tel })
+	aOn, stOn, err := on.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +102,32 @@ func TestAttributionWithTelemetry(t *testing.T) {
 		t.Fatalf("telemetry changed attribution:\noff %+v\non  %+v", stOff.Attribution, stOn.Attribution)
 	}
 	checkAttribution(t, stOn)
+
+	// A warm solve on the same set reports through the same instruments.
+	_, stWarm, err := on.SolveFromCtx(context.Background(), aOn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAttribution(t, stWarm)
+	if got := tel.Counter("solver_solves_total").Value(); got != 2 {
+		t.Errorf("solver_solves_total = %d after a cold and a warm solve, want 2", got)
+	}
+	greedy := tel.Histogram(telemetry.Name("solver_phase_seconds", "phase", phaseGreedy), telemetry.DurationBuckets)
+	if got := greedy.Count(); got != 2 {
+		t.Errorf("solver_phase_seconds{phase=greedy} has %d samples, want 2", got)
+	}
+	var greedySpans int
+	for _, sp := range tel.Tracer.Snapshot() {
+		if sp.Name == "solver.greedy" {
+			greedySpans++
+		}
+	}
+	if greedySpans != 2 {
+		t.Errorf("%d solver.greedy spans, want 2", greedySpans)
+	}
+	if got := tel.Gauge("solver_unplaced_clients").Value(); got != float64(stWarm.Unplaced) {
+		t.Errorf("solver_unplaced_clients = %v, want the warm solve's %d", got, stWarm.Unplaced)
+	}
 }
 
 // TestAttributionIdentity10k is the acceptance-scale check (CI scale

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -139,30 +139,18 @@ func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, subset []m
 		clusterAt = func(idx int) model.ClusterID { return subset[idx] }
 	}
 	results := make([]result, numC)
-	eval := func(idx int) {
+	// The paper's distributed decision making: with Config.Parallel each
+	// cluster agent evaluates the client on its own goroutine.
+	workers := 1
+	if s.cfg.Parallel {
+		workers = numC
+	}
+	parallel.For(parallel.Options{Workers: workers}, numC, func(_, idx int) {
 		est, portions, err := s.AssignDistribute(a, i, clusterAt(idx))
-		if err != nil {
-			return
+		if err == nil {
+			results[idx] = result{est: est, portions: portions, ok: true}
 		}
-		results[idx] = result{est: est, portions: portions, ok: true}
-	}
-	if s.cfg.Parallel && numC > 1 {
-		// The paper's distributed decision making: each cluster agent
-		// evaluates the client against its own state in parallel.
-		var wg sync.WaitGroup
-		for idx := 0; idx < numC; idx++ {
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				eval(idx)
-			}(idx)
-		}
-		wg.Wait()
-	} else {
-		for idx := 0; idx < numC; idx++ {
-			eval(idx)
-		}
-	}
+	})
 
 	best := -1
 	for idx, r := range results {

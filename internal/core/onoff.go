@@ -240,14 +240,11 @@ func serverActiveWithout(a *alloc.Allocation, j model.ServerID, i model.ClientID
 // rates when the client keeps other portions, or fully re-assigning it
 // inside the cluster otherwise). The experiment commits when the exact
 // cluster profit improves. Returns the number of servers deactivated.
+//
+// It reads only cluster-local state (drain experiments are evaluated via
+// the cluster-scoped transaction ledger, so no membership snapshot is
+// needed), so sweeps may call it on distinct clusters concurrently.
 func (s *Solver) TurnOffServers(a *alloc.Allocation, k model.ClusterID) int {
-	return s.turnOffServers(a, k)
-}
-
-// turnOffServers is the cluster-goroutine-safe body of TurnOffServers: it
-// reads only cluster-local state (drain experiments are evaluated via the
-// cluster-scoped transaction ledger, so no membership snapshot is needed).
-func (s *Solver) turnOffServers(a *alloc.Allocation, k model.ClusterID) int {
 	type ranked struct {
 		server  model.ServerID
 		utility float64

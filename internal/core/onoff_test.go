@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -292,7 +293,7 @@ func TestReassignmentPassNoOpOnOptimal(t *testing.T) {
 	}
 	p := a.Profit()
 	// A second pass over an already-converged solution must not change it.
-	s.ReassignmentPass(a)
+	s.ReassignmentPassCtx(context.Background(), a)
 	if math.Abs(a.Profit()-p) > 1e-9 {
 		t.Fatalf("pass on converged solution changed profit: %v -> %v", p, a.Profit())
 	}

@@ -6,9 +6,9 @@ import (
 	"repro/internal/alloc"
 )
 
-// ReassignmentPass is the cloud-level move of the paper's local search:
-// each client is removed and re-placed on whichever cluster now offers
-// the highest exact profit ("this local search is not only used to
+// ReassignmentPassCtx is the cloud-level move of the paper's local
+// search: each client is removed and re-placed on whichever cluster now
+// offers the highest exact profit ("this local search is not only used to
 // change client assignment to decrease the resource saturation in some of
 // clusters but also to combine the clients", Section V). It is a central-
 // manager operation — unlike the per-cluster phases it may move clients
@@ -22,15 +22,9 @@ import (
 //
 // The pass runs as a two-stage pipeline (reassign_pipeline.go): candidate
 // scoring for all clients in parallel against the frozen allocation, then
-// a serial commit loop in descending-gain order.
-func (s *Solver) ReassignmentPass(a *alloc.Allocation) int {
-	return s.ReassignmentPassCtx(context.Background(), a)
-}
-
-// ReassignmentPassCtx is ReassignmentPass under a caller-provided
-// context: the pass's flight-recorder events carry the trace context of
-// the span in ctx, linking each commit/restore failure to the round it
-// happened in.
+// a serial commit loop in descending-gain order. Its flight-recorder
+// events carry the trace context of the span in ctx, linking each
+// commit/restore failure to the round it happened in.
 func (s *Solver) ReassignmentPassCtx(ctx context.Context, a *alloc.Allocation) int {
 	return s.reassignmentPass(ctx, a, false)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // benchReassignSetup builds a solver in the requested mode plus a greedy
 // (not yet reassigned) allocation — the state the pass sees inside
-// ImproveLocal's first round.
+// ImproveLocalCtx's first round.
 func benchReassignSetup(b *testing.B, clients int, mutate func(*Config)) (*Solver, *alloc.Allocation) {
 	b.Helper()
 	wcfg := workload.DefaultConfig()
@@ -57,7 +58,7 @@ func BenchmarkReassignmentPass(b *testing.B) {
 					b.StopTimer()
 					a := base.Clone()
 					b.StartTimer()
-					s.ReassignmentPass(a)
+					s.ReassignmentPassCtx(context.Background(), a)
 				}
 			})
 		}
@@ -70,12 +71,12 @@ func BenchmarkReassignmentPass(b *testing.B) {
 // O(clients) instead of O(clients × clusters × servers).
 func BenchmarkReassignmentPassConverged(b *testing.B) {
 	s, a := benchReassignSetup(b, 250, nil)
-	for i := 0; i < 10 && s.ReassignmentPass(a) > 0; i++ {
+	for i := 0; i < 10 && s.ReassignmentPassCtx(context.Background(), a) > 0; i++ {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if moves := s.ReassignmentPass(a); moves != 0 {
+		if moves := s.ReassignmentPassCtx(context.Background(), a); moves != 0 {
 			b.Fatalf("converged allocation moved %d clients", moves)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,8 +80,8 @@ func TestReassignmentPassWorkerEquivalence(t *testing.T) {
 		// Several passes so the second and third run against the marks
 		// cached from the first (the cross-round skip path).
 		for pass := 0; pass < 3; pass++ {
-			m1 := s1.ReassignmentPass(a1)
-			mN := sN.ReassignmentPass(aN)
+			m1 := s1.ReassignmentPassCtx(context.Background(), a1)
+			mN := sN.ReassignmentPassCtx(context.Background(), aN)
 			if m1 != mN {
 				t.Fatalf("seed %d pass %d: %d moves with 1 worker, %d with 4", seed, pass, m1, mN)
 			}
@@ -148,13 +149,13 @@ func TestReassignmentPassDirtySkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain to convergence (Solve usually already has, but be explicit).
-	for i := 0; i < 5 && s.ReassignmentPass(a) > 0; i++ {
+	for i := 0; i < 5 && s.ReassignmentPassCtx(context.Background(), a) > 0; i++ {
 	}
 
 	scored := set.Counter("solver_reassign_scored_total")
 	skipped := set.Counter("solver_reassign_dirty_skipped_total")
 	scoredBefore, skippedBefore := scored.Value(), skipped.Value()
-	if moves := s.ReassignmentPass(a); moves != 0 {
+	if moves := s.ReassignmentPassCtx(context.Background(), a); moves != 0 {
 		t.Fatalf("converged allocation still moved %d clients", moves)
 	}
 	if got := scored.Value() - scoredBefore; got != 0 {
@@ -184,7 +185,7 @@ func TestReassignmentPassDirtySkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	scoredBefore = scored.Value()
-	s.ReassignmentPass(a)
+	s.ReassignmentPassCtx(context.Background(), a)
 	if got := scored.Value() - scoredBefore; got == 0 {
 		t.Fatal("perturbed cluster did not trigger rescoring")
 	}

@@ -3,21 +3,20 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
-// The reassignment pass (see ReassignmentPass) runs in two stages:
+// The reassignment pass (see ReassignmentPassCtx) runs in two stages:
 //
-//  1. Scoring: a worker pool prices every client's candidate placements
-//     (one Assign_Distribute plus one exact marginal gain per cluster)
-//     against the frozen allocation through a read-only alloc.View —
+//  1. Scoring: an internal/parallel fan-out prices every client's
+//     candidate placements (one Assign_Distribute plus one exact
+//     marginal gain per cluster) against the frozen allocation through a
+//     read-only alloc.View —
 //     no mutation, no ledger traffic, so workers share the allocation
 //     without locks.
 //  2. Commit: a serial loop pops candidates in descending profit-delta
@@ -129,21 +128,6 @@ func (s *Solver) storeReassignState(st *reassignState) {
 	s.reassignMu.Unlock()
 }
 
-// reassignWorkers resolves the scoring pool size for n scorable clients.
-func (s *Solver) reassignWorkers(n int) int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // reassignmentPass is the pass behind ReassignmentPassCtx. reconcile
 // marks the sharded solve's serial cross-shard reconciliation: successful
 // moves are then logged (sampled) to the flight recorder as
@@ -194,29 +178,16 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 		st.results = make([]scoreResult, len(toScore))
 	}
 	results := st.results[:len(toScore)]
-	if workers := s.reassignWorkers(len(toScore)); workers <= 1 {
-		for idx, i := range toScore {
-			results[idx] = s.scoreClient(a, i, outGain, &st.scratch, ix, nil)
+	// Worker 0 borrows the pass's cached scratch; the others get their own.
+	workers := parallel.Bound(s.cfg.Workers, len(toScore))
+	extra := make([]reassignScratch, workers-1)
+	parallel.For(parallel.Options{Workers: workers}, len(toScore), func(w, idx int) {
+		ws := &st.scratch
+		if w > 0 {
+			ws = &extra[w-1]
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var ws reassignScratch
-				for {
-					idx := int(next.Add(1)) - 1
-					if idx >= len(toScore) {
-						return
-					}
-					results[idx] = s.scoreClient(a, toScore[idx], outGain, &ws, ix, nil)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		results[idx] = s.scoreClient(a, toScore[idx], outGain, ws, ix, nil)
+	})
 
 	// Fold the results serially in client order: deterministic marks and
 	// a deterministic initial heap regardless of worker interleaving.

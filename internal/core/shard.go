@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
@@ -14,7 +13,9 @@ import (
 // Sharded solve (Config.Shards > 1): the clusters are partitioned into
 // contiguous shards that build and improve the solution independently on
 // the fan-out pool, so one allocation arena can absorb 100k–1M clients
-// without every phase scanning the whole cloud.
+// without every phase scanning the whole cloud: the common pipeline
+// (Solver.run) with shardedGreedy as the initial-solution builder and the
+// plan's shards as the partition the round loop sweeps.
 //
 // Safety is inherited from the allocation's per-cluster ownership
 // discipline: every mutation (Assign/Unassign, ledger settles, version
@@ -47,7 +48,7 @@ type shardPlan struct {
 // balanced (the scale workloads draw clusters i.i.d.), and the
 // reconciliation pass corrects the residual imbalance. The routing is
 // static: it only depends on client IDs.
-func (s *Solver) planShards(a *alloc.Allocation, numShards int) *shardPlan {
+func (s *Solver) planShards(numShards int) *shardPlan {
 	numK := s.scen.Cloud.NumClusters()
 	if numShards > numK {
 		numShards = numK
@@ -88,42 +89,22 @@ func (p *shardPlan) rebuildOwners(a *alloc.Allocation) {
 	}
 }
 
-// solveSharded is the sharded twin of Solve. Per-shard spans are started
-// with the shard index as the explicit child index (StartCtxAt), so the
-// span tree — IDs included — is identical at any worker count.
-func (s *Solver) solveSharded(ctx context.Context) (*alloc.Allocation, Stats, error) {
-	start := time.Now()
-	sp, ctx := s.tel.startCtx(ctx, "solver.solve_sharded")
-	if s.tel != nil {
-		s.tel.solves.Inc()
-		sp.Attr("clients", s.scen.NumClients())
-		sp.Attr("shards", s.cfg.Shards)
-	}
-
+// shardedGreedy is the sharded solve's initial-solution builder: each
+// shard places its routed clients on its own clusters in a seed-split
+// random order, on the fan-out pool. One greedy start per shard: the
+// multi-start diversification buys little once the cloud is sliced, and
+// at shard scale one pass is the budget. Per-shard spans are indexed by
+// shard (StartCtxAt): the same span tree at any worker count.
+func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
 	if s.tel != nil {
 		a.Instrument(s.tel.set)
 	}
-	plan := s.planShards(a, s.cfg.Shards)
-	numShards := len(plan.clusters)
-	workers := parallel.Bound(s.cfg.Workers, numShards)
-	opts := parallel.Options{Workers: workers, Phase: "shard"}
-	if s.tel != nil {
-		opts.Tel = s.tel.set
-	}
-
-	// Phase 1: parallel greedy. Each shard places its routed clients on
-	// its own clusters in a seed-split random order. One greedy start per
-	// shard: the multi-start diversification buys little once the cloud
-	// is sliced, and at shard scale one pass is the budget.
-	tGreedy := time.Now()
-	gsp, gctx := s.tel.startCtx(ctx, "solver.greedy")
 	plan.rebuildOwners(a)
+	numShards := len(plan.clusters)
 	gss := make([]*greedyState, numShards)
-	gopts := opts
-	gopts.Ctx = gctx
-	parallel.For(gopts, numShards, func(w, sh int) {
-		ssp, sctx := s.tel.startCtxAt(gctx, "solver.shard_greedy", sh)
+	parallel.For(s.fanOpts(ctx, "shard"), numShards, func(_, sh int) {
+		ssp, sctx := s.tel.startCtxAt(ctx, "solver.shard_greedy", sh)
 		ssp.Attr("shard", sh)
 		gs := s.newGreedyState(a, plan.clusters[sh])
 		gs.setRef(telemetry.RefFromContext(sctx))
@@ -140,114 +121,7 @@ func (s *Solver) solveSharded(ctx context.Context) (*alloc.Allocation, Stats, er
 	for _, gs := range gss {
 		gs.flushTelemetry(s.tel)
 	}
-	if s.tel != nil {
-		s.tel.greedyDur.ObserveSince(tGreedy)
-	}
-	gsp.End()
-	stats := Stats{InitialProfit: a.Profit()}
-	stats.Timings.Greedy = time.Since(tGreedy)
-
-	// Phase 2: improvement rounds. Each round runs the per-cluster
-	// sweeps and a shard-scoped reassignment pass on every shard in
-	// parallel, then a serial whole-cloud reassignment pass that
-	// reconciles shard boundaries (the only place clients cross shards).
-	prev := stats.InitialProfit
-	for iter := 0; iter < s.cfg.MaxLocalSearchIters; iter++ {
-		stats.LocalSearchIters = iter + 1
-		rsp, rctx := s.tel.startCtx(ctx, "solver.shard_round")
-		var t0 time.Time
-		if s.tel != nil {
-			t0 = time.Now()
-			s.tel.rounds.Inc()
-			rsp.Attr("round", iter+1)
-		}
-		members := s.clusterMembers(a)
-		plan.rebuildOwners(a)
-		acts := make([]int, numShards)
-		deacts := make([]int, numShards)
-		moves := make([]int, numShards)
-		deltas := make([]sweepDeltas, numShards)
-		reassignDelta := make([]float64, numShards)
-		sweepNanos := make([]int64, numShards)
-		reassignNanos := make([]int64, numShards)
-		ropts := opts
-		ropts.Ctx = rctx
-		parallel.For(ropts, numShards, func(w, sh int) {
-			ssp, sctx := s.tel.startCtxAt(rctx, "solver.shard_sweep", sh)
-			ssp.Attr("shard", sh)
-			tSweep := time.Now()
-			for _, kid := range plan.clusters[sh] {
-				ak, dk, dd := s.sweepCluster(a, kid, members[kid])
-				acts[sh] += ak
-				deacts[sh] += dk
-				deltas[sh].add(dd)
-			}
-			sweepNanos[sh] = int64(time.Since(tSweep))
-			if !s.cfg.DisableReassign {
-				tr := time.Now()
-				// Profit reads stay within the shard's own clusters, so they
-				// are safe inside the shard goroutine.
-				before := s.clustersProfit(a, plan.clusters[sh])
-				moves[sh] = s.reassignScoped(sctx, a, plan.owner[sh], plan.clusters[sh])
-				reassignDelta[sh] = s.clustersProfit(a, plan.clusters[sh]) - before
-				reassignNanos[sh] = int64(time.Since(tr))
-			}
-			ssp.End()
-		})
-		for sh := 0; sh < numShards; sh++ {
-			stats.Activations += acts[sh]
-			stats.Deactivations += deacts[sh]
-			stats.Reassignments += moves[sh]
-			stats.Attribution.ShareAdjust += deltas[sh].share
-			stats.Attribution.DispersionAdjust += deltas[sh].disp
-			stats.Attribution.TurnOn += deltas[sh].turnOn
-			stats.Attribution.TurnOff += deltas[sh].turnOff
-			stats.Attribution.Reassign += reassignDelta[sh]
-			stats.Timings.Sweep += time.Duration(sweepNanos[sh])
-			stats.Timings.Reassign += time.Duration(reassignNanos[sh])
-		}
-		if !s.cfg.DisableReassign {
-			// Serial boundary reconciliation: clients are scored against the
-			// whole cloud, so profitable cross-shard moves happen here. The
-			// flight recorder logs the (sampled) moves as reconcile_move.
-			tr := time.Now()
-			before := a.Profit()
-			moved := s.reassignmentPass(rctx, a, true)
-			stats.Reassignments += moved
-			delta := a.Profit() - before
-			stats.Attribution.Reconcile += delta
-			stats.Timings.Reconcile += time.Since(tr)
-			if s.tel != nil {
-				s.tel.reassignDur.ObserveSince(tr)
-				s.tel.reassignments.Add(int64(moved))
-				s.tel.reassignDelta.Add(delta)
-			}
-		}
-		p := a.Profit()
-		if s.tel != nil {
-			s.tel.roundDur.ObserveSince(t0)
-			rsp.Attr("profit", p)
-			rsp.Attr("delta", p-prev)
-		}
-		rsp.End()
-		if p-prev <= s.cfg.Tolerance*(1+absf(prev)) {
-			break
-		}
-		prev = p
-	}
-
-	stats.FinalProfit = a.Profit()
-	stats.Attribution.Initial = stats.InitialProfit
-	stats.Attribution.Final = stats.FinalProfit
-	stats.Unplaced = s.scen.NumClients() - a.NumAssigned()
-	stats.Elapsed = time.Since(start)
-	if s.tel != nil {
-		s.tel.unplacedClients.Set(float64(stats.Unplaced))
-		sp.Attr("final_profit", stats.FinalProfit)
-		sp.Attr("rounds", stats.LocalSearchIters)
-	}
-	sp.End()
-	return a, stats, nil
+	return a, nil
 }
 
 // clustersProfit folds the given clusters' ledger profits (each read is

@@ -50,6 +50,9 @@ func TestShardedSolveWorkerEquiv(t *testing.T) {
 		if st1.Reassignments != stN.Reassignments {
 			t.Fatalf("shards=%d: %d vs %d reassignments", shards, st1.Reassignments, stN.Reassignments)
 		}
+		if st1.Attribution != stN.Attribution {
+			t.Fatalf("shards=%d: attribution differs across worker counts:\nW=1 %+v\nW=8 %+v", shards, st1.Attribution, stN.Attribution)
+		}
 		if err := aN.Validate(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -45,8 +45,8 @@ type Stats struct {
 	// Attribution splits the profit between the initial solution and the
 	// local-search phases (attribution.go). Always populated — the deltas
 	// come from the allocation's O(touched) per-cluster ledger reads, so
-	// no telemetry set is needed. ImproveLocal fills the phase deltas;
-	// Solve/SolveFrom additionally set Initial and Final.
+	// no telemetry set is needed. ImproveLocalCtx fills the phase deltas;
+	// the solves additionally set Initial and Final.
 	Attribution Attribution
 	// Timings is the per-phase wall-clock breakdown (attribution.go).
 	Timings PhaseTimings
@@ -95,56 +95,81 @@ func (s *Solver) Solve() (*alloc.Allocation, Stats, error) {
 // flight-recorder events are stamped with that trace context.
 func (s *Solver) SolveCtx(ctx context.Context) (*alloc.Allocation, Stats, error) {
 	if s.cfg.Shards > 1 && s.scen.Cloud.NumClusters() > 1 {
-		// Sharded mode (shard.go): clusters partitioned across independent
-		// shards, per-shard greedy + local search on the fan-out pool, with
-		// serial cross-shard reconciliation between rounds.
-		return s.solveSharded(ctx)
+		// Sharded mode (shard.go): shards build and sweep independently on
+		// the fan-out pool; the reassignment pass reconciles them each round.
+		plan := s.planShards(s.cfg.Shards)
+		return s.run(ctx, "solver.solve_sharded", plan, func(ctx context.Context, _ *telemetry.Span) (*alloc.Allocation, error) {
+			return s.shardedGreedy(ctx, plan)
+		})
 	}
+	return s.run(ctx, "solver.solve", nil, s.multiStart)
+}
+
+// run is the one Resource_Alloc pipeline (paper Figure 3) behind every
+// public solve: build an initial solution, alternate the per-cluster
+// phases and the cloud-level reassignment until the profit is steady,
+// report. Cold, warm and sharded solves differ only in the builder they
+// hand in (multiStart, replay, shardedGreedy — each runs under the
+// solver.greedy span it is given) and in the partition the round loop
+// sweeps (plan's shards, or nil for the whole cloud).
+func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
+	initial func(context.Context, *telemetry.Span) (*alloc.Allocation, error)) (*alloc.Allocation, Stats, error) {
 	start := time.Now()
-	sp, ctx := s.tel.startCtx(ctx, "solver.solve")
-	sp.Attr("clients", s.scen.NumClients())
-	sp.Attr("clusters", s.scen.Cloud.NumClusters())
+	sp, ctx := s.tel.startCtx(ctx, spanName)
+	defer sp.End()
 	if s.tel != nil {
 		s.tel.solves.Inc()
+		sp.Attr("clients", s.scen.NumClients())
+		sp.Attr("clusters", s.scen.Cloud.NumClusters())
+		if plan != nil {
+			sp.Attr("shards", s.cfg.Shards)
+		}
 	}
 
 	gsp, gctx := s.tel.startCtx(ctx, "solver.greedy")
-	tGreedy := time.Now()
-	best, bestProfit, err := s.multiStart(gctx)
+	a, err := initial(gctx, &gsp)
 	if err != nil {
+		gsp.End()
 		return nil, Stats{}, err
 	}
+	stats := Stats{InitialProfit: a.Profit()}
+	stats.Timings.Greedy = time.Since(start)
 	if s.tel != nil {
-		s.tel.greedyDur.ObserveSince(tGreedy)
-		gsp.Attr("initial_profit", bestProfit)
-		gsp.Attr("starts", s.cfg.NumInitSolutions)
+		s.tel.greedyDur.Observe(stats.Timings.Greedy.Seconds())
+		gsp.Attr("initial_profit", stats.InitialProfit)
 	}
 	gsp.End()
-	if best == nil {
-		return nil, Stats{}, errors.New("core: no initial solution produced")
-	}
 
-	stats := Stats{InitialProfit: bestProfit}
-	stats.Timings.Greedy = time.Since(tGreedy)
-	s.ImproveLocalCtx(ctx, best, &stats)
-	stats.FinalProfit = best.Profit()
+	s.improve(ctx, a, &stats, plan)
+	stats.FinalProfit = a.Profit()
 	stats.Attribution.Initial = stats.InitialProfit
 	stats.Attribution.Final = stats.FinalProfit
-	stats.Unplaced = s.scen.NumClients() - best.NumAssigned()
+	stats.Unplaced = s.scen.NumClients() - a.NumAssigned()
 	stats.Elapsed = time.Since(start)
 	if s.tel != nil {
 		s.tel.unplacedClients.Set(float64(stats.Unplaced))
 		sp.Attr("final_profit", stats.FinalProfit)
 		sp.Attr("rounds", stats.LocalSearchIters)
 	}
-	sp.End()
-	return best, stats, nil
+	return a, stats, nil
 }
 
-// multiStart runs the NumInitSolutions greedy starts on the fan-out
-// engine and returns the winner under (profit desc, start index asc).
-func (s *Solver) multiStart(ctx context.Context) (*alloc.Allocation, float64, error) {
+// fanOpts configures a fan-out on the solver's bounded worker pool
+// (Config.Workers), recorded as phase when telemetry is attached.
+func (s *Solver) fanOpts(ctx context.Context, phase string) parallel.Options {
+	o := parallel.Options{Workers: s.cfg.Workers, Phase: phase, Ctx: ctx}
+	if s.tel != nil {
+		o.Tel = s.tel.set
+	}
+	return o
+}
+
+// multiStart is the cold solve's initial-solution builder: it runs the
+// NumInitSolutions greedy starts on the fan-out engine and returns the
+// winner under (profit desc, start index asc).
+func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span) (*alloc.Allocation, error) {
 	n := s.cfg.NumInitSolutions
+	gsp.Attr("starts", n)
 	workers := parallel.Bound(s.cfg.Workers, n)
 	// Per-worker state: cur is the recycled arena for the next start,
 	// best the worker's winner so far under the global total order.
@@ -155,13 +180,8 @@ func (s *Solver) multiStart(ctx context.Context) (*alloc.Allocation, float64, er
 	}
 	curs := make([]*alloc.Allocation, workers)
 	bests := make([]workerBest, workers)
-	errs := make([]error, n)
-	opts := parallel.Options{Workers: workers, Phase: "multistart", Ctx: ctx}
-	if s.tel != nil {
-		opts.Tel = s.tel.set
-	}
 	ref := telemetry.RefFromContext(ctx)
-	parallel.For(opts, n, func(w, iter int) {
+	err := parallel.ForErr(s.fanOpts(ctx, "multistart"), n, func(w, iter int) error {
 		a := curs[w]
 		if a == nil {
 			a = alloc.New(s.scen)
@@ -172,9 +192,8 @@ func (s *Solver) multiStart(ctx context.Context) (*alloc.Allocation, float64, er
 			a.Reset()
 		}
 		if err := s.buildInitial(a, parallel.Rand(s.cfg.Seed, uint64(iter)), ref); err != nil {
-			errs[iter] = err
 			curs[w] = a
-			return
+			return err
 		}
 		p := a.Profit()
 		if b := &bests[w]; b.a == nil || p > b.profit || (p == b.profit && iter < b.index) {
@@ -183,11 +202,10 @@ func (s *Solver) multiStart(ctx context.Context) (*alloc.Allocation, float64, er
 		} else {
 			curs[w] = a
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	var best *alloc.Allocation
 	var bestProfit float64
@@ -201,7 +219,10 @@ func (s *Solver) multiStart(ctx context.Context) (*alloc.Allocation, float64, er
 			best, bestProfit, bestIndex = b.a, b.profit, b.index
 		}
 	}
-	return best, bestProfit, nil
+	if best == nil {
+		return nil, errors.New("core: no initial solution produced")
+	}
+	return best, nil
 }
 
 // InitialSolution builds one greedy solution: clients in random order,
@@ -241,22 +262,26 @@ func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry
 	return nil
 }
 
-// ImproveLocal runs the local-search phases until the profit is steady or
-// the iteration budget is exhausted. It mutates a in place and records
-// activity in stats (which may be nil).
-func (s *Solver) ImproveLocal(a *alloc.Allocation, stats *Stats) {
-	s.ImproveLocalCtx(context.Background(), a, stats)
-}
-
-// ImproveLocalCtx is ImproveLocal under a caller-provided context: round
-// and reassignment spans parent into the span carried by ctx. It always
-// accumulates the per-phase profit deltas and timings into
-// stats.Attribution and stats.Timings (Initial/Final stay zero unless the
-// caller sets them, as Solve and SolveFrom do).
+// ImproveLocalCtx runs the local-search phases until the profit is steady
+// or the iteration budget is exhausted. It mutates a in place and records
+// activity in stats (which may be nil): the per-phase profit deltas and
+// timings accumulate into stats.Attribution and stats.Timings
+// (Initial/Final stay zero; the solves set them). Round and reassignment
+// spans parent into the span carried by ctx.
 func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats *Stats) {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	s.improve(ctx, a, stats, nil)
+}
+
+// improve is the round loop of every solve: sweep the partition (plan's
+// shards, or the whole cloud when plan is nil), then run the whole-cloud
+// reassignment pass — a central-manager move, the only place clients
+// cross clusters and shards. With a plan that pass is the serial boundary
+// reconciliation, booked to Reconcile and logged as reconcile_move.
+func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan) {
+	parts := s.sweepPartition(plan)
 	prev := a.Profit()
 	for iter := 0; iter < s.cfg.MaxLocalSearchIters; iter++ {
 		stats.LocalSearchIters = iter + 1
@@ -267,19 +292,20 @@ func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats
 			s.tel.rounds.Inc()
 			rsp.Attr("round", iter+1)
 		}
-		tSweep := time.Now()
-		s.improvePass(a, stats)
-		stats.Timings.Sweep += time.Since(tSweep)
+		s.sweepParts(rctx, a, stats, plan, parts)
 		if !s.cfg.DisableReassign {
-			// Cloud-level client reassignment is a central-manager move and
-			// runs between the parallel per-cluster sweeps.
 			tr := time.Now()
 			before := a.Profit()
-			moved := s.ReassignmentPassCtx(rctx, a)
+			moved := s.reassignmentPass(rctx, a, plan != nil)
 			stats.Reassignments += moved
 			delta := a.Profit() - before
-			stats.Attribution.Reassign += delta
-			stats.Timings.Reassign += time.Since(tr)
+			if plan != nil {
+				stats.Attribution.Reconcile += delta
+				stats.Timings.Reconcile += time.Since(tr)
+			} else {
+				stats.Attribution.Reassign += delta
+				stats.Timings.Reassign += time.Since(tr)
+			}
 			if s.tel != nil {
 				s.tel.reassignDur.ObserveSince(tr)
 				s.tel.reassignments.Add(int64(moved))
@@ -300,46 +326,92 @@ func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats
 	}
 }
 
-// improvePass runs one sweep of all enabled phases. When Parallel is set
-// the per-cluster work runs concurrently: every mutation a phase makes is
-// confined to one cluster (clients are pinned to a single cluster by
-// constraint (6)), so cluster goroutines touch disjoint state. Cluster
-// membership is snapshotted up front so no goroutine reads another
-// cluster's assignment fields.
-func (s *Solver) improvePass(a *alloc.Allocation, stats *Stats) {
-	numK := s.scen.Cloud.NumClusters()
+// sweepPartition chooses the parts one sweep runs concurrently: the
+// plan's shards; else one part per cluster when Config.Parallel; else a
+// single part holding every cluster.
+func (s *Solver) sweepPartition(plan *shardPlan) [][]model.ClusterID {
+	if plan != nil {
+		return plan.clusters
+	}
+	all := make([]model.ClusterID, s.scen.Cloud.NumClusters())
+	for k := range all {
+		all[k] = model.ClusterID(k)
+	}
+	if !s.cfg.Parallel {
+		return [][]model.ClusterID{all}
+	}
+	parts := make([][]model.ClusterID, len(all))
+	for k := range parts {
+		parts[k] = all[k : k+1]
+	}
+	return parts
+}
+
+// partResult is one sweep part's report, folded serially into Stats.
+type partResult struct {
+	acts, deacts, moves   int
+	deltas                sweepDeltas
+	reassign              float64
+	sweepDur, reassignDur time.Duration
+}
+
+// sweepParts runs one sweep of all enabled per-cluster phases, one
+// parallel.For task per part: shards on the bounded Config.Workers pool,
+// Config.Parallel's per-cluster parts on a goroutine each, the single
+// default part inline. Every mutation a phase makes is confined to one
+// cluster (constraint (6) pins a client to one) and membership is
+// snapshotted up front, so parts touch disjoint state. A shard also runs
+// its scoped reassignment pass, under a span indexed by shard (StartCtxAt)
+// so the span tree is identical at any worker count. Results fold
+// serially in part order.
+func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan, parts [][]model.ClusterID) {
 	members := s.clusterMembers(a)
-	acts := make([]int, numK)
-	deacts := make([]int, numK)
-	deltas := make([]sweepDeltas, numK)
-	run := func(k int) {
-		acts[k], deacts[k], deltas[k] = s.sweepCluster(a, model.ClusterID(k), members[k])
+	opts := parallel.Options{Workers: len(parts)}
+	if plan != nil {
+		plan.rebuildOwners(a)
+		opts = s.fanOpts(ctx, "shard")
 	}
-	if s.cfg.Parallel && numK > 1 {
-		var wg sync.WaitGroup
-		for k := 0; k < numK; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				run(k)
-			}(k)
+	results := make([]partResult, len(parts))
+	parallel.For(opts, len(parts), func(_, p int) {
+		r := &results[p]
+		var psp telemetry.Span
+		pctx := ctx
+		if plan != nil {
+			psp, pctx = s.tel.startCtxAt(ctx, "solver.shard_sweep", p)
+			psp.Attr("shard", p)
 		}
-		wg.Wait()
-	} else {
-		for k := 0; k < numK; k++ {
-			run(k)
+		tSweep := time.Now()
+		for _, kid := range parts[p] {
+			acts, deacts, d := s.sweepCluster(a, kid, members[kid])
+			r.acts += acts
+			r.deacts += deacts
+			r.deltas.add(d)
 		}
+		r.sweepDur = time.Since(tSweep)
+		if plan != nil && !s.cfg.DisableReassign {
+			tr := time.Now()
+			// Profit reads stay within the shard's own clusters, so they
+			// are safe inside the shard goroutine.
+			before := s.clustersProfit(a, parts[p])
+			r.moves = s.reassignScoped(pctx, a, plan.owner[p], parts[p])
+			r.reassign = s.clustersProfit(a, parts[p]) - before
+			r.reassignDur = time.Since(tr)
+		}
+		psp.End()
+	})
+	for p := range results {
+		r := &results[p]
+		stats.Activations += r.acts
+		stats.Deactivations += r.deacts
+		stats.Reassignments += r.moves
+		stats.Attribution.ShareAdjust += r.deltas.share
+		stats.Attribution.DispersionAdjust += r.deltas.disp
+		stats.Attribution.TurnOn += r.deltas.turnOn
+		stats.Attribution.TurnOff += r.deltas.turnOff
+		stats.Attribution.Reassign += r.reassign
+		stats.Timings.Sweep += r.sweepDur
+		stats.Timings.Reassign += r.reassignDur
 	}
-	var total sweepDeltas
-	for k := 0; k < numK; k++ {
-		stats.Activations += acts[k]
-		stats.Deactivations += deacts[k]
-		total.add(deltas[k])
-	}
-	stats.Attribution.ShareAdjust += total.share
-	stats.Attribution.DispersionAdjust += total.disp
-	stats.Attribution.TurnOn += total.turnOn
-	stats.Attribution.TurnOff += total.turnOff
 }
 
 // sweepCluster runs the enabled per-cluster local-search phases on one
@@ -347,8 +419,7 @@ func (s *Solver) improvePass(a *alloc.Allocation, stats *Stats) {
 // phase's profit delta, read through the allocation's O(touched)
 // per-cluster ledger. Every mutation (and every profit read) is confined
 // to the cluster, so callers may run sweeps on distinct clusters
-// concurrently (improvePass's per-cluster goroutines, the sharded
-// solve's per-shard rounds). When telemetry is attached the sweep also
+// concurrently (sweepParts). When telemetry is attached the sweep also
 // records per-phase timing, move-acceptance counters and cumulative
 // delta gauges — same moves either way.
 func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID) (acts, deacts int, d sweepDeltas) {
@@ -414,7 +485,7 @@ func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members 
 			t0 = time.Now()
 		}
 		before := a.ClusterProfit(kid)
-		deacts = s.turnOffServers(a, kid)
+		deacts = s.TurnOffServers(a, kid)
 		d.turnOff = a.ClusterProfit(kid) - before
 		if tel != nil {
 			tel.turnOffDur.ObserveSince(t0)

@@ -172,16 +172,21 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 	scen := smallScenario(t, 30, 7)
 	seq := newTestSolver(t, scen, nil)
 	par := newTestSolver(t, scen, func(c *Config) { c.Parallel = true })
-	a1, _, err := seq.Solve()
+	a1, st1, err := seq.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := par.Solve()
+	a2, st2, err := par.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(a1.Profit()-a2.Profit()) > 1e-9 {
 		t.Fatalf("parallel %v != sequential %v", a2.Profit(), a1.Profit())
+	}
+	// The per-part fold must not lose counts.
+	if st1.Activations != st2.Activations || st1.Deactivations != st2.Deactivations ||
+		st1.Reassignments != st2.Reassignments || st1.LocalSearchIters != st2.LocalSearchIters {
+		t.Fatalf("parallel counts differ from sequential:\nseq %+v\npar %+v", st1, st2)
 	}
 	if err := a2.Validate(); err != nil {
 		t.Fatal(err)

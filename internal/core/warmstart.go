@@ -4,31 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
-// SolveFrom re-solves for this solver's scenario starting from a previous
-// epoch's allocation instead of an empty cloud (paper Figure 3:
+// SolveFromCtx re-solves for this solver's scenario starting from a
+// previous epoch's allocation instead of an empty cloud (paper Figure 3:
 // "curr_state_k = state of the cluster at end of prev. epoch").
 //
 // prev may belong to a different scenario snapshot — typically the same
 // cloud with drifted client arrival rates. Every client keeps its previous
 // portions when they are still feasible under the new rates; clients whose
 // old placement saturates are re-placed greedily; then the usual local
-// search runs. Returns the allocation, stats and the number of clients
-// that had to be re-placed.
-func (s *Solver) SolveFrom(prev *alloc.Allocation) (*alloc.Allocation, Stats, error) {
-	return s.SolveFromCtx(context.Background(), prev)
-}
-
-// SolveFromCtx is SolveFrom under a caller-provided context: the warm
-// start records a solver.solve_from span (replay + re-placements +
-// local search) parenting into the span carried by ctx — under the epoch
-// controller this chains every epoch's solve into one trace per step.
+// search runs. It is the common pipeline (Solver.run) with replay as the
+// initial-solution builder, recorded as a solver.solve_from span that
+// parents into the span carried by ctx — under the epoch controller this
+// chains every epoch's solve into one trace per step.
 func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*alloc.Allocation, Stats, error) {
 	if prev == nil {
 		return nil, Stats{}, errors.New("core: nil previous allocation")
@@ -40,11 +33,15 @@ func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*all
 			prevScen.Cloud.NumServers(), s.scen.Cloud.NumServers(),
 			prevScen.NumClients(), s.scen.NumClients())
 	}
-	sp, ctx := s.tel.startCtx(ctx, "solver.solve_from")
-	sp.Attr("clients", s.scen.NumClients())
-	defer sp.End()
+	return s.run(ctx, "solver.solve_from", nil, func(ctx context.Context, gsp *telemetry.Span) (*alloc.Allocation, error) {
+		return s.replay(ctx, gsp, prev)
+	})
+}
 
-	tGreedy := time.Now()
+// replay is the warm solve's initial-solution builder: prev's placements
+// carried over where they still fit, the rest re-placed greedily. gsp
+// records how many clients had to be re-placed.
+func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Allocation) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
 	if s.tel != nil {
 		a.Instrument(s.tel.set)
@@ -74,19 +71,11 @@ func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*all
 			if errors.Is(err, ErrCannotPlace) {
 				continue
 			}
-			return nil, Stats{}, err
+			return nil, err
 		}
 		replaced++
 	}
 	gs.flushTelemetry(s.tel)
-	sp.Attr("replaced", replaced)
-
-	stats := Stats{InitialProfit: a.Profit()}
-	stats.Timings.Greedy = time.Since(tGreedy)
-	s.ImproveLocalCtx(ctx, a, &stats)
-	stats.FinalProfit = a.Profit()
-	stats.Attribution.Initial = stats.InitialProfit
-	stats.Attribution.Final = stats.FinalProfit
-	stats.Unplaced = s.scen.NumClients() - a.NumAssigned()
-	return a, stats, nil
+	gsp.Attr("replaced", replaced)
+	return a, nil
 }

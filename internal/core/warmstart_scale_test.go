@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestWarmstartDirtyRescoring10k is the at-scale warmstart check: a
-// 10k-client epoch roll (SolveFrom on drifted rates) must keep the bulk
+// 10k-client epoch roll (SolveFromCtx on drifted rates) must keep the bulk
 // of the placements, and the reassignment pass's dirty-cluster tracking
 // must actually engage at that size — a converged pass re-scores almost
 // nothing instead of sweeping all 10k clients again. Gated off -race
@@ -66,7 +67,7 @@ func TestWarmstartDirtyRescoring10k(t *testing.T) {
 		mutate(c)
 		c.Telemetry = set
 	})
-	a, stats, err := s2.SolveFrom(prev)
+	a, stats, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +89,12 @@ func TestWarmstartDirtyRescoring10k(t *testing.T) {
 
 	// Drain to convergence, then check the dirty tracking: one more pass
 	// over the untouched allocation must skip essentially everyone.
-	for i := 0; i < 5 && s2.ReassignmentPass(a) > 0; i++ {
+	for i := 0; i < 5 && s2.ReassignmentPassCtx(context.Background(), a) > 0; i++ {
 	}
 	scored := set.Counter("solver_reassign_scored_total")
 	skipped := set.Counter("solver_reassign_dirty_skipped_total")
 	scoredBefore, skippedBefore := scored.Value(), skipped.Value()
-	if moves := s2.ReassignmentPass(a); moves != 0 {
+	if moves := s2.ReassignmentPassCtx(context.Background(), a); moves != 0 {
 		t.Fatalf("converged allocation still moved %d clients", moves)
 	}
 	if got := scored.Value() - scoredBefore; got != 0 {

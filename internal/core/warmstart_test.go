@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestSolveFromKeepsFeasiblePlacements(t *testing.T) {
 		next.Clients[i].PredictedRate *= 0.95
 	}
 	s2 := newTestSolver(t, next, nil)
-	a, stats, err := s2.SolveFrom(prev)
+	a, stats, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSolveFromReplacesSaturatedClients(t *testing.T) {
 		next.Clients[i].PredictedRate *= 3
 	}
 	s2 := newTestSolver(t, next, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestSolveFromRejectsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newTestSolver(t, other, nil)
-	if _, _, err := s2.SolveFrom(prev); err == nil {
+	if _, _, err := s2.SolveFromCtx(context.Background(), prev); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if _, _, err := s2.SolveFrom(nil); err == nil {
+	if _, _, err := s2.SolveFromCtx(context.Background(), nil); err == nil {
 		t.Fatal("nil previous accepted")
 	}
 }
@@ -147,7 +148,7 @@ func TestSolveFromDropsDepartedClients(t *testing.T) {
 	}
 
 	s2 := newTestSolver(t, drift, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSolveFromPlacesArrivals(t *testing.T) {
 	// They arrive: fresh scenario with every rate positive.
 	next := smallScenario(t, 30, 25)
 	s2 := newTestSolver(t, next, nil)
-	a, _, err := s2.SolveFrom(prev)
+	a, _, err := s2.SolveFromCtx(context.Background(), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestSolveFromWarmBeatsColdGreedy(t *testing.T) {
 
 		drift := driftChurn(t, 40, seed, seed*7+1, 0.15)
 		warmSolver := newTestSolver(t, drift, nil)
-		warm, _, err := warmSolver.SolveFrom(prev)
+		warm, _, err := warmSolver.SolveFromCtx(context.Background(), prev)
 		if err != nil {
 			t.Fatal(err)
 		}

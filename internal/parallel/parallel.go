@@ -1,7 +1,9 @@
 // Package parallel is the shared fan-out engine for the repository's
 // embarrassingly-parallel loops: the solver's multi-start greedy phase,
-// the Monte-Carlo draw loop, the Proportional-Share active-fraction
-// sweep and the experiment scenario jobs all route through it.
+// per-cluster evaluation, sweep parts (clusters or shards) and
+// reassignment scoring, the Monte-Carlo draw loop, the Proportional-Share
+// active-fraction sweep and the experiment scenario jobs all route
+// through it.
 //
 // Two properties make the engine safe to drop into result-bearing code:
 //

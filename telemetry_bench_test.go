@@ -7,6 +7,7 @@ package cloudalloc
 // enforced by TestDisabledPathAllocationFree in internal/telemetry).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -63,7 +64,7 @@ func BenchmarkPaperPhaseTimings(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := solver.SolveFrom(a); err != nil {
+		if _, _, err := solver.SolveFromCtx(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 	}
