@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/alloc"
@@ -100,9 +101,12 @@ func (ag *LocalAgent) Reset(ctx context.Context) error {
 // Evaluate implements Agent.
 func (ag *LocalAgent) Evaluate(ctx context.Context, id model.ClientID) (EvalResult, error) {
 	est, portions, err := ag.solver.AssignDistribute(ag.a, id, ag.k)
-	if err != nil {
-		// Infeasibility is a valid bid ("pass"), not a transport error.
+	if errors.Is(err, core.ErrCannotPlace) {
+		// Infeasibility is a valid bid ("pass"), not an error.
 		return EvalResult{}, nil
+	}
+	if err != nil {
+		return EvalResult{}, fmt.Errorf("cluster: agent %d evaluate client %d: %w", ag.k, id, err)
 	}
 	return EvalResult{Feasible: true, Est: est, Portions: portions}, nil
 }

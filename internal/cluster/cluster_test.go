@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -338,5 +339,24 @@ func TestEvaluateReportsInfeasibleAsPass(t *testing.T) {
 	}
 	if bid.Feasible {
 		t.Fatal("impossible placement reported feasible")
+	}
+}
+
+func TestEvaluateReportsBrokenBidAsError(t *testing.T) {
+	// Only core.ErrCannotPlace is a "pass"; an evaluation that itself
+	// fails (here: the agent's cluster does not exist) must reach the
+	// manager as an error, not as a silent infeasible bid.
+	scen := genScenario(t, 3, 6)
+	ag, err := NewLocalAgent(scen, 0, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag.k = 99
+	_, err = ag.Evaluate(testCtx, 0)
+	if err == nil {
+		t.Fatal("evaluation on an unknown cluster reported as a pass")
+	}
+	if errors.Is(err, core.ErrCannotPlace) || !strings.Contains(err.Error(), "cluster 99") {
+		t.Fatalf("err = %v, want an error naming cluster 99", err)
 	}
 }

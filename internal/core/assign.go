@@ -44,10 +44,12 @@ type candidate struct {
 	shareB []float64
 }
 
-// distScratch holds one Assign_Distribute evaluation's working memory so
-// a hot caller (one per reassignment scoring worker) can reuse it across
-// calls. The portions returned from a scratch-backed call alias the
-// scratch and are only valid until the next call with the same scratch.
+// distScratch holds one Assign_Distribute evaluation's working memory.
+// Every caller owns one for as long as it keeps calling — the greedy
+// state (one per pricing worker), a sweep part, a reassignment scoring
+// worker — and the exported kernels borrow one from the solver's free
+// list. The portions assignDistribute returns alias the scratch: they are
+// valid until the scratch's next use (alloc.Allocation.Assign copies).
 type distScratch struct {
 	memo     map[candidateKey]int
 	cands    []candidate
@@ -57,21 +59,51 @@ type distScratch struct {
 	portions []alloc.Portion
 }
 
+// noServer is assignDistribute's "exclude nothing".
+const noServer model.ServerID = -1
+
+// borrowDist checks a scratch out of the solver's free list (a fresh one
+// when every scratch is out); returnDist checks it back in.
+func (s *Solver) borrowDist() *distScratch {
+	s.distMu.Lock()
+	defer s.distMu.Unlock()
+	if n := len(s.distFree); n > 0 {
+		scr := s.distFree[n-1]
+		s.distFree = s.distFree[:n-1]
+		return scr
+	}
+	return new(distScratch)
+}
+
+func (s *Solver) returnDist(scr *distScratch) {
+	s.distMu.Lock()
+	s.distFree = append(s.distFree, scr)
+	s.distMu.Unlock()
+}
+
 // AssignDistribute evaluates the best placement of (unassigned) client i
 // on cluster k given the current allocation state, without mutating it.
 // It returns the approximate profit of the placement and the portions
 // realizing it (paper Section V.A: closed-form shares per server and α
-// grid, combined by dynamic programming so that Σα = 1).
+// grid, combined by dynamic programming so that Σα = 1). The portions are
+// the caller's; concurrent calls on one Solver are safe.
 func (s *Solver) AssignDistribute(a *alloc.Allocation, i model.ClientID, k model.ClusterID) (float64, []alloc.Portion, error) {
-	return s.assignDistribute(a, i, k, nil, nil)
+	scr := s.borrowDist()
+	defer s.returnDist(scr)
+	est, portions, err := s.assignDistribute(a, i, k, noServer, scr)
+	if err != nil {
+		return 0, nil, err
+	}
+	return est, append(make([]alloc.Portion, 0, len(portions)), portions...), nil
 }
 
-// assignDistribute is AssignDistribute generalized over the read surface
-// (live allocation or exclusion view), with an optional server filter
-// (used by TurnOFF to exclude the server being drained) and an optional
-// scratch for allocation-free evaluation.
+// assignDistribute is the one Assign_Distribute kernel, generalized over
+// the read surface (live allocation or exclusion view) and evaluated in
+// scr's buffers. exclude removes one server from the candidates (TurnOFF
+// passes the server being drained; noServer otherwise). The returned
+// portions alias scr.
 func (s *Solver) assignDistribute(v placementView, i model.ClientID, k model.ClusterID,
-	allowed func(model.ServerID) bool, scr *distScratch) (float64, []alloc.Portion, error) {
+	exclude model.ServerID, scr *distScratch) (float64, []alloc.Portion, error) {
 	scen := s.scen
 	if int(k) < 0 || int(k) >= scen.Cloud.NumClusters() {
 		return 0, nil, fmt.Errorf("core: unknown cluster %d", k)
@@ -82,30 +114,20 @@ func (s *Solver) assignDistribute(v placementView, i model.ClientID, k model.Clu
 	g := s.cfg.AlphaGranularity
 	servers := scen.Cloud.ClusterServers(k)
 
-	var cands []candidate
-	var memo map[candidateKey]int
-	var arena []float64
-	if scr != nil {
-		cands = scr.cands[:0]
-		if scr.memo == nil {
-			scr.memo = make(map[candidateKey]int, len(servers))
-		} else {
-			clear(scr.memo)
-		}
-		memo = scr.memo
-		// Size the row arena for the worst case (every server unique) up
-		// front so handing out sub-slices never reallocates mid-call.
-		need := 3 * (g + 1) * len(servers)
-		if cap(scr.arena) < need {
-			scr.arena = make([]float64, need)
-		}
-		arena = scr.arena[:0]
+	if scr.memo == nil {
+		scr.memo = make(map[candidateKey]int, len(servers))
 	} else {
-		memo = make(map[candidateKey]int)
+		clear(scr.memo)
 	}
-
+	// Size the row arena for the worst case (every server unique) up
+	// front so handing out sub-slices never reallocates mid-call.
+	if need := 3 * (g + 1) * len(servers); cap(scr.arena) < need {
+		scr.arena = make([]float64, need)
+	}
+	arena := scr.arena[:0]
+	cands := scr.cands[:0]
 	for _, j := range servers {
-		if allowed != nil && !allowed(j) {
+		if j == exclude {
 			continue
 		}
 		class := scen.Cloud.ServerClass(j)
@@ -116,66 +138,42 @@ func (s *Solver) assignDistribute(v placementView, i model.ClientID, k model.Clu
 			diskOK: v.DiskUsed(j)+cl.DiskNeed <= class.StoreCap,
 			active: v.Active(j),
 		}
-		if idx, ok := memo[key]; ok {
-			prev := cands[idx]
-			cands = append(cands, candidate{
-				server: j,
-				values: prev.values,
-				shareP: prev.shareP,
-				shareB: prev.shareB,
-			})
+		if idx, ok := scr.memo[key]; ok {
+			dup := cands[idx] // an identical server shares the solved rows
+			dup.server = j
+			cands = append(cands, dup)
 			continue
 		}
-		cand := candidate{server: j}
-		if scr != nil {
-			n := len(arena)
-			arena = arena[:n+3*(g+1)]
-			cand.values = arena[n : n+g+1 : n+g+1]
-			cand.shareP = arena[n+g+1 : n+2*(g+1) : n+2*(g+1)]
-			cand.shareB = arena[n+2*(g+1) : n+3*(g+1) : n+3*(g+1)]
-		} else {
-			cand.values = make([]float64, g+1)
-			cand.shareP = make([]float64, g+1)
-			cand.shareB = make([]float64, g+1)
+		n := len(arena)
+		arena = arena[:n+3*(g+1)]
+		cand := candidate{
+			server: j,
+			values: arena[n : n+g+1 : n+g+1],
+			shareP: arena[n+g+1 : n+2*(g+1) : n+2*(g+1)],
+			shareB: arena[n+2*(g+1) : n+3*(g+1) : n+3*(g+1)],
 		}
 		s.tabulateServer(&cand, cl, u, w, class, key, g)
-		memo[key] = len(cands)
+		scr.memo[key] = len(cands)
 		cands = append(cands, cand)
 	}
-	if scr != nil {
-		scr.cands = cands
-		scr.arena = arena
-	}
+	scr.cands = cands
 	if len(cands) == 0 {
 		return 0, nil, ErrCannotPlace
 	}
 
-	var rows [][]float64
-	if scr != nil {
-		rows = scr.rows[:0]
-	}
+	rows := scr.rows[:0]
 	for c := range cands {
 		rows = append(rows, cands[c].values)
 	}
-	var best float64
-	var units []int
-	var err error
-	if scr != nil {
-		scr.rows = rows
-		best, units, err = scr.dp.Combine(rows, g)
-	} else {
-		best, units, err = opt.CombinePortions(rows, g)
-	}
+	scr.rows = rows
+	best, units, err := scr.dp.Combine(rows, g)
 	if err != nil {
 		if errors.Is(err, opt.ErrNoFeasibleCombination) {
 			return 0, nil, ErrCannotPlace
 		}
 		return 0, nil, fmt.Errorf("core: assign-distribute DP: %w", err)
 	}
-	var portions []alloc.Portion
-	if scr != nil {
-		portions = scr.portions[:0]
-	}
+	portions := scr.portions[:0]
 	for c, ug := range units {
 		if ug == 0 {
 			continue
@@ -187,14 +185,12 @@ func (s *Solver) assignDistribute(v placementView, i model.ClientID, k model.Clu
 			CommShare: cands[c].shareB[ug],
 		})
 	}
-	if scr != nil {
-		scr.portions = portions
-	}
+	scr.portions = portions
 	return best, portions, nil
 }
 
 // tabulateServer fills the per-α-grid contribution of one server into
-// cand's (pre-sized, possibly recycled) rows: the linearized revenue
+// cand's (pre-sized, recycled) rows: the linearized revenue
 // α·λ·a minus the weighted tandem delay, the marginal energy cost
 // P1·α·λ̃·tp/Cp, and the activation cost P0 for an inactive server.
 func (s *Solver) tabulateServer(cand *candidate, cl *model.Client, u model.UtilityClass, w float64,

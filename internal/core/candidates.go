@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/alloc"
@@ -20,10 +21,10 @@ import (
 // Slope·Σα_j d_j) with every portion's tandem delay d_j at least the
 // bound's r_lb, and its cost term is at least the bound's cost floor.
 
-// greedyEval is one exactly-evaluated candidate cluster of the indexed
-// greedy path, with eval-owned (recycled) portions. bound keeps the
-// index's gain upper bound so the flight recorder can report bound vs
-// exact for the chosen candidate.
+// greedyEval is one exactly-evaluated candidate cluster, with eval-owned
+// (recycled) portions. bound keeps the index's gain upper bound (zero on
+// the full scan) so the flight recorder can report bound vs exact for the
+// chosen candidate.
 type greedyEval struct {
 	k        model.ClusterID
 	est      float64
@@ -35,15 +36,18 @@ type greedyEval struct {
 // greedyState carries one greedy pass's candidate-generation machinery:
 // the index (nil for the exact path), the cluster scope (nil for the
 // whole cloud — the sharded solve passes its own clusters), recycled
-// buffers, the trace context stamped onto flight-recorder events, and
-// the index hit/prune counts the owner folds into telemetry when the
-// pass ends.
+// buffers, the Assign_Distribute scratches (one per pricing worker: the
+// scope's size when Config.Parallel prices clusters concurrently, else
+// one), the trace context stamped onto flight-recorder events, and the
+// index hit/prune counts the owner folds into telemetry when the pass
+// ends.
 type greedyState struct {
 	ix     *alloc.Index
 	subset []model.ClusterID
+	scope  int // clusters in scope
 	cands  []alloc.Candidate
-	evals  []greedyEval
-	dist   distScratch
+	evals  []greedyEval // cap scope: never grows mid-pass
+	dist   []distScratch
 	ref    telemetry.TraceRef
 
 	evaluated int64
@@ -54,27 +58,37 @@ type greedyState struct {
 // pass over allocation a: index-backed when Config.CandidateClusters
 // enables top-k pruning within the scope, plain (exact scan) otherwise.
 func (s *Solver) newGreedyState(a *alloc.Allocation, subset []model.ClusterID) *greedyState {
-	limit := s.scen.Cloud.NumClusters()
+	scope := s.scen.Cloud.NumClusters()
 	if subset != nil {
-		limit = len(subset)
+		scope = len(subset)
 	}
-	if k := s.cfg.CandidateClusters; k > 0 && k < limit {
-		return &greedyState{ix: alloc.NewIndex(a), subset: subset}
+	workers := 1
+	if s.cfg.Parallel {
+		workers = scope
 	}
-	return &greedyState{subset: subset}
+	gs := &greedyState{
+		subset: subset,
+		scope:  scope,
+		evals:  make([]greedyEval, 0, scope),
+		dist:   make([]distScratch, workers),
+	}
+	if k := s.cfg.CandidateClusters; k > 0 && k < scope {
+		gs.ix = alloc.NewIndex(a)
+	}
+	return gs
 }
 
-// setRef stamps the pass's flight-recorder events with the enclosing
-// span's trace context. Nil-safe (placeBest accepts a nil state).
-func (gs *greedyState) setRef(ref telemetry.TraceRef) {
-	if gs != nil {
-		gs.ref = ref
+// clusterAt maps a position in the scope to its cluster.
+func (gs *greedyState) clusterAt(idx int) model.ClusterID {
+	if gs.subset != nil {
+		return gs.subset[idx]
 	}
+	return model.ClusterID(idx)
 }
 
 // flushTelemetry folds the pass's index counters into the solver metrics.
 func (gs *greedyState) flushTelemetry(tel *solverTel) {
-	if gs == nil || tel == nil {
+	if tel == nil {
 		return
 	}
 	if gs.evaluated > 0 {
@@ -87,19 +101,13 @@ func (gs *greedyState) flushTelemetry(tel *solverTel) {
 }
 
 // placeBest assigns client i to its most profitable cluster within gs's
-// scope (nil gs = exact whole-cloud scan); ErrCannotPlace when no cluster
-// can host it.
+// scope; ErrCannotPlace when no cluster can host it, any other error when
+// a cluster's evaluation itself failed.
 func (s *Solver) placeBest(a *alloc.Allocation, i model.ClientID, gs *greedyState) error {
-	if gs != nil && gs.ix != nil {
+	if gs.ix != nil {
 		return s.placeBestIndexed(a, i, gs)
 	}
-	var subset []model.ClusterID
-	var ref telemetry.TraceRef
-	if gs != nil {
-		subset = gs.subset
-		ref = gs.ref
-	}
-	return s.placeBestFull(a, i, subset, ref)
+	return s.placeBestFull(a, i, gs)
 }
 
 // flightSampled returns the flight recorder when client i falls into its
@@ -122,81 +130,84 @@ func (s *Solver) flightRecord(e telemetry.Event) {
 	}
 }
 
-// placeBestFull is the exact path: price every cluster in scope, pick the
-// best estimate, and fall through the estimate order until one Assign
-// sticks. With a nil subset this is exactly the seed solver's placeBest.
-// ref stamps the outcome's flight-recorder event.
-func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, subset []model.ClusterID, ref telemetry.TraceRef) error {
-	type result struct {
-		est      float64
-		portions []alloc.Portion
-		ok       bool
-	}
-	numC := s.scen.Cloud.NumClusters()
-	clusterAt := func(idx int) model.ClusterID { return model.ClusterID(idx) }
-	if subset != nil {
-		numC = len(subset)
-		clusterAt = func(idx int) model.ClusterID { return subset[idx] }
-	}
-	results := make([]result, numC)
-	// The paper's distributed decision making: with Config.Parallel each
-	// cluster agent evaluates the client on its own goroutine.
-	workers := 1
-	if s.cfg.Parallel {
-		workers = numC
-	}
-	parallel.For(parallel.Options{Workers: workers}, numC, func(_, idx int) {
-		est, portions, err := s.AssignDistribute(a, i, clusterAt(idx))
-		if err == nil {
-			results[idx] = result{est: est, portions: portions, ok: true}
-		}
-	})
-
+// bestEval returns the position of the live eval with the highest
+// estimate (the first on ties), -1 when none is left.
+func bestEval(evals []greedyEval) int {
 	best := -1
-	for idx, r := range results {
-		if !r.ok {
+	for idx := range evals {
+		if !evals[idx].ok {
 			continue
 		}
-		if best == -1 || r.est > results[best].est {
+		if best == -1 || evals[idx].est > evals[best].est {
 			best = idx
 		}
 	}
-	if s.cfg.AdmissionControl && best != -1 && results[best].est < 0 {
+	return best
+}
+
+// assignBest commits client i to the best-estimated cluster in evals,
+// falling through the descending estimate order until one Assign sticks:
+// the estimate is approximate, so an Assign can still fail in rare
+// borderline cases. It reports whether the client was placed.
+func (s *Solver) assignBest(a *alloc.Allocation, i model.ClientID, evals []greedyEval, ref telemetry.TraceRef) bool {
+	for best := bestEval(evals); best != -1; best = bestEval(evals) {
+		ev := &evals[best]
+		if err := a.Assign(i, ev.k, ev.portions); err == nil {
+			if f := s.flightSampled(i); f != nil {
+				f.Record(telemetry.Event{Kind: telemetry.EventPlaceAccept, Client: int64(i),
+					Cluster: int64(ev.k), Bound: ev.bound, Exact: ev.est, Trace: ref})
+			}
+			return true
+		}
+		ev.ok = false
+	}
+	return false
+}
+
+// placeBestFull is the exact path: price every cluster in scope, pick the
+// best estimate, and fall through the estimate order until one Assign
+// sticks. Over the whole cloud this is exactly the seed solver's
+// placeBest.
+func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, gs *greedyState) error {
+	evals := gs.evals[:gs.scope]
+	// The paper's distributed decision making: with Config.Parallel each
+	// cluster agent evaluates the client on its own goroutine, in its own
+	// scratch; the portions are copied into the eval-owned recycled slice
+	// before that scratch's next evaluation.
+	err := parallel.ForErr(parallel.Options{Workers: len(gs.dist)}, gs.scope, func(w, idx int) error {
+		ev := &evals[idx]
+		ev.k, ev.bound, ev.ok = gs.clusterAt(idx), 0, false
+		est, portions, err := s.assignDistribute(a, i, ev.k, noServer, &gs.dist[w])
+		if err != nil {
+			if errors.Is(err, ErrCannotPlace) {
+				return nil
+			}
+			return err
+		}
+		ev.est, ev.ok = est, true
+		ev.portions = append(ev.portions[:0], portions...)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	if best := bestEval(evals); s.cfg.AdmissionControl && best != -1 && evals[best].est < 0 {
 		// Serving this client anywhere would lose money; leave it out and
 		// let the exact-profit reassignment pass re-admit it if the
 		// linearized estimate was too pessimistic.
 		if f := s.flightSampled(i); f != nil {
 			f.Record(telemetry.Event{Kind: telemetry.EventPlaceReject, Client: int64(i),
-				Reason: "negative_gain", Exact: results[best].est, Trace: ref})
+				Reason: "negative_gain", Exact: evals[best].est, Trace: gs.ref})
 		}
 		return ErrCannotPlace
 	}
-	// Try clusters in descending estimate order until one accepts: the
-	// estimate is approximate, so an Assign can still fail in rare
-	// borderline cases.
-	for best != -1 {
-		r := results[best]
-		if err := a.Assign(i, clusterAt(best), r.portions); err == nil {
-			if f := s.flightSampled(i); f != nil {
-				f.Record(telemetry.Event{Kind: telemetry.EventPlaceAccept, Client: int64(i),
-					Cluster: int64(clusterAt(best)), Exact: r.est, Trace: ref})
-			}
-			return nil
-		}
-		results[best].ok = false
-		best = -1
-		for idx, rr := range results {
-			if !rr.ok {
-				continue
-			}
-			if best == -1 || rr.est > results[best].est {
-				best = idx
-			}
-		}
+	if s.assignBest(a, i, evals, gs.ref) {
+		return nil
 	}
 	if f := s.flightSampled(i); f != nil {
 		f.Record(telemetry.Event{Kind: telemetry.EventPlaceReject, Client: int64(i),
-			Reason: "no_feasible_cluster", Trace: ref})
+			Reason: "no_feasible_cluster", Trace: gs.ref})
 	}
 	return ErrCannotPlace
 }
@@ -206,9 +217,7 @@ func (s *Solver) placeBestFull(a *alloc.Allocation, i model.ClientID, subset []m
 // by gain upper bound, and evaluate them exactly in bound order, stopping
 // as soon as the next bound cannot beat the best exact estimate seen.
 func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *greedyState) error {
-	scope := s.scen.Cloud.NumClusters()
 	if gs.subset != nil {
-		scope = len(gs.subset)
 		gs.ix.RefreshClusters(gs.subset)
 	} else {
 		gs.ix.Refresh()
@@ -227,18 +236,16 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 			boundPruned, prunedBound = true, c.Bound
 			break
 		}
-		est, portions, err := s.assignDistribute(a, i, c.Cluster, nil, &gs.dist)
+		est, portions, err := s.assignDistribute(a, i, c.Cluster, noServer, &gs.dist[0])
 		evaluated++
 		if err != nil {
-			continue
+			if errors.Is(err, ErrCannotPlace) {
+				continue
+			}
+			return err
 		}
-		n := len(evals)
-		if n < cap(evals) {
-			evals = evals[:n+1]
-		} else {
-			evals = append(evals, greedyEval{})
-		}
-		ev := &evals[n]
+		evals = evals[:len(evals)+1] // within cap: top-k yields fewer than scope
+		ev := &evals[len(evals)-1]
 		ev.k, ev.est, ev.bound, ev.ok = c.Cluster, est, c.Bound, true
 		// The scratch-backed portions alias gs.dist; copy into the
 		// eval-owned recycled slice before the next evaluation.
@@ -247,9 +254,8 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 			bestEst = est
 		}
 	}
-	gs.evals = evals
 	gs.evaluated += evaluated
-	gs.pruned += int64(scope) - evaluated
+	gs.pruned += int64(gs.scope) - evaluated
 	if boundPruned {
 		// Bound-vs-exact at the prune decision: the best bound left
 		// unevaluated against the exact estimate that beat it.
@@ -259,39 +265,13 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 		}
 	}
 
-	best := -1
-	for idx := range evals {
-		if !evals[idx].ok {
-			continue
-		}
-		if best == -1 || evals[idx].est > evals[best].est {
-			best = idx
-		}
+	if best := bestEval(evals); s.cfg.AdmissionControl && best != -1 && evals[best].est < 0 {
+		return s.escalateFull(a, i, gs, evaluated, "negative_gain")
 	}
-	if s.cfg.AdmissionControl && best != -1 && evals[best].est < 0 {
-		return s.escalateFull(a, i, gs, evaluated, scope, "negative_gain")
+	if s.assignBest(a, i, evals, gs.ref) {
+		return nil
 	}
-	for best != -1 {
-		if err := a.Assign(i, evals[best].k, evals[best].portions); err == nil {
-			if f := s.flightSampled(i); f != nil {
-				f.Record(telemetry.Event{Kind: telemetry.EventPlaceAccept, Client: int64(i),
-					Cluster: int64(evals[best].k), Bound: evals[best].bound,
-					Exact: evals[best].est, Trace: gs.ref})
-			}
-			return nil
-		}
-		evals[best].ok = false
-		best = -1
-		for idx := range evals {
-			if !evals[idx].ok {
-				continue
-			}
-			if best == -1 || evals[idx].est > evals[best].est {
-				best = idx
-			}
-		}
-	}
-	return s.escalateFull(a, i, gs, evaluated, scope, "topk_rejected")
+	return s.escalateFull(a, i, gs, evaluated, "topk_rejected")
 }
 
 // escalateFull is the indexed path's exactness fallback for rejections:
@@ -304,8 +284,9 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 // damage at the cost of O(scope) exact evaluations per rejected client
 // — in the sharded solve the scope is one shard's clusters, keeping the
 // fallback cheap.
-func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyState, evaluated int64, scope int, reason string) error {
-	if evaluated >= int64(scope) {
+func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyState, evaluated int64, reason string) error {
+	pruned := int64(gs.scope) - evaluated
+	if pruned <= 0 {
 		// Nothing was pruned; the rejection is exact.
 		if f := s.flightSampled(i); f != nil {
 			f.Record(telemetry.Event{Kind: telemetry.EventPlaceReject, Client: int64(i),
@@ -313,11 +294,11 @@ func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyS
 		}
 		return ErrCannotPlace
 	}
-	gs.pruned -= int64(scope) - evaluated
-	gs.evaluated += int64(scope) - evaluated
+	gs.pruned -= pruned
+	gs.evaluated += pruned
 	if f := s.flightSampled(i); f != nil {
 		f.Record(telemetry.Event{Kind: telemetry.EventEscalate, Client: int64(i),
 			Reason: reason, Trace: gs.ref})
 	}
-	return s.placeBestFull(a, i, gs.subset, gs.ref)
+	return s.placeBestFull(a, i, gs)
 }

@@ -243,8 +243,16 @@ func serverActiveWithout(a *alloc.Allocation, j model.ServerID, i model.ClientID
 //
 // It reads only cluster-local state (drain experiments are evaluated via
 // the cluster-scoped transaction ledger, so no membership snapshot is
-// needed), so sweeps may call it on distinct clusters concurrently.
+// needed), so callers may run it on distinct clusters concurrently.
 func (s *Solver) TurnOffServers(a *alloc.Allocation, k model.ClusterID) int {
+	scr := s.borrowDist()
+	defer s.returnDist(scr)
+	return s.turnOffServers(a, k, scr)
+}
+
+// turnOffServers is TurnOffServers with the caller's Assign_Distribute
+// scratch (a sweep part reuses one across its clusters).
+func (s *Solver) turnOffServers(a *alloc.Allocation, k model.ClusterID, scr *distScratch) int {
 	type ranked struct {
 		server  model.ServerID
 		utility float64
@@ -262,7 +270,7 @@ func (s *Solver) TurnOffServers(a *alloc.Allocation, k model.ClusterID) int {
 		if !a.Active(cand.server) {
 			continue // drained as a side effect of an earlier commit
 		}
-		if s.tryDeactivate(a, k, cand.server) {
+		if s.tryDeactivate(a, k, cand.server, scr) {
 			deactivated++
 		}
 	}
@@ -286,12 +294,12 @@ func (s *Solver) serverUtility(a *alloc.Allocation, j model.ServerID) float64 {
 
 // tryDeactivate drains server j inside a cluster-scoped transaction and
 // commits if the exact cluster profit improved.
-func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.ServerID) bool {
+func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.ServerID, scr *distScratch) bool {
 	txn := a.BeginCluster(k)
 	ok := true
 	for _, i := range a.ClientsOn(j) {
 		txn.Capture(i)
-		if !s.rerouteOff(a, i, k, j) {
+		if !s.rerouteOff(a, i, k, j, scr) {
 			ok = false
 			break
 		}
@@ -307,7 +315,7 @@ func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.S
 // rerouteOff removes client i's portion on server j. When the client has
 // other portions their α are re-scaled (respecting stability caps);
 // otherwise the client is fully re-assigned inside cluster k excluding j.
-func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.ClusterID, j model.ServerID) bool {
+func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.ClusterID, j model.ServerID, scr *distScratch) bool {
 	ps := a.Portions(i)
 	var rest []alloc.Portion
 	var freed float64
@@ -330,7 +338,7 @@ func (s *Solver) rerouteOff(a *alloc.Allocation, i model.ClientID, k model.Clust
 	}
 	// Full re-assignment inside the cluster, excluding the drained server.
 	a.Unassign(i)
-	_, portions, err := s.assignDistribute(a, i, k, func(srv model.ServerID) bool { return srv != j }, nil)
+	_, portions, err := s.assignDistribute(a, i, k, j, scr)
 	if err == nil {
 		if err := a.Assign(i, k, portions); err == nil {
 			return true

@@ -391,7 +391,7 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	var evaluated int64
 	evalCluster := func(k model.ClusterID) {
 		evaluated++
-		_, portions, err := s.assignDistribute(&view, i, k, nil, &ws.dist)
+		_, portions, err := s.assignDistribute(&view, i, k, noServer, &ws.dist)
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 
 	"repro/internal/alloc"
@@ -103,21 +104,27 @@ func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan) (*alloc.All
 	plan.rebuildOwners(a)
 	numShards := len(plan.clusters)
 	gss := make([]*greedyState, numShards)
-	parallel.For(s.fanOpts(ctx, "shard"), numShards, func(_, sh int) {
+	err := parallel.ForErr(s.fanOpts(ctx, "shard"), numShards, func(_, sh int) error {
 		ssp, sctx := s.tel.startCtxAt(ctx, "solver.shard_greedy", sh)
+		defer ssp.End()
 		ssp.Attr("shard", sh)
 		gs := s.newGreedyState(a, plan.clusters[sh])
-		gs.setRef(telemetry.RefFromContext(sctx))
+		gs.ref = telemetry.RefFromContext(sctx)
 		gss[sh] = gs
 		rng := parallel.Rand(s.cfg.Seed, uint64(sh))
 		clients := plan.owner[sh]
 		for _, idx := range rng.Perm(len(clients)) {
 			// ErrCannotPlace is expected (the client may only fit on another
 			// shard; reconciliation will pick it up).
-			_ = s.placeBest(a, clients[idx], gs)
+			if err := s.placeBest(a, clients[idx], gs); err != nil && !errors.Is(err, ErrCannotPlace) {
+				return err
+			}
 		}
-		ssp.End()
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, gs := range gss {
 		gs.flushTelemetry(s.tel)
 	}

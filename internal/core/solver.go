@@ -30,6 +30,11 @@ type Solver struct {
 	// different allocations.
 	reassignMu sync.Mutex
 	reassignSt *reassignState
+
+	// distFree is the free list of Assign_Distribute scratches behind the
+	// exported kernels and the sweep parts (assign.go: borrowDist).
+	distMu   sync.Mutex
+	distFree []*distScratch
 }
 
 // Stats reports what the solver did.
@@ -242,12 +247,12 @@ func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 
 // buildInitial runs one greedy pass into an empty (fresh or Reset)
 // allocation. Candidate generation goes through a per-pass greedyState
-// (candidates.go): nil for the exact full scan, index-backed when
+// (candidates.go): the exact full scan, or index-backed when
 // Config.CandidateClusters enables top-k pruning. ref stamps the pass's
 // flight-recorder events with the enclosing span's trace context.
 func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry.TraceRef) error {
 	gs := s.newGreedyState(a, nil)
-	gs.setRef(ref)
+	gs.ref = ref
 	order := rng.Perm(s.scen.NumClients())
 	for _, ci := range order {
 		i := model.ClientID(ci)
@@ -380,9 +385,11 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 			psp, pctx = s.tel.startCtxAt(ctx, "solver.shard_sweep", p)
 			psp.Attr("shard", p)
 		}
+		scr := s.borrowDist()
+		defer s.returnDist(scr)
 		tSweep := time.Now()
 		for _, kid := range parts[p] {
-			acts, deacts, d := s.sweepCluster(a, kid, members[kid])
+			acts, deacts, d := s.sweepCluster(a, kid, members[kid], scr)
 			r.acts += acts
 			r.deacts += deacts
 			r.deltas.add(d)
@@ -419,10 +426,11 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 // phase's profit delta, read through the allocation's O(touched)
 // per-cluster ledger. Every mutation (and every profit read) is confined
 // to the cluster, so callers may run sweeps on distinct clusters
-// concurrently (sweepParts). When telemetry is attached the sweep also
+// concurrently (sweepParts), each with its own scr (TurnOFF's
+// Assign_Distribute scratch). When telemetry is attached the sweep also
 // records per-phase timing, move-acceptance counters and cumulative
 // delta gauges — same moves either way.
-func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID) (acts, deacts int, d sweepDeltas) {
+func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID, scr *distScratch) (acts, deacts int, d sweepDeltas) {
 	tel := s.tel
 	if !s.cfg.DisableShareAdjust {
 		var t0 time.Time
@@ -485,7 +493,7 @@ func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members 
 			t0 = time.Now()
 		}
 		before := a.ClusterProfit(kid)
-		deacts = s.TurnOffServers(a, kid)
+		deacts = s.turnOffServers(a, kid, scr)
 		d.turnOff = a.ClusterProfit(kid) - before
 		if tel != nil {
 			tel.turnOffDur.ObserveSince(t0)

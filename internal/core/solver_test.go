@@ -277,7 +277,7 @@ func TestTxnRollbackRestoresFirstSnapshot(t *testing.T) {
 	scen := smallScenario(t, 5, 51)
 	s := newTestSolver(t, scen, nil)
 	a := alloc.New(scen)
-	if err := s.placeBest(a, 0, nil); err != nil {
+	if err := s.placeBest(a, 0, s.newGreedyState(a, nil)); err != nil {
 		t.Fatal(err)
 	}
 	origK := a.ClusterOf(0)

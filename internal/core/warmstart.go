@@ -65,7 +65,7 @@ func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Al
 	}
 	var replaced int
 	gs := s.newGreedyState(a, nil)
-	gs.setRef(telemetry.RefFromContext(ctx))
+	gs.ref = telemetry.RefFromContext(ctx)
 	for _, id := range displaced {
 		if err := s.placeBest(a, id, gs); err != nil {
 			if errors.Is(err, ErrCannotPlace) {
