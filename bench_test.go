@@ -18,7 +18,6 @@ package cloudalloc
 // live in the test suite and EXPERIMENTS.md records a full run.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -27,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/model"
-	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -160,7 +158,6 @@ func BenchmarkSimValidation(b *testing.B) {
 	cfg := experiment.DefaultValidationConfig()
 	cfg.Clients = 30
 	cfg.Sim.Horizon = 5000
-	cfg.Sim.Warmup = 500
 	var last experiment.ValidationResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,7 +181,7 @@ func BenchmarkAblations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiment.RunAblation(cfg)
+		rows, _, err = experiment.RunAblation(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,7 +384,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.Config{Horizon: 2000, Warmup: 200, Seed: 1}
+	cfg := sim.Config{Horizon: 2000, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
@@ -426,87 +423,5 @@ func BenchmarkEpochPolicies(b *testing.B) {
 	}
 	if always > 0 {
 		b.ReportMetric(never/always, "never/always")
-	}
-}
-
-// BenchmarkWarmStart measures an epoch re-solve warm vs cold.
-func BenchmarkWarmStart(b *testing.B) {
-	scen := benchScenario(b, 100, 13)
-	solver, err := core.NewSolver(scen, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev, _, err := solver.Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.SolveFromCtx(context.Background(), prev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.Solve(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkWaterfill is the per-server KKT share solve.
-func BenchmarkWaterfill(b *testing.B) {
-	items := make([]opt.ShareItem, 8)
-	for i := range items {
-		items[i] = opt.ShareItem{
-			Weight:      0.5 + float64(i)*0.3,
-			Exec:        0.4 + 0.05*float64(i),
-			PortionRate: 0.2 + 0.02*float64(i),
-			Cap:         4,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := opt.WaterfillShares(items, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCombinePortions is the Assign_Distribute dynamic program.
-func BenchmarkCombinePortions(b *testing.B) {
-	const servers, grid = 25, 10
-	rows := make([][]float64, servers)
-	for s := range rows {
-		row := make([]float64, grid+1)
-		for g := 1; g <= grid; g++ {
-			row[g] = float64((s*7+g*3)%11) - 2
-		}
-		rows[s] = row
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := opt.CombinePortions(rows, grid); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAssignDistribute is one client×cluster placement evaluation.
-func BenchmarkAssignDistribute(b *testing.B) {
-	scen := benchScenario(b, 50, 14)
-	solver, err := core.NewSolver(scen, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := alloc.New(scen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := model.ClientID(i % scen.NumClients())
-		if _, _, err := solver.AssignDistribute(a, id, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -124,7 +124,6 @@ func TestPublicAPISimulate(t *testing.T) {
 	}
 	cfg := DefaultSimConfig()
 	cfg.Horizon = 2000
-	cfg.Warmup = 200
 	res, err := Simulate(a, cfg)
 	if err != nil {
 		t.Fatal(err)

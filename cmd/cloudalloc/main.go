@@ -318,7 +318,6 @@ func runReplay(args []string) error {
 	printBreakdown(a)
 	cfg := cloudalloc.DefaultSimConfig()
 	cfg.Horizon = *horizon
-	cfg.Warmup = *horizon / 10
 	cfg.Seed = *seed
 	res, err := cloudalloc.Simulate(a, cfg)
 	if err != nil {

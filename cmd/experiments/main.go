@@ -159,7 +159,6 @@ func runSim(quick bool, seed int64, tel *telemetry.Set) error {
 	if quick {
 		cfg.Clients = 30
 		cfg.Sim.Horizon = 5000
-		cfg.Sim.Warmup = 500
 	}
 	v, err := experiment.RunValidation(cfg)
 	if err != nil {
@@ -177,11 +176,11 @@ func runAblation(quick bool, seed int64, tel *telemetry.Set) error {
 		cfg.Clients = 50
 		cfg.Scenarios = 4
 	}
-	rows, err := experiment.RunAblation(cfg)
+	variants, phases, err := experiment.RunAblation(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiment.AblationTable(rows))
+	fmt.Println(experiment.AblationTable(variants, phases))
 	return nil
 }
 

@@ -64,7 +64,6 @@ func ExampleSimulate() {
 	}
 	simCfg := cloudalloc.DefaultSimConfig()
 	simCfg.Horizon = 1000
-	simCfg.Warmup = 100
 	res, err := cloudalloc.Simulate(a, simCfg)
 	if err != nil {
 		log.Fatal(err)

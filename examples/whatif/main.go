@@ -65,7 +65,6 @@ func run() error {
 	// Double-check the winner with the discrete-event simulator.
 	simCfg := cloudalloc.DefaultSimConfig()
 	simCfg.Horizon = 10000
-	simCfg.Warmup = 1000
 	res, err := cloudalloc.Simulate(bestAlloc, simCfg)
 	if err != nil {
 		return err

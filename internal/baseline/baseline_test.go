@@ -38,13 +38,10 @@ func TestModifiedPSProducesValidAllocation(t *testing.T) {
 
 func TestModifiedPSConfigValidation(t *testing.T) {
 	scen := genScenario(t, 5, 1)
-	if _, err := SolveModifiedPS(scen, PSConfig{Headroom: 1.05}); err == nil {
+	if _, err := SolveModifiedPS(scen, PSConfig{}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{0.5}, Headroom: 0.9}); err == nil {
-		t.Fatal("headroom <= 1 accepted")
-	}
-	if _, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.5}, Headroom: 1.1}); err == nil {
+	if _, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.5}}); err == nil {
 		t.Fatal("fraction > 1 accepted")
 	}
 }
@@ -55,7 +52,7 @@ func TestModifiedPSSweepPicksBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.0}, Headroom: 1.05})
+	single, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.0}})
 	if err != nil {
 		t.Fatal(err)
 	}

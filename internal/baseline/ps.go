@@ -23,9 +23,6 @@ type PSConfig struct {
 	// wins (the paper's "iterative approach to find the best possible set
 	// of active servers").
 	ActiveFractions []float64
-	// Headroom multiplies the stability floor when sizing each client's
-	// minimum capacity.
-	Headroom float64
 	// Workers bounds the sweep fan-out over ActiveFractions: 0, the
 	// default, uses GOMAXPROCS; 1 sweeps sequentially. The winning
 	// setting does not depend on the worker count.
@@ -36,9 +33,12 @@ type PSConfig struct {
 func DefaultPSConfig() PSConfig {
 	return PSConfig{
 		ActiveFractions: []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
-		Headroom:        1.05,
 	}
 }
+
+// psHeadroom multiplies the stability floor when sizing each client's
+// minimum capacity.
+const psHeadroom = 1.05
 
 // SolveModifiedPS runs the modified Proportional Share baseline:
 //
@@ -57,9 +57,6 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 	}
 	if len(cfg.ActiveFractions) == 0 {
 		return nil, errors.New("baseline: no active fractions to sweep")
-	}
-	if cfg.Headroom <= 1 {
-		return nil, fmt.Errorf("baseline: headroom %v must exceed 1", cfg.Headroom)
 	}
 	for _, f := range cfg.ActiveFractions {
 		if f <= 0 || f > 1 {
@@ -89,7 +86,7 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 		} else {
 			a.Reset()
 		}
-		psAttempt(a, scen, cfg.ActiveFractions[idx], cfg.Headroom)
+		psAttempt(a, scen, cfg.ActiveFractions[idx])
 		p := a.Profit()
 		if b := &bests[w]; b.a == nil || p > b.profit || (p == b.profit && idx < b.index) {
 			curs[w] = b.a
@@ -114,7 +111,7 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 
 // psAttempt builds one PS solution with the given active fraction into
 // an empty (fresh or Reset) allocation.
-func psAttempt(a *alloc.Allocation, scen *model.Scenario, fraction, headroom float64) {
+func psAttempt(a *alloc.Allocation, scen *model.Scenario, fraction float64) {
 	active := activeSets(scen, fraction)
 
 	// Virtual-server shares: weight each client by slope × work.
@@ -145,8 +142,8 @@ func psAttempt(a *alloc.Allocation, scen *model.Scenario, fraction, headroom flo
 		cl := &scen.Clients[pc.id]
 		// PS target: proportional share of the aggregate capacity, at
 		// least the stability floor with headroom.
-		minCapP := cl.PredictedRate * cl.ProcTime * headroom
-		minCapB := cl.PredictedRate * cl.CommTime * headroom
+		minCapP := cl.PredictedRate * cl.ProcTime * psHeadroom
+		minCapB := cl.PredictedRate * cl.CommTime * psHeadroom
 		targetP := minCapP
 		if totalWeight > 0 {
 			if t := pc.weight / totalWeight * totalCap; t > targetP {

@@ -175,7 +175,7 @@ func TestManagerCentralReassign(t *testing.T) {
 	scen := genScenario(t, 30, 3)
 
 	off := DefaultManagerConfig()
-	off.CentralReassign = false
+	off.MaxReassignPasses = 0
 	mOff, err := NewManager(scen, localAgents(t, scen), off)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestManagerCentralReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stOff.Reassignments != 0 {
-		t.Fatalf("CentralReassign off but %d reassignments reported", stOff.Reassignments)
+		t.Fatalf("MaxReassignPasses 0 but %d reassignments reported", stOff.Reassignments)
 	}
 
 	mOn, err := NewManager(scen, localAgents(t, scen), DefaultManagerConfig())

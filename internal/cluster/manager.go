@@ -20,33 +20,17 @@ import (
 type ManagerConfig struct {
 	// NumInitSolutions mirrors core.Config: randomized greedy passes.
 	NumInitSolutions int
-	// MaxImproveRounds bounds the distributed local-search rounds.
-	MaxImproveRounds int
-	// Tolerance is the relative profit improvement under which the
-	// improvement loop stops.
-	Tolerance float64
 	// Seed drives the client processing order.
 	Seed int64
-	// CentralReassign runs the cloud-level reassignment pipeline on the
-	// merged allocation after the distributed improvement rounds.
-	// Cross-cluster client moves are a central-manager operation (paper
-	// Section V) the per-cluster agents cannot perform; without this
-	// polish the distributed solve never moves a client between clusters
-	// after the initial greedy placement.
-	CentralReassign bool
-	// MaxReassignPasses bounds the central reassignment rounds; each
-	// pass after the first costs roughly O(changed clients) thanks to
-	// the solver's dirty-cluster tracking.
+	// MaxReassignPasses bounds the central reassignment polish: passes of
+	// the cloud-level reassignment pipeline over the merged allocation
+	// after the distributed improvement rounds. Cross-cluster client
+	// moves are a central-manager operation (paper Section V) the
+	// per-cluster agents cannot perform; with 0 the distributed solve
+	// never moves a client between clusters after the initial greedy
+	// placement. Each pass after the first costs roughly O(changed
+	// clients) thanks to the solver's dirty-cluster tracking.
 	MaxReassignPasses int
-	// ReassignWorkers sizes the central pass's scoring worker pool
-	// (core.Config.Workers): 0 uses GOMAXPROCS.
-	ReassignWorkers int
-	// ReassignTopK bounds the central pass's candidate generation
-	// (core.Config.CandidateClusters): each client is scored against at
-	// most this many index-ranked clusters instead of the whole cloud.
-	// 0 keeps the exhaustive scan; >= the cluster count is equivalent
-	// to it.
-	ReassignTopK int
 	// MaxInFlight bounds concurrent per-agent RPCs in every manager
 	// fan-out (evaluate broadcasts, replay loads, improve rounds,
 	// profit polls, snapshot merges) — the round loop's backpressure:
@@ -65,6 +49,14 @@ type ManagerConfig struct {
 	Telemetry *telemetry.Set
 }
 
+// The distributed improvement loop stops after maxImproveRounds rounds,
+// or earlier once a round gains less than improveTolerance of the profit
+// relatively — the same stop rule as core's local search.
+const (
+	maxImproveRounds = 20
+	improveTolerance = 1e-4
+)
+
 // DefaultMaxInFlight is the fan-out concurrency bound when
 // ManagerConfig.MaxInFlight is 0. Agent RPCs are I/O-bound, so the
 // bound is deliberately above GOMAXPROCS on small hosts.
@@ -74,10 +66,7 @@ const DefaultMaxInFlight = 16
 func DefaultManagerConfig() ManagerConfig {
 	return ManagerConfig{
 		NumInitSolutions:  3,
-		MaxImproveRounds:  20,
-		Tolerance:         1e-4,
 		Seed:              1,
-		CentralReassign:   true,
 		MaxReassignPasses: 3,
 	}
 }
@@ -102,7 +91,7 @@ type ManagerStats struct {
 	Activations   int
 	Deactivations int
 	// Reassignments counts the cross-cluster moves of the central
-	// reassignment polish (0 when CentralReassign is off).
+	// reassignment polish (0 when MaxReassignPasses is 0).
 	Reassignments int
 	Unplaced      int
 	// Elapsed is the wall-clock time of the whole solve; InitElapsed the
@@ -158,7 +147,7 @@ type Manager struct {
 	cfg    ManagerConfig
 	tel    *mgrTel
 	// reassigner runs the central reassignment polish on the merged
-	// allocation (nil when CentralReassign is off). Its cross-round
+	// allocation (nil when MaxReassignPasses is 0). Its cross-round
 	// dirty-cluster marks persist between Solve calls.
 	reassigner *core.Solver
 }
@@ -181,9 +170,7 @@ func NewManager(scen *model.Scenario, agents []Agent, cfg ManagerConfig) (*Manag
 			return nil, fmt.Errorf("cluster: agent %d manages cluster %d", k, id)
 		}
 	}
-	if cfg.NumInitSolutions <= 0 || cfg.MaxImproveRounds < 0 || cfg.Tolerance < 0 ||
-		cfg.MaxReassignPasses < 0 || cfg.ReassignWorkers < 0 || cfg.ReassignTopK < 0 ||
-		cfg.MaxInFlight < 0 || cfg.CallTimeout < 0 {
+	if cfg.NumInitSolutions <= 0 || cfg.MaxReassignPasses < 0 || cfg.MaxInFlight < 0 || cfg.CallTimeout < 0 {
 		return nil, fmt.Errorf("cluster: invalid config %+v", cfg)
 	}
 	m := &Manager{
@@ -192,10 +179,8 @@ func NewManager(scen *model.Scenario, agents []Agent, cfg ManagerConfig) (*Manag
 		cfg:    cfg,
 		tel:    newMgrTel(cfg.Telemetry, scen.Cloud.NumClusters()),
 	}
-	if cfg.CentralReassign && cfg.MaxReassignPasses > 0 {
+	if cfg.MaxReassignPasses > 0 {
 		ccfg := core.DefaultConfig()
-		ccfg.Workers = cfg.ReassignWorkers
-		ccfg.CandidateClusters = cfg.ReassignTopK
 		ccfg.Telemetry = cfg.Telemetry
 		// The polish only moves clients between clusters; dropping an
 		// already-served client would break the distributed solve's
@@ -259,7 +244,7 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 	isp.End()
 
 	prev := bestProfit
-	for round := 0; round < m.cfg.MaxImproveRounds; round++ {
+	for round := 0; round < maxImproveRounds; round++ {
 		stats.ImproveRounds = round + 1
 		rsp, rctx := m.tel.startCtx(ctx, "manager.improve_round")
 		t0 := time.Now()
@@ -276,7 +261,7 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 			rsp.Attr("delta", total-prev)
 		}
 		rsp.End()
-		if total-prev <= m.cfg.Tolerance*(1+abs(prev)) {
+		if total-prev <= improveTolerance*(1+abs(prev)) {
 			prev = total
 			break
 		}

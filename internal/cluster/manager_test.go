@@ -154,7 +154,7 @@ func TestSolveAllReject(t *testing.T) {
 		agents[k] = &rejectAgent{id: model.ClusterID(k)}
 	}
 	cfg := DefaultManagerConfig()
-	cfg.CentralReassign = false // nothing to polish; keep the stub pure
+	cfg.MaxReassignPasses = 0 // nothing to polish; keep the stub pure
 	mgr, err := NewManager(scen, agents, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,9 @@ type Config struct {
 	// is discretized into for the Assign_Distribute dynamic program (the
 	// paper's 1/ℓ).
 	AlphaGranularity int
-	// MaxLocalSearchIters bounds the improvement loop.
+	// MaxLocalSearchIters bounds the improvement loop; 0 keeps the greedy
+	// initial solution as it is.
 	MaxLocalSearchIters int
-	// Tolerance is the relative profit improvement below which the local
-	// search is considered steady.
-	Tolerance float64
 	// Seed drives client-order shuffling; same seed, same solution.
 	Seed int64
 	// Parallel evaluates clusters concurrently (the paper's distributed
@@ -37,8 +35,9 @@ type Config struct {
 	// clients; <1 is more generous to the client being placed.
 	ShadowPriceScale float64
 	// Workers bounds the solver's fan-out worker pools: the multi-start
-	// greedy phase (solver.go, internal/parallel) and the scoring stage
-	// of the pipelined reassignment pass (reassign.go). 0, the default,
+	// greedy phase (solver.go, internal/parallel), the per-shard sweeps
+	// of a sharded solve (Shards) and the scoring stage of the pipelined
+	// reassignment pass (reassign_pipeline.go). 0, the default,
 	// uses runtime.GOMAXPROCS; 1 runs sequentially. Results are
 	// bit-identical for every worker count: each greedy start draws from
 	// its own seed-split RNG stream and the winner is reduced under a
@@ -74,13 +73,9 @@ type Config struct {
 	// adversarial instances it prevents forced-loss placements. Disable
 	// for strict constraint-(6) behaviour.
 	AdmissionControl bool
-
-	// Ablation switches: disable individual local-search phases.
-	DisableShareAdjust      bool
-	DisableReassign         bool
-	DisableDispersionAdjust bool
-	DisableTurnOn           bool
-	DisableTurnOff          bool
+	// DisableReassign skips the cross-cluster reassignment pass, keeping
+	// every client in the cluster the initial solution chose.
+	DisableReassign bool
 
 	// Telemetry, when non-nil, instruments the solver: per-phase spans
 	// and timing histograms, move-acceptance counters and profit-delta
@@ -96,7 +91,6 @@ func DefaultConfig() Config {
 		AdmissionControl:    true,
 		AlphaGranularity:    10,
 		MaxLocalSearchIters: 20,
-		Tolerance:           1e-4,
 		Seed:                1,
 		ShadowPriceScale:    1,
 	}
@@ -111,8 +105,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: AlphaGranularity = %d", c.AlphaGranularity)
 	case c.MaxLocalSearchIters < 0:
 		return fmt.Errorf("core: MaxLocalSearchIters = %d", c.MaxLocalSearchIters)
-	case c.Tolerance < 0:
-		return fmt.Errorf("core: Tolerance = %v", c.Tolerance)
 	case c.ShadowPriceScale <= 0:
 		return fmt.Errorf("core: ShadowPriceScale = %v", c.ShadowPriceScale)
 	case c.Workers < 0:

@@ -280,6 +280,10 @@ func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats
 	s.improve(ctx, a, stats, nil)
 }
 
+// steadyTolerance is the relative profit gain of one round below which
+// the local search counts as steady and stops.
+const steadyTolerance = 1e-4
+
 // improve is the round loop of every solve: sweep the partition (plan's
 // shards, or the whole cloud when plan is nil), then run the whole-cloud
 // reassignment pass — a central-manager move, the only place clients
@@ -324,7 +328,7 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 			rsp.Attr("delta", p-prev)
 		}
 		rsp.End()
-		if p-prev <= s.cfg.Tolerance*(1+absf(prev)) {
+		if p-prev <= steadyTolerance*(1+absf(prev)) {
 			break
 		}
 		prev = p
@@ -360,7 +364,7 @@ type partResult struct {
 	sweepDur, reassignDur time.Duration
 }
 
-// sweepParts runs one sweep of all enabled per-cluster phases, one
+// sweepParts runs one sweep of the per-cluster phases, one
 // parallel.For task per part: shards on the bounded Config.Workers pool,
 // Config.Parallel's per-cluster parts on a goroutine each, the single
 // default part inline. Every mutation a phase makes is confined to one
@@ -421,7 +425,7 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 	}
 }
 
-// sweepCluster runs the enabled per-cluster local-search phases on one
+// sweepCluster runs the four per-cluster local-search phases on one
 // cluster and returns the activation/deactivation counts plus each
 // phase's profit delta, read through the allocation's O(touched)
 // per-cluster ledger. Every mutation (and every profit read) is confined
@@ -432,74 +436,60 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 // delta gauges — same moves either way.
 func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID, scr *distScratch) (acts, deacts int, d sweepDeltas) {
 	tel := s.tel
-	if !s.cfg.DisableShareAdjust {
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		before := a.ClusterProfit(kid)
-		var accepted int64
-		servers := s.scen.Cloud.ClusterServers(kid)
-		for _, j := range servers {
-			if s.AdjustResourceShares(a, j) {
-				accepted++
-			}
-		}
-		d.share = a.ClusterProfit(kid) - before
-		if tel != nil {
-			tel.shareDur.ObserveSince(t0)
-			tel.shareMoves.Add(int64(len(servers)))
-			tel.shareAccepts.Add(accepted)
-			tel.shareDelta.Add(d.share)
+	var t0 time.Time
+	if tel != nil {
+		t0 = time.Now()
+	}
+	before := a.ClusterProfit(kid)
+	var accepted int64
+	servers := s.scen.Cloud.ClusterServers(kid)
+	for _, j := range servers {
+		if s.AdjustResourceShares(a, j) {
+			accepted++
 		}
 	}
-	if !s.cfg.DisableDispersionAdjust {
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		before := a.ClusterProfit(kid)
-		var accepted int64
-		for _, id := range members {
-			if s.AdjustDispersionRates(a, id) {
-				accepted++
-			}
-		}
-		d.disp = a.ClusterProfit(kid) - before
-		if tel != nil {
-			tel.dispersionDur.ObserveSince(t0)
-			tel.dispMoves.Add(int64(len(members)))
-			tel.dispAccepts.Add(accepted)
-			tel.dispDelta.Add(d.disp)
+	d.share = a.ClusterProfit(kid) - before
+	if tel != nil {
+		tel.shareDur.ObserveSince(t0)
+		tel.shareMoves.Add(int64(len(servers)))
+		tel.shareAccepts.Add(accepted)
+		tel.shareDelta.Add(d.share)
+		t0 = time.Now()
+	}
+
+	before = a.ClusterProfit(kid)
+	accepted = 0
+	for _, id := range members {
+		if s.AdjustDispersionRates(a, id) {
+			accepted++
 		}
 	}
-	if !s.cfg.DisableTurnOn {
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		before := a.ClusterProfit(kid)
-		acts = s.turnOnServers(a, kid, members)
-		d.turnOn = a.ClusterProfit(kid) - before
-		if tel != nil {
-			tel.turnOnDur.ObserveSince(t0)
-			tel.activations.Add(int64(acts))
-			tel.turnOnDelta.Add(d.turnOn)
-		}
+	d.disp = a.ClusterProfit(kid) - before
+	if tel != nil {
+		tel.dispersionDur.ObserveSince(t0)
+		tel.dispMoves.Add(int64(len(members)))
+		tel.dispAccepts.Add(accepted)
+		tel.dispDelta.Add(d.disp)
+		t0 = time.Now()
 	}
-	if !s.cfg.DisableTurnOff {
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		before := a.ClusterProfit(kid)
-		deacts = s.turnOffServers(a, kid, scr)
-		d.turnOff = a.ClusterProfit(kid) - before
-		if tel != nil {
-			tel.turnOffDur.ObserveSince(t0)
-			tel.deactivations.Add(int64(deacts))
-			tel.turnOffDelta.Add(d.turnOff)
-		}
+
+	before = a.ClusterProfit(kid)
+	acts = s.turnOnServers(a, kid, members)
+	d.turnOn = a.ClusterProfit(kid) - before
+	if tel != nil {
+		tel.turnOnDur.ObserveSince(t0)
+		tel.activations.Add(int64(acts))
+		tel.turnOnDelta.Add(d.turnOn)
+		t0 = time.Now()
+	}
+
+	before = a.ClusterProfit(kid)
+	deacts = s.turnOffServers(a, kid, scr)
+	d.turnOff = a.ClusterProfit(kid) - before
+	if tel != nil {
+		tel.turnOffDur.ObserveSince(t0)
+		tel.deactivations.Add(int64(deacts))
+		tel.turnOffDelta.Add(d.turnOff)
 	}
 	return acts, deacts, d
 }

@@ -219,15 +219,13 @@ func TestSolveOverloadedCloudDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestAblationSwitchesRespected: MaxLocalSearchIters = 0 is the
+// no-local-search arm — the greedy solution comes back untouched and no
+// phase is credited with any profit.
 func TestAblationSwitchesRespected(t *testing.T) {
 	scen := smallScenario(t, 25, 9)
 	full := newTestSolver(t, scen, nil)
-	crippled := newTestSolver(t, scen, func(c *Config) {
-		c.DisableShareAdjust = true
-		c.DisableDispersionAdjust = true
-		c.DisableTurnOn = true
-		c.DisableTurnOff = true
-	})
+	crippled := newTestSolver(t, scen, func(c *Config) { c.MaxLocalSearchIters = 0 })
 	af, sf, err := full.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +234,12 @@ func TestAblationSwitchesRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With every phase disabled the local search must be a no-op.
-	if math.Abs(sc.FinalProfit-sc.InitialProfit) > 1e-9 {
+	if sc.FinalProfit != sc.InitialProfit {
 		t.Fatalf("disabled local search still changed profit: %v -> %v", sc.InitialProfit, sc.FinalProfit)
+	}
+	if at := sc.Attribution; at.ShareAdjust != 0 || at.DispersionAdjust != 0 || at.TurnOn != 0 ||
+		at.TurnOff != 0 || at.Reassign != 0 || at.Reconcile != 0 {
+		t.Fatalf("disabled local search credited phases: %+v", at)
 	}
 	if af.Profit() < ac.Profit()-1e-9 {
 		t.Fatalf("full solver (%v) worse than crippled (%v)", sf.FinalProfit, ac.Profit())

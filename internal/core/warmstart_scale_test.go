@@ -23,18 +23,14 @@ func TestWarmstartDirtyRescoring10k(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const clients = 10_000
-	// Both epochs isolate the reassignment machinery: the per-cluster
-	// polish phases are orthogonal to what this test covers and dominate
-	// wall time at 10k.
+	// Both epochs keep the solve small (one greedy start, one round, a
+	// coarse α grid, top-6 candidates): only the reassignment machinery
+	// matters here.
 	mutate := func(c *Config) {
 		c.NumInitSolutions = 1
 		c.MaxLocalSearchIters = 1
 		c.AlphaGranularity = 6
 		c.CandidateClusters = 6
-		c.DisableShareAdjust = true
-		c.DisableDispersionAdjust = true
-		c.DisableTurnOn = true
-		c.DisableTurnOff = true
 	}
 
 	prevScen, err := workload.Generate(workload.ScaleConfig(clients, 3))

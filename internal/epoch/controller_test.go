@@ -212,17 +212,22 @@ func TestRunControllerPolicies(t *testing.T) {
 
 	// More decisions must not produce less profit than never re-deciding,
 	// and the threshold policy should sit between the extremes on solve
-	// effort.
+	// effort: fewer decisions than always, and solve time booked on
+	// exactly the epochs that re-solved.
 	if sAlways.TotalProfit < sNever.TotalProfit-1e-6 {
 		t.Fatalf("re-deciding every epoch (%v) earned less than never (%v)",
 			sAlways.TotalProfit, sNever.TotalProfit)
 	}
-	if sThresh.TotalSolveTime > sAlways.TotalSolveTime {
-		t.Fatalf("threshold spent more solve time than always: %v > %v",
-			sThresh.TotalSolveTime, sAlways.TotalSolveTime)
+	if sThresh.Decisions >= sAlways.Decisions {
+		t.Fatalf("threshold decided %d times, always %d", sThresh.Decisions, sAlways.Decisions)
 	}
 	if len(sThresh.Steps) != 8 {
 		t.Fatalf("steps = %d", len(sThresh.Steps))
+	}
+	for _, st := range sThresh.Steps {
+		if (st.SolveTime > 0) != st.Resolved {
+			t.Fatalf("epoch %d: resolved %v with solve time %v", st.Epoch, st.Resolved, st.SolveTime)
+		}
 	}
 }
 

@@ -31,7 +31,9 @@ func DefaultAblationConfig() AblationConfig {
 }
 
 // AblationRow is the mean profit of one solver variant relative to the
-// full configuration.
+// full configuration. In the per-phase table, Variant names a phase,
+// MeanProfit is its mean profit delta in the full solver and Relative
+// that delta as a share of the full solver's mean final profit.
 type AblationRow struct {
 	Variant    string
 	MeanProfit float64
@@ -47,18 +49,8 @@ type variant struct {
 func ablationVariants() []variant {
 	return []variant{
 		{name: "full", mutate: func(*core.Config) {}},
-		{name: "no-share-adjust", mutate: func(c *core.Config) { c.DisableShareAdjust = true }},
-		{name: "no-dispersion-adjust", mutate: func(c *core.Config) { c.DisableDispersionAdjust = true }},
-		{name: "no-turn-on", mutate: func(c *core.Config) { c.DisableTurnOn = true }},
-		{name: "no-turn-off", mutate: func(c *core.Config) { c.DisableTurnOff = true }},
 		{name: "no-reassign", mutate: func(c *core.Config) { c.DisableReassign = true }},
-		{name: "no-local-search", mutate: func(c *core.Config) {
-			c.DisableShareAdjust = true
-			c.DisableDispersionAdjust = true
-			c.DisableTurnOn = true
-			c.DisableTurnOff = true
-			c.DisableReassign = true
-		}},
+		{name: "no-local-search", mutate: func(c *core.Config) { c.MaxLocalSearchIters = 0 }},
 		{name: "single-init", mutate: func(c *core.Config) { c.NumInitSolutions = 1 }},
 		{name: "coarse-alpha (G=4)", mutate: func(c *core.Config) { c.AlphaGranularity = 4 }},
 		{name: "fine-alpha (G=20)", mutate: func(c *core.Config) { c.AlphaGranularity = 20 }},
@@ -67,56 +59,81 @@ func ablationVariants() []variant {
 	}
 }
 
-// RunAblation evaluates every solver variant on the same scenario set.
-func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
+// ablationPhases names the local-search phases whose Attribution deltas
+// RunAblation reports, in the order it reads them.
+var ablationPhases = []string{"share-adjust", "dispersion-adjust", "turn-on", "turn-off", "reassign"}
+
+// RunAblation evaluates every solver variant on the same scenario set
+// and, from the full variant's Stats.Attribution, what each local-search
+// phase contributes to its profit.
+func RunAblation(cfg AblationConfig) (variants, phases []AblationRow, err error) {
 	if cfg.Clients <= 0 || cfg.Scenarios <= 0 {
-		return nil, fmt.Errorf("experiment: bad ablation config %+v", cfg)
+		return nil, nil, fmt.Errorf("experiment: bad ablation config %+v", cfg)
 	}
-	variants := ablationVariants()
-	sums := make([]float64, len(variants))
+	vs := ablationVariants()
+	sums := make([]float64, len(vs))
+	phaseSums := make([]float64, len(ablationPhases))
 	for s := 0; s < cfg.Scenarios; s++ {
 		wcfg := cfg.Workload
 		wcfg.NumClients = cfg.Clients
 		wcfg.Seed = cfg.BaseSeed + int64(s)
 		scen, err := workload.Generate(wcfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for vi, v := range variants {
+		for vi, v := range vs {
 			sCfg := cfg.Solver
 			v.mutate(&sCfg)
 			solver, err := core.NewSolver(scen, sCfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			a, _, err := solver.Solve()
+			a, st, err := solver.Solve()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			sums[vi] += a.Profit()
+			if vi == 0 {
+				at := st.Attribution
+				for p, d := range []float64{at.ShareAdjust, at.DispersionAdjust, at.TurnOn, at.TurnOff, at.Reassign} {
+					phaseSums[p] += d
+				}
+			}
 		}
 	}
-	rows := make([]AblationRow, len(variants))
-	full := sums[0] / float64(cfg.Scenarios)
-	for vi, v := range variants {
-		mean := sums[vi] / float64(cfg.Scenarios)
-		rows[vi] = AblationRow{Variant: v.name, MeanProfit: mean}
+	n := float64(cfg.Scenarios)
+	full := sums[0] / n
+	row := func(name string, sum float64) AblationRow {
+		r := AblationRow{Variant: name, MeanProfit: sum / n}
 		if full != 0 {
-			rows[vi].Relative = mean / full
+			r.Relative = r.MeanProfit / full
 		}
+		return r
 	}
-	return rows, nil
+	for vi, v := range vs {
+		variants = append(variants, row(v.name, sums[vi]))
+	}
+	for p, name := range ablationPhases {
+		phases = append(phases, row(name, phaseSums[p]))
+	}
+	return variants, phases, nil
 }
 
-// AblationTable renders the ablation rows as text.
-func AblationTable(rows []AblationRow) string {
+// AblationTable renders the variant rows and the per-phase rows as text.
+func AblationTable(variants, phases []AblationRow) string {
 	var b strings.Builder
-	b.WriteString("Ablation: mean profit of solver variants (relative to full)\n")
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "variant\tmeanProfit\trelative")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.2f\t%.3f\n", r.Variant, r.MeanProfit, r.Relative)
+	table := func(title, header, format string, rows []AblationRow) {
+		b.WriteString(title)
+		w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, header)
+		for _, r := range rows {
+			fmt.Fprintf(w, format, r.Variant, r.MeanProfit, r.Relative)
+		}
+		w.Flush()
 	}
-	w.Flush()
+	table("Ablation: mean profit of solver variants (relative to full)\n",
+		"variant\tmeanProfit\trelative", "%s\t%.2f\t%.3f\n", variants)
+	table("\nPer-phase profit of the full solver (share of its final profit)\n",
+		"phase\tmeanDelta\tshare", "%s\t%+.4f\t%+.1e\n", phases)
 	return b.String()
 }

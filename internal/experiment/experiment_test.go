@@ -126,7 +126,6 @@ func TestRunValidation(t *testing.T) {
 	cfg := DefaultValidationConfig()
 	cfg.Clients = 15
 	cfg.Sim.Horizon = 3000
-	cfg.Sim.Warmup = 300
 	v, err := RunValidation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestRunAblation(t *testing.T) {
 	cfg := DefaultAblationConfig()
 	cfg.Clients = 20
 	cfg.Scenarios = 2
-	rows, err := RunAblation(cfg)
+	rows, phases, err := RunAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +163,33 @@ func TestRunAblation(t *testing.T) {
 			t.Fatalf("variant %s has profit %v", r.Variant, r.MeanProfit)
 		}
 	}
-	// Disabling the entire local search must not beat the full solver.
+	// Disabling the entire local search must not beat the full solver,
+	// and the gap is what the phases are credited with (up to float
+	// regrouping; the full solver here is unsharded, so Reconcile is 0).
+	var credited float64
+	for _, p := range phases {
+		credited += p.MeanProfit
+	}
 	for _, r := range rows {
-		if r.Variant == "no-local-search" && r.Relative > 1+1e-9 {
+		if r.Variant != "no-local-search" {
+			continue
+		}
+		if r.Relative > 1+1e-9 {
 			t.Fatalf("no-local-search beats full: %+v", r)
 		}
+		if gap := rows[0].MeanProfit - r.MeanProfit; math.Abs(gap-credited) > 1e-6*(1+math.Abs(gap)) {
+			t.Fatalf("phases credited %v, local search gained %v", credited, gap)
+		}
 	}
-	if !strings.Contains(AblationTable(rows), "variant") {
+	if len(phases) != len(ablationPhases) {
+		t.Fatalf("phases = %d", len(phases))
+	}
+	table := AblationTable(rows, phases)
+	if !strings.Contains(table, "variant") || !strings.Contains(table, "phase") {
 		t.Fatal("table missing header")
 	}
 	cfg.Scenarios = 0
-	if _, err := RunAblation(cfg); err == nil {
+	if _, _, err := RunAblation(cfg); err == nil {
 		t.Fatal("zero scenarios accepted")
 	}
 }

@@ -25,7 +25,6 @@ type ValidationConfig struct {
 func DefaultValidationConfig() ValidationConfig {
 	simCfg := sim.DefaultConfig()
 	simCfg.Horizon = 20000
-	simCfg.Warmup = 2000
 	return ValidationConfig{
 		Clients:  50,
 		Seed:     1,

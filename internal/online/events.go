@@ -22,13 +22,6 @@ type ChurnConfig struct {
 	ArriveWeight float64
 	DepartWeight float64
 	JitterWeight float64
-	// JitterSigma is the lognormal σ applied to a client's nominal rate
-	// on arrivals and rate changes. Jitter is mean-reverting: every draw
-	// multiplies the client's fixed nominal rate, not the previous
-	// jittered value, so per-client rates fluctuate around the original
-	// workload instead of following a geometric random walk whose
-	// variance explodes with stream length.
-	JitterSigma float64
 	// FlashAt injects a flash crowd at that event index (<0 disables):
 	// FlashSize consecutive arrival events at FlashBoost× the base rate.
 	FlashAt    int
@@ -47,7 +40,6 @@ func DefaultChurnConfig() ChurnConfig {
 		ArriveWeight: 1,
 		DepartWeight: 1,
 		JitterWeight: 2,
-		JitterSigma:  0.25,
 		FlashAt:      -1,
 		FlashSize:    0,
 		FlashBoost:   1.5,
@@ -178,12 +170,17 @@ func (c *Churn) Next() (Event, bool) {
 	}
 }
 
-// jitter applies a lognormal multiplier with σ = JitterSigma.
+// jitterSigma is the lognormal σ applied to a client's nominal rate on
+// arrivals and rate changes. Jitter is mean-reverting: every draw
+// multiplies the client's fixed nominal rate, not the previous jittered
+// value, so per-client rates fluctuate around the original workload
+// instead of following a geometric random walk whose variance explodes
+// with stream length.
+const jitterSigma = 0.25
+
+// jitter applies a lognormal multiplier with σ = jitterSigma.
 func (c *Churn) jitter(base float64) float64 {
-	if c.cfg.JitterSigma <= 0 {
-		return base
-	}
-	return base * math.Exp(c.rng.NormFloat64()*c.cfg.JitterSigma)
+	return base * math.Exp(c.rng.NormFloat64()*jitterSigma)
 }
 
 // takeAbsent removes and returns a uniformly random absent client.

@@ -129,7 +129,7 @@ func DefaultConfig() Config {
 	// Streaming commits are warm incremental re-solves: index-pruned
 	// candidate generation and per-cluster fan-out cut the per-commit
 	// latency without changing determinism (both are deterministic for a
-	// fixed config; see core.Config.CandidateClusters/Workers).
+	// fixed config; see core.Config.CandidateClusters/Parallel).
 	sc.CandidateClusters = 2
 	sc.Parallel = true
 	return Config{

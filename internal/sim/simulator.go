@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -48,15 +47,11 @@ func newSimTel(set *telemetry.Set, scen *model.Scenario) *simTel {
 
 // Config controls a simulation run.
 type Config struct {
-	// Horizon is the simulated time span.
+	// Horizon is the simulated time span. Measurements start after a
+	// warm-up of Horizon/10.
 	Horizon float64
-	// Warmup discards measurements before this time (must be < Horizon).
-	Warmup float64
 	// Seed drives arrivals, dispatch and service draws.
 	Seed int64
-	// UseAgreedRate simulates the agreed contract arrival rates instead of
-	// the predicted rates the allocator provisioned for.
-	UseAgreedRate bool
 	// Telemetry, when non-nil, records queueing delays, response times,
 	// SLA violations and dispatch counts during the run.
 	Telemetry *telemetry.Set
@@ -64,7 +59,7 @@ type Config struct {
 
 // DefaultConfig simulates 5000 time units with a 10% warmup.
 func DefaultConfig() Config {
-	return Config{Horizon: 5000, Warmup: 500, Seed: 1}
+	return Config{Horizon: 5000, Seed: 1}
 }
 
 // ClientStats reports one client's measured behaviour.
@@ -106,9 +101,10 @@ type portionQueues struct {
 
 // Simulate runs the discrete-event simulation of allocation a.
 func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
-	if cfg.Horizon <= 0 || cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
-		return nil, fmt.Errorf("sim: invalid horizon/warmup %v/%v", cfg.Horizon, cfg.Warmup)
+	if cfg.Horizon <= 0 {
+		return nil, fmt.Errorf("sim: invalid horizon %v", cfg.Horizon)
 	}
+	warmup := cfg.Horizon / 10 // measurements before this are discarded
 	scen := a.Scenario()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tel := newSimTel(cfg.Telemetry, scen)
@@ -127,9 +123,6 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 		}
 		cl := &scen.Clients[i]
 		rates[i] = cl.PredictedRate
-		if cfg.UseAgreedRate {
-			rates[i] = cl.ArrivalRate
-		}
 		ps := a.Portions(id)
 		d, err := dispatch.New(ps)
 		if err != nil {
@@ -185,7 +178,7 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 			q := queues[queueIndex[[2]int{i, pi}]]
 			req := &request{client: i, arrivedAt: e.at}
 			if startService(&q.proc, e.at) {
-				if tel != nil && e.at >= cfg.Warmup {
+				if tel != nil && e.at >= warmup {
 					tel.procDelay.Observe(0)
 				}
 				heap.Push(&h, event{at: e.at + expDraw(q.proc.rate), kind: evProcDone,
@@ -196,14 +189,14 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 		case evProcDone:
 			q := queues[e.queue]
 			if next := finishService(&q.proc, e.at); next != nil {
-				if tel != nil && next.arrivedAt >= cfg.Warmup {
+				if tel != nil && next.arrivedAt >= warmup {
 					tel.procDelay.Observe(e.at - next.arrivedAt)
 				}
 				heap.Push(&h, event{at: e.at + expDraw(q.proc.rate), kind: evProcDone, queue: e.queue, req: next})
 			}
 			e.req.procDoneAt = e.at
 			if startService(&q.comm, e.at) {
-				if tel != nil && e.req.arrivedAt >= cfg.Warmup {
+				if tel != nil && e.req.arrivedAt >= warmup {
 					tel.commDelay.Observe(0)
 				}
 				heap.Push(&h, event{at: e.at + expDraw(q.comm.rate), kind: evCommDone, queue: e.queue, req: e.req})
@@ -213,12 +206,12 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 		case evCommDone:
 			q := queues[e.queue]
 			if next := finishService(&q.comm, e.at); next != nil {
-				if tel != nil && next.arrivedAt >= cfg.Warmup {
+				if tel != nil && next.arrivedAt >= warmup {
 					tel.commDelay.Observe(e.at - next.procDoneAt)
 				}
 				heap.Push(&h, event{at: e.at + expDraw(q.comm.rate), kind: evCommDone, queue: e.queue, req: next})
 			}
-			if e.req.arrivedAt >= cfg.Warmup {
+			if e.req.arrivedAt >= warmup {
 				resp := e.at - e.req.arrivedAt
 				respSum[e.req.client] += resp
 				respCnt[e.req.client]++
@@ -234,7 +227,7 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 		}
 	}
 
-	return summarize(a, cfg, queues, respSum, respCnt, reservoirs)
+	return summarize(a, cfg, queues, respSum, respCnt, reservoirs), nil
 }
 
 // startService reports whether the queue was idle (service starts now);
@@ -265,16 +258,12 @@ func finishService(q *fifoQueue, now float64) *request {
 
 // summarize folds the raw accumulators into a Result.
 func summarize(a *alloc.Allocation, cfg Config, queues []*portionQueues,
-	respSum []float64, respCnt []int, reservoirs []*reservoir) (*Result, error) {
+	respSum []float64, respCnt []int, reservoirs []*reservoir) *Result {
 	scen := a.Scenario()
 	res := &Result{
 		Clients:       make([]ClientStats, scen.NumClients()),
 		Servers:       make([]ServerStats, scen.Cloud.NumServers()),
 		AnalyticValue: a.Profit(),
-	}
-	window := cfg.Horizon - cfg.Warmup
-	if window <= 0 {
-		return nil, errors.New("sim: empty measurement window")
 	}
 	var revenue float64
 	for i := range scen.Clients {
@@ -315,5 +304,5 @@ func summarize(a *alloc.Allocation, cfg Config, queues []*portionQueues,
 		cost += a.ServerCost(id)
 	}
 	res.Profit = revenue - cost
-	return res, nil
+	return res
 }

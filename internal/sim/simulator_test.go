@@ -41,7 +41,7 @@ func TestSimulateMatchesMM1Theory(t *testing.T) {
 	if err := a.Assign(0, 0, []alloc.Portion{{Server: 0, Alpha: 1, ProcShare: 0.5, CommShare: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Horizon: 200000, Warmup: 5000, Seed: 1}
+	cfg := Config{Horizon: 200000, Seed: 1}
 	res, err := Simulate(a, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestSimulateSplitStreams(t *testing.T) {
 	if err := a.Assign(0, 0, portions); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(a, Config{Horizon: 200000, Warmup: 5000, Seed: 2})
+	res, err := Simulate(a, Config{Horizon: 200000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,50 +101,23 @@ func TestSimulateSplitStreams(t *testing.T) {
 func TestSimulateConfigValidation(t *testing.T) {
 	scen := singleQueueScenario(t)
 	a := alloc.New(scen)
-	if _, err := Simulate(a, Config{Horizon: 0, Warmup: 0}); err == nil {
+	if _, err := Simulate(a, Config{Horizon: 0}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := Simulate(a, Config{Horizon: 10, Warmup: 10}); err == nil {
-		t.Fatal("warmup >= horizon accepted")
-	}
-	if _, err := Simulate(a, Config{Horizon: 10, Warmup: -1}); err == nil {
-		t.Fatal("negative warmup accepted")
+	if _, err := Simulate(a, Config{Horizon: -10}); err == nil {
+		t.Fatal("negative horizon accepted")
 	}
 }
 
 func TestSimulateEmptyAllocation(t *testing.T) {
 	scen := singleQueueScenario(t)
 	a := alloc.New(scen)
-	res, err := Simulate(a, Config{Horizon: 100, Warmup: 10, Seed: 1})
+	res, err := Simulate(a, Config{Horizon: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 0 || res.Profit != 0 {
 		t.Fatalf("empty allocation produced work: %+v", res)
-	}
-}
-
-func TestSimulateAgreedVsPredictedRate(t *testing.T) {
-	scen := singleQueueScenario(t)
-	scen.Clients[0].PredictedRate = 0.5 // allocator believes half the load
-	a := alloc.New(scen)
-	if err := a.Assign(0, 0, []alloc.Portion{{Server: 0, Alpha: 1, ProcShare: 0.5, CommShare: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	pred, err := Simulate(a, Config{Horizon: 50000, Warmup: 1000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agreed, err := Simulate(a, Config{Horizon: 50000, Warmup: 1000, Seed: 3, UseAgreedRate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agreed.Completed <= pred.Completed {
-		t.Fatalf("agreed-rate run should complete more requests: %d vs %d", agreed.Completed, pred.Completed)
-	}
-	if agreed.Clients[0].MeanResponse <= pred.Clients[0].MeanResponse {
-		t.Fatalf("heavier load should increase response time: %v vs %v",
-			agreed.Clients[0].MeanResponse, pred.Clients[0].MeanResponse)
 	}
 }
 
@@ -167,7 +140,7 @@ func TestSimulateValidatesSolvedAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(a, Config{Horizon: 30000, Warmup: 2000, Seed: 4})
+	res, err := Simulate(a, Config{Horizon: 30000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +170,7 @@ func TestSimulateP95MatchesAnalyticTail(t *testing.T) {
 	if err := a.Assign(0, 0, []alloc.Portion{{Server: 0, Alpha: 1, ProcShare: 0.5, CommShare: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(a, Config{Horizon: 200000, Warmup: 5000, Seed: 5})
+	res, err := Simulate(a, Config{Horizon: 200000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +227,7 @@ func TestSimulateDeterministic(t *testing.T) {
 	if err := a.Assign(0, 0, []alloc.Portion{{Server: 0, Alpha: 1, ProcShare: 0.5, CommShare: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Horizon: 2000, Warmup: 100, Seed: 7}
+	cfg := Config{Horizon: 2000, Seed: 7}
 	r1, err := Simulate(a, cfg)
 	if err != nil {
 		t.Fatal(err)
