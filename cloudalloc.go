@@ -33,7 +33,6 @@ package cloudalloc
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -47,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/online"
-	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -168,9 +166,6 @@ func DefaultWorkloadConfig() WorkloadConfig { return workload.DefaultConfig() }
 // GenerateScenario builds a random scenario from the configuration.
 func GenerateScenario(cfg WorkloadConfig) (*Scenario, error) { return workload.Generate(cfg) }
 
-// NewAllocation creates an empty allocation over a validated scenario.
-func NewAllocation(scen *Scenario) *Allocation { return alloc.New(scen) }
-
 // LoadAllocation rebuilds a saved allocation (Allocation.WriteJSON) over
 // the scenario, re-validating every placement.
 func LoadAllocation(scen *Scenario, r io.Reader) (*Allocation, error) {
@@ -189,18 +184,6 @@ func (f optionFunc) apply(c *core.Config) { f(c) }
 // WithSeed fixes the allocator's randomized client ordering.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *core.Config) { c.Seed = seed })
-}
-
-// WithInitialSolutions sets the number of greedy multi-start passes
-// (the paper uses 3).
-func WithInitialSolutions(n int) Option {
-	return optionFunc(func(c *core.Config) { c.NumInitSolutions = n })
-}
-
-// WithAlphaGranularity sets the dispersion-rate grid of the
-// Assign_Distribute dynamic program.
-func WithAlphaGranularity(g int) Option {
-	return optionFunc(func(c *core.Config) { c.AlphaGranularity = g })
 }
 
 // WithParallel evaluates and improves clusters concurrently (the paper's
@@ -239,17 +222,6 @@ func WithCandidateClusters(k int) Option {
 // where whole-cloud passes are too slow. 0 or 1 disables sharding.
 func WithShards(n int) Option {
 	return optionFunc(func(c *core.Config) { c.Shards = n })
-}
-
-// WithLocalSearchBudget bounds the improvement loop.
-func WithLocalSearchBudget(iters int) Option {
-	return optionFunc(func(c *core.Config) { c.MaxLocalSearchIters = iters })
-}
-
-// WithShadowPriceScale tunes the calibrated capacity shadow price used by
-// the greedy share formula (>1 reserves more headroom for future clients).
-func WithShadowPriceScale(scale float64) Option {
-	return optionFunc(func(c *core.Config) { c.ShadowPriceScale = scale })
 }
 
 // WithTelemetry routes solver metrics, phase spans and ledger counters
@@ -437,55 +409,4 @@ func DialAgentPolicy(addr string, pol AgentCallPolicy, set *Telemetry) (Agent, e
 		opts = append(opts, agentrpc.WithTelemetry(set))
 	}
 	return agentrpc.Dial(addr, opts...)
-}
-
-// DeadlineMissProbability returns the analytic probability that a request
-// of client id exceeds the deadline under allocation a, aggregated over
-// the client's portions (tail of the tandem M/M/1 sojourn times).
-func DeadlineMissProbability(a *Allocation, id ClientID, deadline float64) (float64, error) {
-	scen := a.Scenario()
-	if !a.Assigned(id) {
-		return 0, fmt.Errorf("cloudalloc: client %d unassigned", id)
-	}
-	cl := &scen.Clients[id]
-	var portions []queueing.Portion
-	for _, p := range a.Portions(id) {
-		class := scen.Cloud.ServerClass(p.Server)
-		portions = append(portions, queueing.Portion{
-			Alpha:  p.Alpha,
-			Shares: queueing.PortionShares{Proc: p.ProcShare, Comm: p.CommShare},
-			Caps:   queueing.ServerCaps{Proc: class.ProcCap, Comm: class.CommCap},
-		})
-	}
-	return queueing.DeadlineMissProbability(portions,
-		queueing.ExecTimes{Proc: cl.ProcTime, Comm: cl.CommTime},
-		cl.PredictedRate, deadline)
-}
-
-// ResponsePercentile returns the analytic q-quantile of client id's
-// response time on one of its portions aggregated as the worst portion
-// percentile (a conservative SLA bound).
-func ResponsePercentile(a *Allocation, id ClientID, q float64) (float64, error) {
-	scen := a.Scenario()
-	if !a.Assigned(id) {
-		return 0, fmt.Errorf("cloudalloc: client %d unassigned", id)
-	}
-	cl := &scen.Clients[id]
-	var worst float64
-	for _, p := range a.Portions(id) {
-		class := scen.Cloud.ServerClass(p.Server)
-		v, err := queueing.TandemSojournPercentile(
-			queueing.PortionShares{Proc: p.ProcShare, Comm: p.CommShare},
-			queueing.ServerCaps{Proc: class.ProcCap, Comm: class.CommCap},
-			queueing.ExecTimes{Proc: cl.ProcTime, Comm: cl.CommTime},
-			p.Alpha*cl.PredictedRate, q,
-		)
-		if err != nil {
-			return 0, err
-		}
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst, nil
 }

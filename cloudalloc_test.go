@@ -7,6 +7,8 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/alloc"
 )
 
 func genScenario(t *testing.T, n int, seed int64) *Scenario {
@@ -23,7 +25,7 @@ func genScenario(t *testing.T, n int, seed int64) *Scenario {
 
 func TestPublicAPISolve(t *testing.T) {
 	scen := genScenario(t, 30, 1)
-	al, err := NewAllocator(scen, WithSeed(7), WithInitialSolutions(2))
+	al, err := NewAllocator(scen, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +50,14 @@ func TestPublicAPISolve(t *testing.T) {
 
 func TestPublicAPIOptionsValidated(t *testing.T) {
 	scen := genScenario(t, 5, 1)
-	if _, err := NewAllocator(scen, WithAlphaGranularity(0)); err == nil {
-		t.Fatal("invalid option accepted")
-	}
-	if _, err := NewAllocator(scen, WithShadowPriceScale(-1)); err == nil {
-		t.Fatal("negative shadow price accepted")
+	for name, opt := range map[string]Option{
+		"workers":            WithWorkers(-1),
+		"shards":             WithShards(-1),
+		"candidate clusters": WithCandidateClusters(-1),
+	} {
+		if _, err := NewAllocator(scen, opt); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
 	}
 }
 
@@ -62,7 +67,7 @@ func TestPublicAPIEvaluateAndImprove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAllocation(scen)
+	a := alloc.New(scen)
 	est, portions, err := al.Evaluate(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package cloudalloc
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/baseline"
@@ -39,8 +38,6 @@ type (
 
 	// Predictor forecasts next-epoch arrival rates.
 	Predictor = predict.Predictor
-	// PredictMetrics summarize a forecast backtest.
-	PredictMetrics = predict.Metrics
 )
 
 // GenerateTrace builds a per-epoch rate trace from base rates, patterns
@@ -57,13 +54,6 @@ func DefaultControllerConfig() ControllerConfig { return epoch.DefaultController
 // realized profit is always priced at the actual rates.
 func RunController(scen *Scenario, tr Trace, cfg ControllerConfig) (ControllerSummary, error) {
 	return epoch.RunController(scen, tr, cfg)
-}
-
-// SolveFrom re-solves the allocator's scenario warm-starting from a
-// previous epoch's allocation (paper Figure 3's "state of the cluster at
-// end of prev. epoch").
-func (al *Allocator) SolveFrom(prev *Allocation) (*Allocation, SolveStats, error) {
-	return al.solver.SolveFromCtx(context.Background(), prev)
 }
 
 // SolveExhaustive enumerates every client→cluster assignment; tiny
@@ -84,12 +74,6 @@ func NewHoltPredictor(alpha, beta float64) (Predictor, error) { return predict.N
 
 // NewSlidingMeanPredictor forecasts the mean of the last window epochs.
 func NewSlidingMeanPredictor(window int) (Predictor, error) { return predict.NewSlidingMean(window) }
-
-// BacktestPredictor replays a trace through a predictor and reports its
-// forecast error.
-func BacktestPredictor(tr Trace, p Predictor) (PredictMetrics, error) {
-	return predict.Backtest(tr, p)
-}
 
 // ReadTraceCSV parses a rate trace written by Trace.WriteCSV.
 func ReadTraceCSV(r io.Reader) (Trace, error) { return epoch.ReadCSV(r) }

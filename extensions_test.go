@@ -6,30 +6,6 @@ import (
 	"testing"
 )
 
-func TestPublicAPISolveFrom(t *testing.T) {
-	scen := genScenario(t, 15, 32)
-	al, err := NewAllocator(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, _, err := al.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _, err := al.SolveFrom(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Same scenario warm-started from its own solution should not lose
-	// profit.
-	if a.Profit() < prev.Profit()-1e-6 {
-		t.Fatalf("warm restart lost profit: %v -> %v", prev.Profit(), a.Profit())
-	}
-}
-
 func TestPublicAPIExhaustiveMatchesHeuristicOnTiny(t *testing.T) {
 	// The paper reports the heuristic within ~9% of the best found on
 	// average; individual adversarial tiny instances can be worse, so the
@@ -67,57 +43,6 @@ func TestPublicAPIExhaustiveMatchesHeuristicOnTiny(t *testing.T) {
 	}
 	if mean := ratioSum / seeds; mean < 0.9 {
 		t.Fatalf("mean heuristic/exhaustive ratio %v below the paper's band", mean)
-	}
-}
-
-func TestPublicAPISLAHelpers(t *testing.T) {
-	scen := genScenario(t, 10, 36)
-	al, err := NewAllocator(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _, err := al.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var id ClientID = -1
-	for i := 0; i < scen.NumClients(); i++ {
-		if a.Assigned(ClientID(i)) {
-			id = ClientID(i)
-			break
-		}
-	}
-	if id < 0 {
-		t.Fatal("nothing assigned")
-	}
-	mean, err := a.ResponseTime(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p95, err := ResponsePercentile(a, id, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p95 <= mean {
-		t.Fatalf("P95 %v should exceed the mean %v", p95, mean)
-	}
-	missTight, err := DeadlineMissProbability(a, id, mean/10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	missLoose, err := DeadlineMissProbability(a, id, mean*20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missTight <= missLoose {
-		t.Fatalf("tighter deadline must miss more: %v vs %v", missTight, missLoose)
-	}
-	if missTight <= 0 || missTight > 1 || missLoose < 0 || missLoose > 1 {
-		t.Fatalf("probabilities out of range: %v %v", missTight, missLoose)
-	}
-	if _, err := DeadlineMissProbability(a, ClientID(scen.NumClients()-1), 1); err != nil {
-		// Only fails when that client is unassigned; either way no panic.
-		t.Logf("last client: %v", err)
 	}
 }
 
@@ -159,29 +84,21 @@ func TestPublicAPIControllerAndPredictors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Predictor{NewLastValuePredictor(), ewma, holt, mean} {
-		m, err := BacktestPredictor(tr, p)
+		cfg := DefaultControllerConfig()
+		cfg.Predictor = p
+		sum, err := RunController(scen, tr2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Epochs != 4 {
-			t.Fatalf("backtest epochs = %d", m.Epochs)
+		if sum.Decisions == 0 || len(sum.Steps) != 5 {
+			t.Fatalf("controller run malformed: %+v", sum)
 		}
-	}
-
-	cfg := DefaultControllerConfig()
-	cfg.Predictor = NewLastValuePredictor()
-	sum, err := RunController(scen, tr2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Decisions == 0 || len(sum.Steps) != 5 {
-		t.Fatalf("controller run malformed: %+v", sum)
 	}
 }
 
 func TestPublicAPISaveLoadAllocation(t *testing.T) {
 	scen := genScenario(t, 8, 38)
-	al, err := NewAllocator(scen, WithParallel(true), WithLocalSearchBudget(5))
+	al, err := NewAllocator(scen, WithParallel(true))
 	if err != nil {
 		t.Fatal(err)
 	}

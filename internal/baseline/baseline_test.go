@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-func genScenario(t *testing.T, n int, seed int64) *model.Scenario {
+func genScenario(t testing.TB, n int, seed int64) *model.Scenario {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.NumClients = n
@@ -186,5 +187,40 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	}
 	if e1.BestOptimized != e2.BestOptimized || e1.WorstInitial != e2.WorstInitial {
 		t.Fatalf("same seed, different envelopes: %+v vs %+v", e1, e2)
+	}
+}
+
+// BenchmarkMonteCarlo is the parallel draw loop: per-draw seed-split
+// RNGs, per-worker arena reuse, one worker vs all workers.
+func BenchmarkMonteCarlo(b *testing.B) {
+	for _, n := range []int{50, 250} {
+		for _, workers := range []int{1, 0} {
+			name := fmt.Sprintf("clients=%d/workers=%d", n, workers)
+			b.Run(name, func(b *testing.B) {
+				scen := genScenario(b, n, 17)
+				cfg := DefaultMCConfig()
+				cfg.Draws = 16
+				cfg.MaxSearchPasses = 3
+				cfg.Workers = workers
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := RunMonteCarlo(scen, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkModifiedPS is the baseline's cost per solve.
+func BenchmarkModifiedPS(b *testing.B) {
+	scen := genScenario(b, 100, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveModifiedPS(scen, DefaultPSConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

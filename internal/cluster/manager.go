@@ -147,8 +147,11 @@ type Manager struct {
 	cfg    ManagerConfig
 	tel    *mgrTel
 	// reassigner runs the central reassignment polish on the merged
-	// allocation (nil when MaxReassignPasses is 0). Its cross-round
-	// dirty-cluster marks persist between Solve calls.
+	// allocation (nil when MaxReassignPasses is 0). Its dirty-cluster
+	// marks carry across the passes of one Solve only: merge builds a
+	// fresh allocation every Solve, and the solver's cached pass state is
+	// keyed by allocation pointer, so each Solve's first pass scores
+	// every client.
 	reassigner *core.Solver
 }
 

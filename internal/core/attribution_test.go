@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -127,6 +128,47 @@ func TestAttributionWithTelemetry(t *testing.T) {
 	}
 	if got := tel.Gauge("solver_unplaced_clients").Value(); got != float64(stWarm.Unplaced) {
 		t.Errorf("solver_unplaced_clients = %v, want the warm solve's %d", got, stWarm.Unplaced)
+	}
+}
+
+// TestShardedTelemetryMatchesStats pins a sharded solve's phase metrics
+// to its Stats: the shards' scoped passes report as reassign, the
+// whole-cloud pass as reconcile, and the move counter sees both.
+func TestShardedTelemetryMatchesStats(t *testing.T) {
+	const shards = 3
+	scen := shardScenario(t, 150, 6, 2)
+	tel := telemetry.New(nil)
+	s := newTestSolver(t, scen, func(c *Config) {
+		c.Shards = shards
+		c.Telemetry = tel
+	})
+	_, st, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Counter("solver_reassignments_total").Value(); got != int64(st.Reassignments) {
+		t.Errorf("solver_reassignments_total = %d, Stats.Reassignments = %d", got, st.Reassignments)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	for _, c := range []struct {
+		phase  string
+		delta  float64
+		dur    time.Duration
+		passes int
+	}{
+		{phaseReassign, st.Attribution.Reassign, st.Timings.Reassign, st.LocalSearchIters * shards},
+		{phaseReconcile, st.Attribution.Reconcile, st.Timings.Reconcile, st.LocalSearchIters},
+	} {
+		if got := tel.Gauge(telemetry.Name("solver_profit_delta_total", "phase", c.phase)).Value(); !near(got, c.delta) {
+			t.Errorf("solver_profit_delta_total{phase=%s} = %v, Stats says %v", c.phase, got, c.delta)
+		}
+		h := tel.Histogram(telemetry.Name("solver_phase_seconds", "phase", c.phase), telemetry.DurationBuckets)
+		if got := h.Count(); got != int64(c.passes) {
+			t.Errorf("solver_phase_seconds{phase=%s} has %d samples, want %d", c.phase, got, c.passes)
+		}
+		if got := h.Sum(); got < c.dur.Seconds()*(1-1e-9) {
+			t.Errorf("solver_phase_seconds{phase=%s} sums to %vs, below Stats' %v", c.phase, got, c.dur)
+		}
 	}
 }
 

@@ -288,7 +288,8 @@ const steadyTolerance = 1e-4
 // shards, or the whole cloud when plan is nil), then run the whole-cloud
 // reassignment pass — a central-manager move, the only place clients
 // cross clusters and shards. With a plan that pass is the serial boundary
-// reconciliation, booked to Reconcile and logged as reconcile_move.
+// reconciliation, booked to Reconcile (and the reconcile phase metrics)
+// and logged as reconcile_move.
 func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan) {
 	parts := s.sweepPartition(plan)
 	prev := a.Profit()
@@ -316,9 +317,14 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 				stats.Timings.Reassign += time.Since(tr)
 			}
 			if s.tel != nil {
-				s.tel.reassignDur.ObserveSince(tr)
 				s.tel.reassignments.Add(int64(moved))
-				s.tel.reassignDelta.Add(delta)
+				if plan != nil {
+					s.tel.reconcileDur.ObserveSince(tr)
+					s.tel.reconcileDelta.Add(delta)
+				} else {
+					s.tel.reassignDur.ObserveSince(tr)
+					s.tel.reassignDelta.Add(delta)
+				}
 			}
 		}
 		p := a.Profit()
@@ -422,6 +428,11 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 		stats.Attribution.Reassign += r.reassign
 		stats.Timings.Sweep += r.sweepDur
 		stats.Timings.Reassign += r.reassignDur
+		if s.tel != nil && plan != nil && !s.cfg.DisableReassign {
+			s.tel.reassignDur.Observe(r.reassignDur.Seconds())
+			s.tel.reassignments.Add(int64(r.moves))
+			s.tel.reassignDelta.Add(r.reassign)
+		}
 	}
 }
 

@@ -14,6 +14,9 @@ const (
 	phaseTurnOn     = "turn_on"
 	phaseTurnOff    = "turn_off"
 	phaseReassign   = "reassign"
+	// phaseReconcile is a sharded solve's whole-cloud reassignment pass,
+	// the serial cross-shard reconciliation (Attribution.Reconcile).
+	phaseReconcile = "reconcile"
 
 	// Sub-phases of the reassignment pass (reassign_pipeline.go):
 	// parallel candidate scoring, the serial commit loop, and the
@@ -44,6 +47,7 @@ type solverTel struct {
 	turnOnDur     *telemetry.Histogram
 	turnOffDur    *telemetry.Histogram
 	reassignDur   *telemetry.Histogram
+	reconcileDur  *telemetry.Histogram
 
 	reassignScoreDur   *telemetry.Histogram
 	reassignCommitDur  *telemetry.Histogram
@@ -70,11 +74,12 @@ type solverTel struct {
 	reassignments   *telemetry.Counter
 	unplacedClients *telemetry.Gauge
 
-	shareDelta    *telemetry.Gauge
-	dispDelta     *telemetry.Gauge
-	turnOnDelta   *telemetry.Gauge
-	turnOffDelta  *telemetry.Gauge
-	reassignDelta *telemetry.Gauge
+	shareDelta     *telemetry.Gauge
+	dispDelta      *telemetry.Gauge
+	turnOnDelta    *telemetry.Gauge
+	turnOffDelta   *telemetry.Gauge
+	reassignDelta  *telemetry.Gauge
+	reconcileDelta *telemetry.Gauge
 }
 
 // newSolverTel resolves every handle once; nil in, nil out.
@@ -112,6 +117,7 @@ func newSolverTel(set *telemetry.Set) *solverTel {
 		turnOnDur:     phaseDur(phaseTurnOn),
 		turnOffDur:    phaseDur(phaseTurnOff),
 		reassignDur:   phaseDur(phaseReassign),
+		reconcileDur:  phaseDur(phaseReconcile),
 
 		reassignScoreDur:   phaseDur(phaseReassignScore),
 		reassignCommitDur:  phaseDur(phaseReassignCommit),
@@ -135,11 +141,12 @@ func newSolverTel(set *telemetry.Set) *solverTel {
 		reassignments:   set.Counter("solver_reassignments_total"),
 		unplacedClients: set.Gauge("solver_unplaced_clients"),
 
-		shareDelta:    phaseDelta(phaseShare),
-		dispDelta:     phaseDelta(phaseDispersion),
-		turnOnDelta:   phaseDelta(phaseTurnOn),
-		turnOffDelta:  phaseDelta(phaseTurnOff),
-		reassignDelta: phaseDelta(phaseReassign),
+		shareDelta:     phaseDelta(phaseShare),
+		dispDelta:      phaseDelta(phaseDispersion),
+		turnOnDelta:    phaseDelta(phaseTurnOn),
+		turnOffDelta:   phaseDelta(phaseTurnOff),
+		reassignDelta:  phaseDelta(phaseReassign),
+		reconcileDelta: phaseDelta(phaseReconcile),
 	}
 }
 

@@ -10,27 +10,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
 // Dispatcher routes requests of a single client across its portions.
-//
-// Route is safe for concurrent use as long as each calling goroutine
-// holds its own *rand.Rand (split one per worker with
-// parallel.SplitSeed): the routing table is immutable after New and the
-// empirical counters are atomic. The telemetry counter is atomic too, so
-// Instrument may race with routing only in the sense that a concurrent
-// Route may or may not see the new counter.
 type Dispatcher struct {
-	servers []model.ServerID
-	cum     []float64 // cumulative α; immutable after New
-	counts  []atomic.Int64
-	total   atomic.Int64
-	routed  *telemetry.Counter
+	cum    []float64 // cumulative α
+	routed *telemetry.Counter
 }
 
 // New builds a dispatcher from a client's portions. The dispersion rates
@@ -39,18 +27,13 @@ func New(portions []alloc.Portion) (*Dispatcher, error) {
 	if len(portions) == 0 {
 		return nil, errors.New("dispatch: no portions")
 	}
-	d := &Dispatcher{
-		servers: make([]model.ServerID, len(portions)),
-		cum:     make([]float64, len(portions)),
-		counts:  make([]atomic.Int64, len(portions)),
-	}
+	d := &Dispatcher{cum: make([]float64, len(portions))}
 	var sum float64
 	for i, p := range portions {
 		if p.Alpha < 0 {
 			return nil, fmt.Errorf("dispatch: negative dispersion rate %v", p.Alpha)
 		}
 		sum += p.Alpha
-		d.servers[i] = p.Server
 		d.cum[i] = sum
 	}
 	if math.Abs(sum-1) > 1e-6 {
@@ -66,8 +49,7 @@ func New(portions []alloc.Portion) (*Dispatcher, error) {
 // can feed the same cloud-wide counter; nil detaches.
 func (d *Dispatcher) Instrument(c *telemetry.Counter) { d.routed = c }
 
-// Route picks a portion index for the next request. rng must be owned by
-// the calling goroutine; everything else is atomic.
+// Route picks a portion index for the next request.
 func (d *Dispatcher) Route(rng *rand.Rand) int {
 	d.routed.Inc() // nil-safe no-op when uninstrumented
 	u := rng.Float64()
@@ -80,24 +62,5 @@ func (d *Dispatcher) Route(rng *rand.Rand) int {
 			break
 		}
 	}
-	d.counts[idx].Add(1)
-	d.total.Add(1)
 	return idx
 }
-
-// Server returns the server of portion idx.
-func (d *Dispatcher) Server(idx int) model.ServerID { return d.servers[idx] }
-
-// Fraction returns the empirical fraction of requests routed to portion
-// idx so far (0 before any routing). Under concurrent routing the two
-// loads are not a consistent snapshot; the fraction converges regardless.
-func (d *Dispatcher) Fraction(idx int) float64 {
-	total := d.total.Load()
-	if total == 0 {
-		return 0
-	}
-	return float64(d.counts[idx].Load()) / float64(total)
-}
-
-// Total returns the number of requests routed.
-func (d *Dispatcher) Total() int64 { return d.total.Load() }

@@ -3,13 +3,9 @@ package dispatch
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/model"
-	"repro/internal/parallel"
 )
 
 func TestNewRejectsBadPortions(t *testing.T) {
@@ -35,23 +31,19 @@ func TestRouteFrequenciesMatchAlphas(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	const n = 200000
+	var counts [3]int
 	for i := 0; i < n; i++ {
 		idx := d.Route(rng)
 		if idx < 0 || idx > 2 {
 			t.Fatalf("route returned %d", idx)
 		}
-	}
-	if d.Total() != n {
-		t.Fatalf("total = %d", d.Total())
+		counts[idx]++
 	}
 	wants := []float64{0.5, 0.3, 0.2}
 	for i, want := range wants {
-		if got := d.Fraction(i); math.Abs(got-want) > 0.01 {
+		if got := float64(counts[i]) / n; math.Abs(got-want) > 0.01 {
 			t.Fatalf("portion %d frequency %v, want ≈%v", i, got, want)
 		}
-	}
-	if d.Server(1) != model.ServerID(7) {
-		t.Fatalf("Server(1) = %v", d.Server(1))
 	}
 }
 
@@ -65,53 +57,6 @@ func TestRouteSinglePortion(t *testing.T) {
 		if d.Route(rng) != 0 {
 			t.Fatal("single portion must always be chosen")
 		}
-	}
-	if d.Fraction(0) != 1 {
-		t.Fatalf("fraction = %v", d.Fraction(0))
-	}
-}
-
-func TestFractionBeforeRouting(t *testing.T) {
-	d, err := New([]alloc.Portion{{Server: 0, Alpha: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Fraction(0) != 0 {
-		t.Fatal("fraction before routing should be 0")
-	}
-}
-
-// TestRouteConcurrent hammers one dispatcher from many goroutines, each
-// holding its own seed-split RNG (the documented concurrency contract).
-// Run under -race this pins that counts/total are atomic; the frequency
-// check pins that concurrent increments are not lost.
-func TestRouteConcurrent(t *testing.T) {
-	d, err := New([]alloc.Portion{
-		{Server: 0, Alpha: 0.6},
-		{Server: 1, Alpha: 0.4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	const perWorker = 20000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(parallel.SplitSeed(42, uint64(w))))
-			for i := 0; i < perWorker; i++ {
-				d.Route(rng)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := d.Total(); got != workers*perWorker {
-		t.Fatalf("lost updates: total = %d, want %d", got, workers*perWorker)
-	}
-	if got := d.Fraction(0); math.Abs(got-0.6) > 0.02 {
-		t.Fatalf("portion 0 frequency %v, want ≈0.6", got)
 	}
 }
 
@@ -145,23 +90,4 @@ func BenchmarkRoute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Route(rng)
 	}
-}
-
-func BenchmarkRouteParallel(b *testing.B) {
-	d, err := New([]alloc.Portion{
-		{Server: 0, Alpha: 0.3},
-		{Server: 1, Alpha: 0.3},
-		{Server: 2, Alpha: 0.4},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var worker atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(parallel.SplitSeed(1, worker.Add(1))))
-		for pb.Next() {
-			d.Route(rng)
-		}
-	})
 }

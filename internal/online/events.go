@@ -104,9 +104,6 @@ func NewChurn(scen *model.Scenario, cfg ChurnConfig) *Churn {
 	return c
 }
 
-// Present returns the number of currently present clients.
-func (c *Churn) Present() int { return len(c.present) }
-
 // Rates writes each present client's current offered rate into out
 // (len ≥ NumClients; absent clients get 0). The benchmark uses it to
 // build the "true final scenario" for the cold re-solve comparison.

@@ -47,28 +47,3 @@ func Bisect(f func(float64) float64, lo, hi float64) (float64, error) {
 	}
 	return lo + (hi-lo)/2, nil
 }
-
-// GoldenSection maximizes a unimodal function on [lo, hi] and returns the
-// argmax. It performs iters shrink steps (each multiplies the interval by
-// ~0.618).
-func GoldenSection(f func(float64) float64, lo, hi float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < iters; i++ {
-		if f1 < f2 {
-			a = x1
-			x1, f1 = x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		} else {
-			b = x2
-			x2, f2 = x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		}
-	}
-	return a + (b-a)/2
-}

@@ -39,17 +39,3 @@ func TestBisectNoBracket(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoBracket", err)
 	}
 }
-
-func TestGoldenSection(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return -(x - 2) * (x - 2) }, 0, 5, 80)
-	if math.Abs(x-2) > 1e-9 {
-		t.Fatalf("argmax = %v, want 2", x)
-	}
-}
-
-func TestGoldenSectionBoundaryMax(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return x }, 0, 1, 80)
-	if math.Abs(x-1) > 1e-9 {
-		t.Fatalf("argmax = %v, want 1", x)
-	}
-}

@@ -1,7 +1,7 @@
 // Package queueing implements the analytical queueing model of the paper:
-// M/M/1 response times under Generalized Processor Sharing (GPS), Poisson
-// stream splitting, tandem (pipelined) processing+communication queues, and
-// the stability bounds the optimizer must respect.
+// M/M/1 response times under Generalized Processor Sharing (GPS), tandem
+// (pipelined) processing+communication queues and their sojourn-time
+// tails, and the stability bounds the optimizer must respect.
 package queueing
 
 import (
@@ -26,25 +26,6 @@ func MM1ResponseTime(serviceRate, arrivalRate float64) (float64, error) {
 		return 0, ErrUnstable
 	}
 	return 1 / (serviceRate - arrivalRate), nil
-}
-
-// MM1QueueLength returns the mean number of requests in an M/M/1 queue
-// (in service plus waiting): ρ/(1−ρ).
-func MM1QueueLength(serviceRate, arrivalRate float64) (float64, error) {
-	t, err := MM1ResponseTime(serviceRate, arrivalRate)
-	if err != nil {
-		return 0, err
-	}
-	// Little's law: L = λ·W.
-	return arrivalRate * t, nil
-}
-
-// MM1Utilization returns ρ = λ/μ.
-func MM1Utilization(serviceRate, arrivalRate float64) float64 {
-	if serviceRate <= 0 {
-		return math.Inf(1)
-	}
-	return arrivalRate / serviceRate
 }
 
 // GPSServiceRate converts a GPS share of a server into the M/M/1 service
@@ -84,22 +65,4 @@ func MinStableShare(capacity, execTime, portionRate float64) float64 {
 // but semantically distinct: this one is work, not a share floor.
 func LoadFraction(capacity, execTime, portionRate float64) float64 {
 	return MinStableShare(capacity, execTime, portionRate)
-}
-
-// SplitPoisson returns the arrival rates of a Poisson stream of rate λ
-// split with the given probabilities. By the Poisson splitting property
-// each output is again Poisson. Probabilities need not sum exactly to 1
-// (the caller may route a remainder elsewhere), but must be non-negative.
-func SplitPoisson(rate float64, probs []float64) ([]float64, error) {
-	if rate < 0 {
-		return nil, errors.New("queueing: negative rate")
-	}
-	out := make([]float64, len(probs))
-	for i, p := range probs {
-		if p < 0 {
-			return nil, errors.New("queueing: negative split probability")
-		}
-		out[i] = rate * p
-	}
-	return out, nil
 }

@@ -48,27 +48,6 @@ func TestMM1ResponseTimeNegativeArrival(t *testing.T) {
 	}
 }
 
-func TestMM1QueueLengthLittlesLaw(t *testing.T) {
-	// L = λW must hold by construction; check a known value:
-	// μ=2, λ=1 → W=1 → L=1 and also ρ/(1−ρ) = 0.5/0.5 = 1.
-	l, err := MM1QueueLength(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l-1) > 1e-12 {
-		t.Fatalf("L = %v, want 1", l)
-	}
-}
-
-func TestMM1UtilizationMonotone(t *testing.T) {
-	if got := MM1Utilization(4, 1); got != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", got)
-	}
-	if got := MM1Utilization(0, 1); !math.IsInf(got, 1) {
-		t.Fatalf("utilization with zero service = %v, want +Inf", got)
-	}
-}
-
 // Property: response time is decreasing in service rate and increasing in
 // arrival rate on the stable region.
 func TestMM1Monotonicity(t *testing.T) {
@@ -146,55 +125,6 @@ func TestLoadFractionMatchesFloor(t *testing.T) {
 		exec = 0.1 + math.Abs(exec)
 		rate = math.Abs(rate)
 		return LoadFraction(cap, exec, rate) == MinStableShare(cap, exec, rate)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitPoisson(t *testing.T) {
-	rates, err := SplitPoisson(4, []float64{0.5, 0.25, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 1, 1}
-	for i := range want {
-		if math.Abs(rates[i]-want[i]) > 1e-12 {
-			t.Fatalf("rates[%d] = %v, want %v", i, rates[i], want[i])
-		}
-	}
-	if _, err := SplitPoisson(-1, []float64{1}); err == nil {
-		t.Fatal("negative rate should error")
-	}
-	if _, err := SplitPoisson(1, []float64{-0.5}); err == nil {
-		t.Fatal("negative probability should error")
-	}
-}
-
-// Property: splitting preserves total rate when probabilities sum to 1.
-func TestSplitPoissonConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		probs := make([]float64, n)
-		var sum float64
-		for i := range probs {
-			probs[i] = rng.Float64()
-			sum += probs[i]
-		}
-		for i := range probs {
-			probs[i] /= sum
-		}
-		rate := rng.Float64() * 10
-		rates, err := SplitPoisson(rate, probs)
-		if err != nil {
-			return false
-		}
-		var got float64
-		for _, r := range rates {
-			got += r
-		}
-		return math.Abs(got-rate) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -5,30 +5,6 @@ import (
 	"math"
 )
 
-// MM1SojournTail is P(T > t) for the sojourn time of an M/M/1 FCFS queue:
-// the sojourn time is exponential with rate (μ − λ).
-func MM1SojournTail(serviceRate, arrivalRate, t float64) (float64, error) {
-	if arrivalRate >= serviceRate || serviceRate <= 0 {
-		return 0, ErrUnstable
-	}
-	if t < 0 {
-		return 1, nil
-	}
-	return math.Exp(-(serviceRate - arrivalRate) * t), nil
-}
-
-// MM1SojournPercentile returns the q-quantile (0 < q < 1) of the M/M/1
-// sojourn time: −ln(1−q)/(μ−λ).
-func MM1SojournPercentile(serviceRate, arrivalRate, q float64) (float64, error) {
-	if q <= 0 || q >= 1 {
-		return 0, errors.New("queueing: percentile must be in (0,1)")
-	}
-	if arrivalRate >= serviceRate || serviceRate <= 0 {
-		return 0, ErrUnstable
-	}
-	return -math.Log(1-q) / (serviceRate - arrivalRate), nil
-}
-
 // TandemSojournTail is P(T > t) for the sum of the two independent
 // exponential sojourn times of the pipelined processing→communication
 // queues (a hypoexponential distribution): with rates r1 = μ1−λ and
@@ -101,21 +77,4 @@ func stageRate(share, capacity, exec, rate float64) (float64, error) {
 		return 0, ErrUnstable
 	}
 	return mu - rate, nil
-}
-
-// DeadlineMissProbability is the fraction of a client's requests expected
-// to exceed the deadline, aggregated over its portions: Σ_j α_j·P(T_j > d).
-func DeadlineMissProbability(portions []Portion, ex ExecTimes, predictedRate, deadline float64) (float64, error) {
-	var miss float64
-	for _, p := range portions {
-		if p.Alpha == 0 {
-			continue
-		}
-		tail, err := TandemSojournTail(p.Shares, p.Caps, ex, p.Alpha*predictedRate, deadline)
-		if err != nil {
-			return 0, err
-		}
-		miss += p.Alpha * tail
-	}
-	return miss, nil
 }

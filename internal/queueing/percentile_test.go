@@ -8,56 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestMM1SojournTail(t *testing.T) {
-	// μ=2, λ=1 → T ~ Exp(1): P(T>1) = e^{−1}.
-	tail, err := MM1SojournTail(2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tail-math.Exp(-1)) > 1e-12 {
-		t.Fatalf("tail = %v, want e^-1", tail)
-	}
-	if tail, err := MM1SojournTail(2, 1, -1); err != nil || tail != 1 {
-		t.Fatalf("negative t: tail=%v err=%v", tail, err)
-	}
-	if _, err := MM1SojournTail(1, 1, 1); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("saturated: err = %v", err)
-	}
-}
-
-func TestMM1SojournPercentile(t *testing.T) {
-	// μ−λ = 1 → median = ln 2.
-	p, err := MM1SojournPercentile(2, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-math.Ln2) > 1e-12 {
-		t.Fatalf("median = %v, want ln2", p)
-	}
-	if _, err := MM1SojournPercentile(2, 1, 0); err == nil {
-		t.Fatal("q=0 accepted")
-	}
-	if _, err := MM1SojournPercentile(2, 1, 1); err == nil {
-		t.Fatal("q=1 accepted")
-	}
-}
-
-// mm1PercentileMatchesMeanRelation: for an exponential distribution the
-// mean equals the 63.2-percentile ( 1 − e^{−1} ).
-func TestMM1PercentileMeanRelation(t *testing.T) {
-	mean, err := MM1ResponseTime(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := MM1SojournPercentile(3, 1, 1-math.Exp(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-q) > 1e-9 {
-		t.Fatalf("mean %v != 63.2th percentile %v", mean, q)
-	}
-}
-
 func tandemArgs() (PortionShares, ServerCaps, ExecTimes) {
 	return PortionShares{Proc: 0.5, Comm: 0.5},
 		ServerCaps{Proc: 4, Comm: 2},
@@ -148,30 +98,5 @@ func TestTandemTailMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDeadlineMissProbability(t *testing.T) {
-	sh, caps, ex := tandemArgs()
-	portions := []Portion{
-		{Alpha: 0.5, Shares: sh, Caps: caps},
-		{Alpha: 0.5, Shares: sh, Caps: caps},
-		{Alpha: 0, Shares: PortionShares{}, Caps: caps}, // ignored
-	}
-	// With identical portions at half rate each, the miss probability is
-	// the tail of one portion at rate 0.5.
-	miss, err := DeadlineMissProbability(portions, ex, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := TandemSojournTail(sh, caps, ex, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(miss-single) > 1e-12 {
-		t.Fatalf("miss = %v, want %v", miss, single)
-	}
-	if miss <= 0 || miss >= 1 {
-		t.Fatalf("miss probability %v out of range", miss)
 	}
 }

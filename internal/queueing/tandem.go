@@ -35,29 +35,3 @@ func TandemDelay(sh PortionShares, caps ServerCaps, ex ExecTimes, portionRate fl
 	}
 	return dp + db, nil
 }
-
-// Portion describes one routed fraction of a client's request stream for
-// response-time aggregation.
-type Portion struct {
-	Alpha  float64 // fraction of the client's requests routed here
-	Shares PortionShares
-	Caps   ServerCaps
-}
-
-// MeanResponseTime aggregates the per-portion tandem delays into the
-// client's overall mean response time: R̄ = Σ_j α_j · d_j, where the
-// portion arrival rate is α_j·λ̃.
-func MeanResponseTime(portions []Portion, ex ExecTimes, predictedRate float64) (float64, error) {
-	var r float64
-	for _, p := range portions {
-		if p.Alpha == 0 {
-			continue
-		}
-		d, err := TandemDelay(p.Shares, p.Caps, ex, p.Alpha*predictedRate)
-		if err != nil {
-			return 0, err
-		}
-		r += p.Alpha * d
-	}
-	return r, nil
-}

@@ -3,9 +3,7 @@ package queueing
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestTandemDelayAdditive(t *testing.T) {
@@ -30,70 +28,5 @@ func TestTandemDelayUnstableEitherStage(t *testing.T) {
 	}
 	if _, err := TandemDelay(PortionShares{Proc: 0.9, Comm: 0.1}, caps, ex, 1); !errors.Is(err, ErrUnstable) {
 		t.Fatalf("comm-saturated: err = %v, want ErrUnstable", err)
-	}
-}
-
-func TestMeanResponseTimeSinglePortion(t *testing.T) {
-	portions := []Portion{{
-		Alpha:  1,
-		Shares: PortionShares{Proc: 0.5, Comm: 0.5},
-		Caps:   ServerCaps{Proc: 4, Comm: 4},
-	}}
-	r, err := MeanResponseTime(portions, ExecTimes{Proc: 1, Comm: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-2) > 1e-12 {
-		t.Fatalf("R̄ = %v, want 2", r)
-	}
-}
-
-func TestMeanResponseTimeSkipsZeroAlpha(t *testing.T) {
-	portions := []Portion{
-		{Alpha: 0, Shares: PortionShares{}, Caps: ServerCaps{Proc: 1, Comm: 1}},
-		{Alpha: 1, Shares: PortionShares{Proc: 0.5, Comm: 0.5}, Caps: ServerCaps{Proc: 4, Comm: 4}},
-	}
-	if _, err := MeanResponseTime(portions, ExecTimes{Proc: 1, Comm: 1}, 1); err != nil {
-		t.Fatalf("zero-alpha portion must be ignored, got error %v", err)
-	}
-}
-
-// Property: splitting a stream across two identical servers with identical
-// shares cannot give a worse mean response time representation than the
-// formula computed portion-wise; and R̄ is a convex combination of portion
-// delays so it lies between the min and max portion delay.
-func TestMeanResponseTimeConvexCombination(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		lam := 0.5 + rng.Float64()*2
-		alpha := 0.05 + 0.9*rng.Float64()
-		ex := ExecTimes{Proc: 0.4 + 0.6*rng.Float64(), Comm: 0.4 + 0.6*rng.Float64()}
-		mk := func(a float64) Portion {
-			// Shares sized with headroom ≥ 2× the stability floor.
-			caps := ServerCaps{Proc: 4, Comm: 4}
-			return Portion{
-				Alpha: a,
-				Caps:  caps,
-				Shares: PortionShares{
-					Proc: 2 * MinStableShare(caps.Proc, ex.Proc, a*lam) * (1 + rng.Float64()),
-					Comm: 2 * MinStableShare(caps.Comm, ex.Comm, a*lam) * (1 + rng.Float64()),
-				},
-			}
-		}
-		p1, p2 := mk(alpha), mk(1-alpha)
-		r, err := MeanResponseTime([]Portion{p1, p2}, ex, lam)
-		if err != nil {
-			return false
-		}
-		d1, err1 := TandemDelay(p1.Shares, p1.Caps, ex, p1.Alpha*lam)
-		d2, err2 := TandemDelay(p2.Shares, p2.Caps, ex, p2.Alpha*lam)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		lo, hi := math.Min(d1, d2), math.Max(d1, d2)
-		return r >= lo-1e-9 && r <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

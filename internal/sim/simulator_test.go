@@ -248,3 +248,34 @@ func TestSimulateDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
+
+// BenchmarkSimulate is the discrete-event simulator's throughput.
+func BenchmarkSimulate(b *testing.B) {
+	wcfg := workload.DefaultConfig()
+	wcfg.NumClients = 30
+	wcfg.Seed = 12
+	scen, err := workload.Generate(wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solver, err := core.NewSolver(scen, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, _, err := solver.Solve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Horizon: 2000, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		res, err := Simulate(a, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Completed == 0 {
+			b.Fatal("no completions")
+		}
+	}
+}

@@ -112,3 +112,40 @@ func BenchmarkFlightRecord(b *testing.B) {
 		f.Record(Event{Kind: EventPlaceAccept, Client: int64(i), Time: now})
 	}
 }
+
+// BenchmarkCounterInc is the metric hot path itself.
+func BenchmarkCounterInc(b *testing.B) {
+	set := New(nil)
+	c := set.Counter("bench_total")
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Inc()
+		}
+	})
+}
+
+// BenchmarkHistogramObserve is the latency-recording hot path.
+func BenchmarkHistogramObserve(b *testing.B) {
+	set := New(nil)
+	h := set.Histogram("bench_seconds", DurationBuckets)
+	b.RunParallel(func(pb *testing.PB) {
+		v := 0.0001
+		for pb.Next() {
+			h.Observe(v)
+			v *= 1.7
+			if v > 10 {
+				v = 0.0001
+			}
+		}
+	})
+}
+
+// BenchmarkDisabledCounterInc shows the cost of the nil no-op path.
+func BenchmarkDisabledCounterInc(b *testing.B) {
+	var set *Set
+	c := set.Counter("bench_total") // nil handle
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+	}
+}
