@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/model"
+	"repro/internal/opt"
 )
 
 // halfLoaded returns a solver and an allocation holding a greedy solution
@@ -198,6 +199,93 @@ func TestAssignDistributeExcludedServer(t *testing.T) {
 				}
 				if hasServer(portions, j) {
 					t.Fatalf("client %d routed to excluded server %d: %+v", i, j, portions)
+				}
+			}
+		}
+	}
+}
+
+// unmemoizedDistribute is assignDistribute without the identical-server
+// memo: every server gets rows of its own.
+func (s *Solver) unmemoizedDistribute(v placementView, i model.ClientID, k model.ClusterID,
+	exclude model.ServerID) (float64, []alloc.Portion, error) {
+	scen := s.scen
+	cl := &scen.Clients[i]
+	u := scen.Utility(i)
+	w := cl.ArrivalRate * u.Slope
+	g := s.cfg.AlphaGranularity
+	var (
+		cands []candidate
+		rows  [][]float64
+	)
+	for _, j := range scen.Cloud.ClusterServers(k) {
+		if j == exclude {
+			continue
+		}
+		class := scen.Cloud.ServerClass(j)
+		key := candidateKey{
+			class:  class.ID,
+			availP: 1 - v.ProcShareUsed(j),
+			availB: 1 - v.CommShareUsed(j),
+			diskOK: v.DiskUsed(j)+cl.DiskNeed <= class.StoreCap,
+			active: v.Active(j),
+		}
+		cand := candidate{server: j, values: make([]float64, g+1), shareP: make([]float64, g+1), shareB: make([]float64, g+1)}
+		s.tabulateServer(&cand, cl, u, w, class, key, g)
+		cands, rows = append(cands, cand), append(rows, cand.values)
+	}
+	if len(rows) == 0 {
+		return 0, nil, ErrCannotPlace
+	}
+	best, units, err := new(opt.PortionScratch).Combine(rows, g)
+	if errors.Is(err, opt.ErrNoFeasibleCombination) {
+		return 0, nil, ErrCannotPlace
+	} else if err != nil {
+		return 0, nil, err
+	}
+	var portions []alloc.Portion
+	for c, ug := range units {
+		if ug > 0 {
+			portions = append(portions, alloc.Portion{
+				Server:    cands[c].server,
+				Alpha:     float64(ug) / float64(g),
+				ProcShare: cands[c].shareP[ug],
+				CommShare: cands[c].shareB[ug],
+			})
+		}
+	}
+	return best, portions, nil
+}
+
+// TestAssignDistributeMemoMatchesUnmemoized: sharing one tabulation among
+// identical servers changes no answer — estimate bits, portions and error
+// equal a tabulation of every server, with and without an excluded
+// server or one without disk, in a scratch reused across every query.
+func TestAssignDistributeMemoMatchesUnmemoized(t *testing.T) {
+	type query struct {
+		v       placementView
+		exclude model.ServerID
+	}
+	for _, seed := range []int64{3, 11} {
+		s, a := halfLoaded(t, 40, seed)
+		scr := new(distScratch)
+		for k := 0; k < s.scen.Cloud.NumClusters(); k++ {
+			kid := model.ClusterID(k)
+			for i := model.ClientID(1); i < 40; i += 2 {
+				queries := []query{{a, noServer}}
+				if i < 5 {
+					for _, j := range s.scen.Cloud.ClusterServers(kid) {
+						queries = append(queries, query{a, j}, query{fullDisk{a, j}, noServer})
+					}
+				}
+				for _, q := range queries {
+					wantEst, want, wantErr := s.unmemoizedDistribute(q.v, i, kid, q.exclude)
+					est, portions, err := s.assignDistribute(q.v, i, kid, q.exclude, scr)
+					if !reflect.DeepEqual(err, wantErr) || math.Float64bits(est) != math.Float64bits(wantEst) ||
+						!reflect.DeepEqual(portions, want) {
+						t.Fatalf("seed %d, client %d, cluster %d, %+v: (%v, %+v, %v), want (%v, %+v, %v)",
+							seed, i, k, q, est, portions, err, wantEst, want, wantErr)
+					}
 				}
 			}
 		}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/telemetry"
 )
@@ -20,7 +21,8 @@ type Config struct {
 	NumInitSolutions int
 	// AlphaGranularity is the number of grid units the dispersion rate α
 	// is discretized into for the Assign_Distribute dynamic program (the
-	// paper's 1/ℓ).
+	// paper's 1/ℓ). At most math.MaxInt16, the range of the DP's
+	// back-pointers.
 	AlphaGranularity int
 	// MaxLocalSearchIters bounds the improvement loop; 0 keeps the greedy
 	// initial solution as it is.
@@ -101,8 +103,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumInitSolutions <= 0:
 		return fmt.Errorf("core: NumInitSolutions = %d", c.NumInitSolutions)
-	case c.AlphaGranularity <= 0:
-		return fmt.Errorf("core: AlphaGranularity = %d", c.AlphaGranularity)
+	case c.AlphaGranularity <= 0 || c.AlphaGranularity > math.MaxInt16:
+		return fmt.Errorf("core: AlphaGranularity = %d (want 1..%d)", c.AlphaGranularity, math.MaxInt16)
 	case c.MaxLocalSearchIters < 0:
 		return fmt.Errorf("core: MaxLocalSearchIters = %d", c.MaxLocalSearchIters)
 	case c.ShadowPriceScale <= 0:

@@ -47,6 +47,12 @@ func TestNewSolverValidation(t *testing.T) {
 	if _, err := NewSolver(scen, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// The DP's back-pointers are int16: a finer grid would wrap them and
+	// turn every client into ErrCannotPlace.
+	bad.AlphaGranularity = math.MaxInt16 + 1
+	if _, err := NewSolver(scen, bad); err == nil {
+		t.Fatal("AlphaGranularity beyond math.MaxInt16 accepted")
+	}
 	bad2 := DefaultConfig()
 	bad2.NumInitSolutions = 0
 	if _, err := NewSolver(scen, bad2); err == nil {
