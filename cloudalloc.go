@@ -387,11 +387,6 @@ func ServeAgentWith(l net.Listener, ag Agent, set *Telemetry) *AgentServer {
 // DialAgent connects to a served agent and returns it as an Agent.
 func DialAgent(addr string) (Agent, error) { return agentrpc.Dial(addr) }
 
-// DialAgentWith is DialAgent with client-side RPC telemetry.
-func DialAgentWith(addr string, set *Telemetry) (Agent, error) {
-	return agentrpc.Dial(addr, agentrpc.WithTelemetry(set))
-}
-
 // AgentCallPolicy shapes the client side's fault handling on a dialed
 // agent: per-attempt conn deadlines, retry with deterministic backoff +
 // jitter, connection-pool bounds and read-only call hedging.
@@ -401,8 +396,8 @@ type AgentCallPolicy = agentrpc.Policy
 // deadline, a few retries, hedging off).
 func DefaultAgentCallPolicy() AgentCallPolicy { return agentrpc.DefaultPolicy() }
 
-// DialAgentPolicy is DialAgentWith with an explicit call policy; set is
-// optional (nil disables client-side RPC telemetry).
+// DialAgentPolicy is DialAgent with an explicit call policy and optional
+// client-side RPC telemetry (nil set disables it).
 func DialAgentPolicy(addr string, pol AgentCallPolicy, set *Telemetry) (Agent, error) {
 	opts := []agentrpc.Option{agentrpc.WithPolicy(pol)}
 	if set != nil {

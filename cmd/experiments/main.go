@@ -36,7 +36,7 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 1, "base seed")
 		draws     = fs.Int("draws", 0, "override Monte-Carlo draws per scenario (0 = mode default)")
 		scenarios = fs.Int("scenarios", 0, "override scenarios per client count (0 = mode default)")
-		metrics   = fs.Bool("metrics", false, "collect solver telemetry across the run and dump it (Prometheus text) to stderr")
+		metrics   = fs.Bool("metrics", false, "collect solver and controller telemetry across the run and dump it (Prometheus text) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,7 +51,7 @@ func run(args []string) error {
 	needSweep := *which == "all" || *which == "fig4" || *which == "fig5"
 	if needSweep {
 		cfg := sweepConfig(*quick, *seed)
-		cfg.Solver.Telemetry = tel
+		cfg.Telemetry = tel
 		if *draws > 0 {
 			cfg.MCDraws = *draws
 		}
@@ -138,7 +138,7 @@ func sweepConfig(quick bool, seed int64) experiment.SweepConfig {
 func runComplexity(quick bool, seed int64, tel *telemetry.Set) error {
 	cfg := experiment.DefaultComplexityConfig()
 	cfg.BaseSeed = seed
-	cfg.Solver.Telemetry = tel
+	cfg.Telemetry = tel
 	if quick {
 		cfg.ClientCounts = []int{25, 50, 100}
 		cfg.Repeats = 2
@@ -154,11 +154,10 @@ func runComplexity(quick bool, seed int64, tel *telemetry.Set) error {
 func runSim(quick bool, seed int64, tel *telemetry.Set) error {
 	cfg := experiment.DefaultValidationConfig()
 	cfg.Seed = seed
-	cfg.Solver.Telemetry = tel
-	cfg.Sim.Telemetry = tel
+	cfg.Telemetry = tel
 	if quick {
 		cfg.Clients = 30
-		cfg.Sim.Horizon = 5000
+		cfg.Horizon = 5000
 	}
 	v, err := experiment.RunValidation(cfg)
 	if err != nil {
@@ -171,7 +170,7 @@ func runSim(quick bool, seed int64, tel *telemetry.Set) error {
 func runAblation(quick bool, seed int64, tel *telemetry.Set) error {
 	cfg := experiment.DefaultAblationConfig()
 	cfg.BaseSeed = seed
-	cfg.Solver.Telemetry = tel
+	cfg.Telemetry = tel
 	if quick {
 		cfg.Clients = 50
 		cfg.Scenarios = 4
@@ -187,7 +186,7 @@ func runAblation(quick bool, seed int64, tel *telemetry.Set) error {
 func runEpochs(quick bool, seed int64, tel *telemetry.Set) error {
 	cfg := experiment.DefaultEpochsConfig()
 	cfg.Seed = seed
-	cfg.Solver.Telemetry = tel
+	cfg.Telemetry = tel
 	if quick {
 		cfg.Clients = 30
 		cfg.Epochs = 12
@@ -203,7 +202,7 @@ func runEpochs(quick bool, seed int64, tel *telemetry.Set) error {
 func runPredictors(quick bool, seed int64, tel *telemetry.Set) error {
 	cfg := experiment.DefaultPredictorConfig()
 	cfg.Seed = seed
-	cfg.Solver.Telemetry = tel
+	cfg.Telemetry = tel
 	if quick {
 		cfg.Clients = 25
 		cfg.Epochs = 10

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -37,28 +38,18 @@ func TestModifiedPSProducesValidAllocation(t *testing.T) {
 	}
 }
 
-func TestModifiedPSConfigValidation(t *testing.T) {
-	scen := genScenario(t, 5, 1)
-	if _, err := SolveModifiedPS(scen, PSConfig{}); err == nil {
-		t.Fatal("empty sweep accepted")
-	}
-	if _, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.5}}); err == nil {
-		t.Fatal("fraction > 1 accepted")
-	}
-}
-
 func TestModifiedPSSweepPicksBest(t *testing.T) {
 	scen := genScenario(t, 30, 2)
 	full, err := SolveModifiedPS(scen, DefaultPSConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := SolveModifiedPS(scen, PSConfig{ActiveFractions: []float64{1.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Profit() < single.Profit()-1e-9 {
-		t.Fatalf("sweep (%v) worse than its own member (%v)", full.Profit(), single.Profit())
+	for _, f := range psActiveFractions {
+		single := alloc.New(scen)
+		psAttempt(single, scen, f)
+		if full.Profit() < single.Profit()-1e-9 {
+			t.Fatalf("sweep (%v) worse than its own member %v (%v)", full.Profit(), f, single.Profit())
+		}
 	}
 }
 
@@ -165,10 +156,9 @@ func TestRunMonteCarloRejectsBadConfig(t *testing.T) {
 	if _, err := RunMonteCarlo(scen, cfg); err == nil {
 		t.Fatal("zero draws accepted")
 	}
-	cfg = DefaultMCConfig()
-	cfg.Solver.AlphaGranularity = -1
-	if _, err := RunMonteCarlo(scen, cfg); err == nil {
-		t.Fatal("invalid solver config accepted")
+	scen.Clients[0].ProcTime = 0
+	if _, err := RunMonteCarlo(scen, DefaultMCConfig()); err == nil {
+		t.Fatal("invalid scenario accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/telemetry"
 )
 
 // MCConfig tunes the Monte-Carlo envelope.
@@ -29,21 +30,18 @@ type MCConfig struct {
 	// 1 draws sequentially. The envelope — every field, including which
 	// draw wins Best — does not depend on the worker count.
 	Workers int
-	// Solver configures the cluster-level resource allocation used for
-	// every random assignment (the paper allocates resources in clusters
-	// "based on the proposed solution").
-	Solver core.Config
+	// Telemetry, when non-nil, instruments the draw fan-out and the
+	// solver.
+	Telemetry *telemetry.Set
 }
 
 // DefaultMCConfig returns a medium-effort configuration; benchmarks raise
 // Draws to the paper's numbers.
 func DefaultMCConfig() MCConfig {
-	cfg := core.DefaultConfig()
 	return MCConfig{
 		Draws:           200,
 		Seed:            1,
 		MaxSearchPasses: 10,
-		Solver:          cfg,
 	}
 }
 
@@ -61,9 +59,11 @@ type Envelope struct {
 }
 
 // RunMonteCarlo generates Draws random client→cluster assignments with
-// proposed-solution resource allocation inside each cluster, optimizes
-// each with the client-level reassignment search, and reports the
-// best/worst envelope (paper Section VI, Figures 4 and 5).
+// proposed-solution resource allocation inside each cluster (the paper
+// allocates resources in clusters "based on the proposed solution": the
+// default solver here), optimizes each with the client-level
+// reassignment search, and reports the best/worst envelope (paper
+// Section VI, Figures 4 and 5).
 //
 // Draws fan out over a bounded worker pool; each worker recycles one
 // allocation arena across its draws (alloc.Reset) and keeps only its
@@ -74,7 +74,9 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 	if cfg.Draws <= 0 {
 		return Envelope{}, fmt.Errorf("baseline: Draws = %d", cfg.Draws)
 	}
-	solver, err := core.NewSolver(scen, cfg.Solver)
+	scfg := core.DefaultConfig()
+	scfg.Telemetry = cfg.Telemetry
+	solver, err := core.NewSolver(scen, scfg)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -93,7 +95,7 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 	results := make([]drawResult, n)
 	curs := make([]*alloc.Allocation, workers)
 	bests := make([]workerBest, workers)
-	parallel.For(parallel.Options{Workers: workers, Tel: cfg.Solver.Telemetry, Phase: "mc_draws"},
+	parallel.For(parallel.Options{Workers: workers, Tel: cfg.Telemetry, Phase: "mc_draws"},
 		n, func(w, d int) {
 			a := curs[w]
 			if a == nil {

@@ -6,7 +6,6 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,12 +17,7 @@ import (
 
 // PSConfig tunes the modified Proportional Share baseline.
 type PSConfig struct {
-	// ActiveFractions is the sweep over the fraction of each cluster's
-	// servers (efficiency-ranked) to keep active; the best-profit setting
-	// wins (the paper's "iterative approach to find the best possible set
-	// of active servers").
-	ActiveFractions []float64
-	// Workers bounds the sweep fan-out over ActiveFractions: 0, the
+	// Workers bounds the sweep fan-out over psActiveFractions: 0, the
 	// default, uses GOMAXPROCS; 1 sweeps sequentially. The winning
 	// setting does not depend on the worker count.
 	Workers int
@@ -31,10 +25,14 @@ type PSConfig struct {
 
 // DefaultPSConfig returns the defaults used in the experiments.
 func DefaultPSConfig() PSConfig {
-	return PSConfig{
-		ActiveFractions: []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
-	}
+	return PSConfig{}
 }
+
+// psActiveFractions is the sweep over the fraction of each cluster's
+// servers (efficiency-ranked) to keep active; the best-profit setting
+// wins (the paper's "iterative approach to find the best possible set of
+// active servers").
+var psActiveFractions = [...]float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
 // psHeadroom multiplies the stability floor when sizing each client's
 // minimum capacity.
@@ -55,14 +53,6 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 	if err := scen.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	if len(cfg.ActiveFractions) == 0 {
-		return nil, errors.New("baseline: no active fractions to sweep")
-	}
-	for _, f := range cfg.ActiveFractions {
-		if f <= 0 || f > 1 {
-			return nil, fmt.Errorf("baseline: active fraction %v outside (0,1]", f)
-		}
-	}
 
 	// The sweep settings are independent; fan them out. Each worker
 	// recycles one allocation arena and keeps its best attempt under
@@ -75,7 +65,7 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 		profit float64
 		index  int
 	}
-	n := len(cfg.ActiveFractions)
+	n := len(psActiveFractions)
 	workers := parallel.Bound(cfg.Workers, n)
 	curs := make([]*alloc.Allocation, workers)
 	bests := make([]workerBest, workers)
@@ -86,7 +76,7 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 		} else {
 			a.Reset()
 		}
-		psAttempt(a, scen, cfg.ActiveFractions[idx])
+		psAttempt(a, scen, psActiveFractions[idx])
 		p := a.Profit()
 		if b := &bests[w]; b.a == nil || p > b.profit || (p == b.profit && idx < b.index) {
 			curs[w] = b.a

@@ -173,50 +173,48 @@ func TestManagerSolveMatchesQuality(t *testing.T) {
 
 func TestManagerCentralReassign(t *testing.T) {
 	scen := genScenario(t, 30, 3)
-
-	off := DefaultManagerConfig()
-	off.MaxReassignPasses = 0
-	mOff, err := NewManager(scen, localAgents(t, scen), off)
+	agents := localAgents(t, scen)
+	mgr, err := NewManager(scen, agents, DefaultManagerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mOff.Close()
-	aOff, stOff, err := mOff.Solve()
+	defer mgr.Close()
+	a, st, err := mgr.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stOff.Reassignments != 0 {
-		t.Fatalf("MaxReassignPasses 0 but %d reassignments reported", stOff.Reassignments)
-	}
-
-	mOn, err := NewManager(scen, localAgents(t, scen), DefaultManagerConfig())
-	if err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	defer mOn.Close()
-	aOn, stOn, err := mOn.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aOn.Validate(); err != nil {
-		t.Fatal(err)
+	// The polish runs on the merged copy, so the agents still hold the
+	// pre-polish state: the distributed rounds' result.
+	var prePolish float64
+	var preAssigned int
+	for _, ag := range agents {
+		p, err := ag.Profit(testCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ag.Snapshot(testCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prePolish += p
+		preAssigned += len(snap)
 	}
 	// The polish must never drop a served client (it runs without
 	// admission control) and must never lose profit.
-	if aOn.NumAssigned() != aOff.NumAssigned() {
-		t.Fatalf("polish changed assignment count: %d vs %d", aOn.NumAssigned(), aOff.NumAssigned())
+	if a.NumAssigned() != preAssigned {
+		t.Fatalf("polish changed assignment count: %d vs %d", a.NumAssigned(), preAssigned)
 	}
-	if aOn.Profit() < aOff.Profit()-1e-9 {
-		t.Fatalf("central reassign lost profit: %v -> %v", aOff.Profit(), aOn.Profit())
+	if a.Profit() < prePolish-1e-9 {
+		t.Fatalf("central reassign lost profit: %v -> %v", prePolish, a.Profit())
 	}
-	if math.Abs(aOn.Profit()-stOn.FinalProfit) > 1e-6 {
-		t.Fatalf("merged profit %v != reported %v", aOn.Profit(), stOn.FinalProfit)
+	if math.Abs(a.Profit()-st.FinalProfit) > 1e-6 {
+		t.Fatalf("merged profit %v != reported %v", a.Profit(), st.FinalProfit)
 	}
-
-	bad := DefaultManagerConfig()
-	bad.MaxReassignPasses = -1
-	if _, err := NewManager(scen, localAgents(t, scen), bad); err == nil {
-		t.Fatal("negative MaxReassignPasses accepted")
+	if got := st.Attribution.Initial + st.Attribution.Improve; math.Abs(got-prePolish) > 1e-6*(1+math.Abs(prePolish)) {
+		t.Fatalf("pre-polish attribution %v != agents' profit %v", got, prePolish)
 	}
 }
 

@@ -22,28 +22,12 @@ type ManagerConfig struct {
 	NumInitSolutions int
 	// Seed drives the client processing order.
 	Seed int64
-	// MaxReassignPasses bounds the central reassignment polish: passes of
-	// the cloud-level reassignment pipeline over the merged allocation
-	// after the distributed improvement rounds. Cross-cluster client
-	// moves are a central-manager operation (paper Section V) the
-	// per-cluster agents cannot perform; with 0 the distributed solve
-	// never moves a client between clusters after the initial greedy
-	// placement. Each pass after the first costs roughly O(changed
-	// clients) thanks to the solver's dirty-cluster tracking.
-	MaxReassignPasses int
 	// MaxInFlight bounds concurrent per-agent RPCs in every manager
 	// fan-out (evaluate broadcasts, replay loads, improve rounds,
 	// profit polls, snapshot merges) — the round loop's backpressure:
 	// hundreds of agents never become hundreds of simultaneous
 	// in-flight calls. 0 uses DefaultMaxInFlight.
 	MaxInFlight int
-	// CallTimeout, when > 0, bounds each per-agent unit of work in a
-	// fan-out (one Evaluate, one Improve, one snapshot, one replay)
-	// with a context deadline; the RPC layer turns it into conn
-	// deadlines, so a hung agent fails its round instead of stalling
-	// the whole solve. 0 leaves rounds unbounded (the dialing policy's
-	// per-attempt Timeout still applies to remote agents).
-	CallTimeout time.Duration
 	// Telemetry, when non-nil, instruments the manager: solve/round
 	// spans, round-latency histograms and per-cluster profit gauges.
 	Telemetry *telemetry.Set
@@ -57,6 +41,14 @@ const (
 	improveTolerance = 1e-4
 )
 
+// maxReassignPasses bounds the central reassignment polish: passes of
+// the cloud-level reassignment pipeline over the merged allocation after
+// the distributed improvement rounds. Cross-cluster client moves are a
+// central-manager operation (paper Section V) the per-cluster agents
+// cannot perform. Each pass after the first costs roughly O(changed
+// clients) thanks to the solver's dirty-cluster tracking.
+const maxReassignPasses = 3
+
 // DefaultMaxInFlight is the fan-out concurrency bound when
 // ManagerConfig.MaxInFlight is 0. Agent RPCs are I/O-bound, so the
 // bound is deliberately above GOMAXPROCS on small hosts.
@@ -65,9 +57,8 @@ const DefaultMaxInFlight = 16
 // DefaultManagerConfig matches the sequential solver's defaults.
 func DefaultManagerConfig() ManagerConfig {
 	return ManagerConfig{
-		NumInitSolutions:  3,
-		Seed:              1,
-		MaxReassignPasses: 3,
+		NumInitSolutions: 3,
+		Seed:             1,
 	}
 }
 
@@ -91,7 +82,7 @@ type ManagerStats struct {
 	Activations   int
 	Deactivations int
 	// Reassignments counts the cross-cluster moves of the central
-	// reassignment polish (0 when MaxReassignPasses is 0).
+	// reassignment polish.
 	Reassignments int
 	Unplaced      int
 	// Elapsed is the wall-clock time of the whole solve; InitElapsed the
@@ -147,11 +138,10 @@ type Manager struct {
 	cfg    ManagerConfig
 	tel    *mgrTel
 	// reassigner runs the central reassignment polish on the merged
-	// allocation (nil when MaxReassignPasses is 0). Its dirty-cluster
-	// marks carry across the passes of one Solve only: merge builds a
-	// fresh allocation every Solve, and the solver's cached pass state is
-	// keyed by allocation pointer, so each Solve's first pass scores
-	// every client.
+	// allocation. Its dirty-cluster marks carry across the passes of one
+	// Solve only: merge builds a fresh allocation every Solve, and the
+	// solver's cached pass state is keyed by allocation pointer, so each
+	// Solve's first pass scores every client.
 	reassigner *core.Solver
 }
 
@@ -173,29 +163,26 @@ func NewManager(scen *model.Scenario, agents []Agent, cfg ManagerConfig) (*Manag
 			return nil, fmt.Errorf("cluster: agent %d manages cluster %d", k, id)
 		}
 	}
-	if cfg.NumInitSolutions <= 0 || cfg.MaxReassignPasses < 0 || cfg.MaxInFlight < 0 || cfg.CallTimeout < 0 {
+	if cfg.NumInitSolutions <= 0 || cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("cluster: invalid config %+v", cfg)
 	}
-	m := &Manager{
-		scen:   scen,
-		agents: agents,
-		cfg:    cfg,
-		tel:    newMgrTel(cfg.Telemetry, scen.Cloud.NumClusters()),
+	ccfg := core.DefaultConfig()
+	ccfg.Telemetry = cfg.Telemetry
+	// The polish only moves clients between clusters; dropping an
+	// already-served client would break the distributed solve's
+	// constraint-(6) contract (every admitted client stays served).
+	ccfg.AdmissionControl = false
+	reassigner, err := core.NewSolver(scen, ccfg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: central reassigner: %w", err)
 	}
-	if cfg.MaxReassignPasses > 0 {
-		ccfg := core.DefaultConfig()
-		ccfg.Telemetry = cfg.Telemetry
-		// The polish only moves clients between clusters; dropping an
-		// already-served client would break the distributed solve's
-		// constraint-(6) contract (every admitted client stays served).
-		ccfg.AdmissionControl = false
-		solver, err := core.NewSolver(scen, ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: central reassigner: %w", err)
-		}
-		m.reassigner = solver
-	}
-	return m, nil
+	return &Manager{
+		scen:       scen,
+		agents:     agents,
+		cfg:        cfg,
+		tel:        newMgrTel(cfg.Telemetry, scen.Cloud.NumClusters()),
+		reassigner: reassigner,
+	}, nil
 }
 
 // Solve runs the distributed heuristic and merges the agents' final
@@ -281,24 +268,22 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 	// Central reassignment polish: the one local-search move only the
 	// manager can make — moving clients across clusters on the merged
 	// global state (paper Section V).
-	if m.reassigner != nil {
-		csp, cctx := m.tel.startCtx(ctx, "manager.central_reassign")
-		if m.cfg.Telemetry != nil {
-			merged.Instrument(m.cfg.Telemetry)
-		}
-		for pass := 0; pass < m.cfg.MaxReassignPasses; pass++ {
-			moved := m.reassigner.ReassignmentPassCtx(cctx, merged)
-			stats.Reassignments += moved
-			if moved == 0 {
-				break
-			}
-		}
-		if stats.Reassignments > 0 {
-			stats.FinalProfit = merged.Profit()
-		}
-		csp.Attr("moves", stats.Reassignments)
-		csp.End()
+	csp, cctx := m.tel.startCtx(ctx, "manager.central_reassign")
+	if m.cfg.Telemetry != nil {
+		merged.Instrument(m.cfg.Telemetry)
 	}
+	for pass := 0; pass < maxReassignPasses; pass++ {
+		moved := m.reassigner.ReassignmentPassCtx(cctx, merged)
+		stats.Reassignments += moved
+		if moved == 0 {
+			break
+		}
+	}
+	if stats.Reassignments > 0 {
+		stats.FinalProfit = merged.Profit()
+	}
+	csp.Attr("moves", stats.Reassignments)
+	csp.End()
 	stats.Attribution = ManagerAttribution{
 		Initial:         stats.InitialProfit,
 		Improve:         improved - stats.InitialProfit,
@@ -323,7 +308,7 @@ type assignment struct {
 // initialPass runs one randomized greedy pass across the agents and
 // returns the assignment map and its total profit.
 func (m *Manager) initialPass(ctx context.Context, rng *rand.Rand) (map[model.ClientID]assignment, float64, error) {
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		return m.agents[k].Reset(ctx)
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -428,21 +413,13 @@ func (m *Manager) maxInFlight() int {
 
 // fanOut runs fn once per agent on a bounded worker pool — the round
 // loop's backpressure: at most maxInFlight agent calls are in flight at
-// once, regardless of how many agents the manager coordinates. Each
-// per-agent unit runs under CallTimeout when configured, so one hung
-// agent fails its own slot instead of wedging the round. The returned
-// slice has one entry per agent in agent order (nil on success), so
-// callers keep deterministic error folding.
-func (m *Manager) fanOut(ctx context.Context, fn func(ctx context.Context, k int) error) []error {
+// once, regardless of how many agents the manager coordinates. The
+// returned slice has one entry per agent in agent order (nil on
+// success), so callers keep deterministic error folding.
+func (m *Manager) fanOut(ctx context.Context, fn func(k int) error) []error {
 	errs := make([]error, len(m.agents))
 	parallel.For(parallel.Options{Workers: m.maxInFlight(), Ctx: ctx}, len(m.agents), func(_, k int) {
-		actx := ctx
-		if m.cfg.CallTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(ctx, m.cfg.CallTimeout)
-			defer cancel()
-		}
-		errs[k] = fn(actx, k)
+		errs[k] = fn(k)
 	})
 	return errs
 }
@@ -451,7 +428,7 @@ func (m *Manager) fanOut(ctx context.Context, fn func(ctx context.Context, k int
 // bounded fan-out — the distributed analogue of trying every cluster.
 func (m *Manager) broadcastEvaluate(ctx context.Context, id model.ClientID) ([]EvalResult, error) {
 	bids := make([]EvalResult, len(m.agents))
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		var err error
 		bids[k], err = m.agents[k].Evaluate(ctx, id)
 		return err
@@ -466,8 +443,7 @@ func (m *Manager) broadcastEvaluate(ctx context.Context, id model.ClientID) ([]E
 // agent only sees its own cluster's clients, so the replays are grouped
 // per cluster (in client-ID order within each group, for deterministic
 // agent-side state) and run on the bounded fan-out — the same shape as
-// broadcastEvaluate. CallTimeout covers one agent's whole replay, not
-// each Commit, so size it for the largest cluster.
+// broadcastEvaluate.
 func (m *Manager) load(ctx context.Context, assignments map[model.ClientID]assignment) error {
 	groups := make([][]model.ClientID, len(m.agents))
 	for i := 0; i < m.scen.NumClients(); i++ {
@@ -476,7 +452,7 @@ func (m *Manager) load(ctx context.Context, assignments map[model.ClientID]assig
 			groups[as.cluster] = append(groups[as.cluster], id)
 		}
 	}
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		if err := m.agents[k].Reset(ctx); err != nil {
 			return fmt.Errorf("cluster: reset: %w", err)
 		}
@@ -494,7 +470,7 @@ func (m *Manager) load(ctx context.Context, assignments map[model.ClientID]assig
 // returns the total profit afterwards.
 func (m *Manager) improveRound(ctx context.Context, stats *ManagerStats) (float64, error) {
 	results := make([]ImproveStats, len(m.agents))
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		var err error
 		results[k], err = m.agents[k].Improve(ctx)
 		return err
@@ -521,7 +497,7 @@ func (m *Manager) improveRound(ctx context.Context, stats *ManagerStats) (float6
 // floating-point total is independent of scheduling.
 func (m *Manager) totalProfit(ctx context.Context) (float64, error) {
 	profits := make([]float64, len(m.agents))
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		p, err := m.agents[k].Profit(ctx)
 		if err != nil {
 			return fmt.Errorf("cluster: profit of cluster %d: %w", k, err)
@@ -547,7 +523,7 @@ func (m *Manager) totalProfit(ctx context.Context) (float64, error) {
 // faulty solve against the fault-free one bit-for-bit.
 func (m *Manager) merge(ctx context.Context) (*alloc.Allocation, error) {
 	snaps := make([]map[model.ClientID][]alloc.Portion, len(m.agents))
-	errs := m.fanOut(ctx, func(ctx context.Context, k int) error {
+	errs := m.fanOut(ctx, func(k int) error {
 		snap, err := m.agents[k].Snapshot(ctx)
 		if err != nil {
 			return fmt.Errorf("cluster: snapshot of cluster %d: %w", k, err)

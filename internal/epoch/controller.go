@@ -90,31 +90,26 @@ type NeverPolicy struct{}
 // ShouldResolve implements Policy.
 func (NeverPolicy) ShouldResolve(_, _ []float64) bool { return false }
 
-// ControllerConfig tunes a trace-driven controller run.
+// ControllerConfig tunes a trace-driven controller run. Every re-decision
+// runs the default solver warm, from the standing allocation (paper
+// Figure 3: the state of the cluster at the end of the previous epoch);
+// the first epoch solves from scratch.
 type ControllerConfig struct {
 	Policy Policy
-	// WarmStart re-solves from the previous allocation when re-deciding.
-	WarmStart bool
-	// Solver configures the allocator.
-	Solver core.Config
 	// Predictor forecasts the rates the allocator provisions for; nil
 	// means an oracle (the actual rates, the paper's implicit assumption).
 	// The policy also sees the forecast, mirroring a real deployment where
 	// the actual rates are only known in hindsight.
 	Predictor predict.Predictor
 	// Telemetry, when non-nil, records drift magnitudes, resolve/skip
-	// decisions, solve latency and per-epoch spans. It is also handed to
-	// the solver unless Solver.Telemetry is already set.
+	// decisions, solve latency and per-epoch spans, and instruments the
+	// solver.
 	Telemetry *telemetry.Set
 }
 
-// DefaultControllerConfig re-decides on >20% drift with warm starts.
+// DefaultControllerConfig re-decides on >20% drift.
 func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{
-		Policy:    ThresholdPolicy{RelChange: 0.2},
-		WarmStart: true,
-		Solver:    core.DefaultConfig(),
-	}
+	return ControllerConfig{Policy: ThresholdPolicy{RelChange: 0.2}}
 }
 
 // Step is one epoch of a controller run.
@@ -177,9 +172,8 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 	}
 
 	tel := newCtlTel(cfg.Telemetry)
-	if cfg.Telemetry != nil && cfg.Solver.Telemetry == nil {
-		cfg.Solver.Telemetry = cfg.Telemetry
-	}
+	scfg := core.DefaultConfig()
+	scfg.Telemetry = cfg.Telemetry
 
 	cur := model.CloneScenario(scen)
 	var (
@@ -216,13 +210,13 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 			tel.drift.Set(step.Drift)
 		}
 		if current == nil || cfg.Policy.ShouldResolve(lastDecision, forecast) {
-			solver, err := core.NewSolver(cur, cfg.Solver)
+			solver, err := core.NewSolver(cur, scfg)
 			if err != nil {
 				return ControllerSummary{}, err
 			}
 			start := time.Now()
 			var a *alloc.Allocation
-			if cfg.WarmStart && current != nil {
+			if current != nil {
 				a, _, err = solver.SolveFromCtx(ctx, current)
 			} else {
 				a, _, err = solver.SolveCtx(ctx)

@@ -6,7 +6,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/workload"
+	"repro/internal/telemetry"
 )
 
 // AblationConfig drives the heuristic-phase ablation study (extension:
@@ -15,8 +15,7 @@ type AblationConfig struct {
 	Clients   int
 	Scenarios int
 	BaseSeed  int64
-	Workload  workload.Config
-	Solver    core.Config
+	Telemetry *telemetry.Set
 }
 
 // DefaultAblationConfig ablates on 10 mid-size scenarios.
@@ -25,8 +24,6 @@ func DefaultAblationConfig() AblationConfig {
 		Clients:   80,
 		Scenarios: 10,
 		BaseSeed:  1,
-		Workload:  workload.DefaultConfig(),
-		Solver:    core.DefaultConfig(),
 	}
 }
 
@@ -74,15 +71,12 @@ func RunAblation(cfg AblationConfig) (variants, phases []AblationRow, err error)
 	sums := make([]float64, len(vs))
 	phaseSums := make([]float64, len(ablationPhases))
 	for s := 0; s < cfg.Scenarios; s++ {
-		wcfg := cfg.Workload
-		wcfg.NumClients = cfg.Clients
-		wcfg.Seed = cfg.BaseSeed + int64(s)
-		scen, err := workload.Generate(wcfg)
+		scen, err := generate(cfg.Clients, cfg.BaseSeed+int64(s))
 		if err != nil {
 			return nil, nil, err
 		}
 		for vi, v := range vs {
-			sCfg := cfg.Solver
+			sCfg := solverConfig(cfg.Telemetry)
 			v.mutate(&sCfg)
 			solver, err := core.NewSolver(scen, sCfg)
 			if err != nil {

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/workload"
+	"repro/internal/telemetry"
 )
 
 // ComplexityConfig drives the decision-time scaling measurement backing
@@ -18,8 +18,7 @@ type ComplexityConfig struct {
 	ClientCounts []int
 	Repeats      int
 	BaseSeed     int64
-	Workload     workload.Config
-	Solver       core.Config
+	Telemetry    *telemetry.Set
 }
 
 // DefaultComplexityConfig measures 3 repeats over the paper's range.
@@ -28,8 +27,6 @@ func DefaultComplexityConfig() ComplexityConfig {
 		ClientCounts: []int{25, 50, 100, 200},
 		Repeats:      3,
 		BaseSeed:     1,
-		Workload:     workload.DefaultConfig(),
-		Solver:       core.DefaultConfig(),
 	}
 }
 
@@ -52,24 +49,20 @@ func RunComplexity(cfg ComplexityConfig) ([]ComplexityRow, error) {
 		var seq, par time.Duration
 		var servers int
 		for r := 0; r < cfg.Repeats; r++ {
-			wcfg := cfg.Workload
-			wcfg.NumClients = n
-			wcfg.Seed = cfg.BaseSeed + int64(n) + int64(r)*131
-			scen, err := workload.Generate(wcfg)
+			scen, err := generate(n, cfg.BaseSeed+int64(n)+int64(r)*131)
 			if err != nil {
 				return nil, err
 			}
 			servers = scen.Cloud.NumServers()
 
-			sCfg := cfg.Solver
-			sCfg.Parallel = false
+			sCfg := solverConfig(cfg.Telemetry)
 			ds, err := timeSolve(scen, sCfg)
 			if err != nil {
 				return nil, err
 			}
 			seq += ds
 
-			pCfg := cfg.Solver
+			pCfg := solverConfig(cfg.Telemetry)
 			pCfg.Parallel = true
 			dp, err := timeSolve(scen, pCfg)
 			if err != nil {

@@ -6,32 +6,31 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/workload"
+	"repro/internal/telemetry"
 )
 
 // EpochsConfig drives the decision-policy experiment: a diurnal +
 // flash-crowd rate trace replayed against several decision policies
 // (extension motivated by the paper's Section III epoch discussion).
 type EpochsConfig struct {
-	Clients    int
-	Epochs     int
-	Seed       int64
-	NoiseSigma float64
-	Workload   workload.Config
-	Solver     core.Config
+	Clients int
+	Epochs  int
+	Seed    int64
+	// Telemetry, when non-nil, records the controller's epoch metrics
+	// and every solve.
+	Telemetry *telemetry.Set
 }
+
+// epochsNoiseSigma is the per-client lognormal noise on the trace.
+const epochsNoiseSigma = 0.05
 
 // DefaultEpochsConfig runs 16 epochs of a diurnal day with a flash crowd.
 func DefaultEpochsConfig() EpochsConfig {
 	return EpochsConfig{
-		Clients:    50,
-		Epochs:     16,
-		Seed:       1,
-		NoiseSigma: 0.05,
-		Workload:   workload.DefaultConfig(),
-		Solver:     core.DefaultConfig(),
+		Clients: 50,
+		Epochs:  16,
+		Seed:    1,
 	}
 }
 
@@ -49,10 +48,7 @@ func RunEpochsExperiment(cfg EpochsConfig) ([]EpochsRow, error) {
 	if cfg.Clients <= 0 || cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("experiment: bad epochs config %+v", cfg)
 	}
-	wcfg := cfg.Workload
-	wcfg.NumClients = cfg.Clients
-	wcfg.Seed = cfg.Seed
-	scen, err := workload.Generate(wcfg)
+	scen, err := generate(cfg.Clients, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +59,7 @@ func RunEpochsExperiment(cfg EpochsConfig) ([]EpochsRow, error) {
 	tr, err := epoch.GenerateTrace(base, cfg.Epochs, []epoch.Pattern{
 		epoch.Diurnal{Period: cfg.Epochs, Amplitude: 0.4, Phase: 0.1},
 		epoch.FlashCrowd{At: cfg.Epochs / 2, Duration: 2, Boost: 2, Every: 4},
-	}, cfg.NoiseSigma, cfg.Seed)
+	}, epochsNoiseSigma, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +78,7 @@ func RunEpochsExperiment(cfg EpochsConfig) ([]EpochsRow, error) {
 	for _, p := range policies {
 		ccfg := epoch.DefaultControllerConfig()
 		ccfg.Policy = p.policy
-		ccfg.Solver = cfg.Solver
+		ccfg.Telemetry = cfg.Telemetry
 		sum, err := epoch.RunController(scen, tr, ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: policy %s: %w", p.name, err)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // fastSweep returns a sweep config small enough for unit tests.
@@ -125,7 +127,7 @@ func TestRunComplexity(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := DefaultValidationConfig()
 	cfg.Clients = 15
-	cfg.Sim.Horizon = 3000
+	cfg.Horizon = 3000
 	v, err := RunValidation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +227,36 @@ func TestRunEpochsExperiment(t *testing.T) {
 	cfg.Epochs = 0
 	if _, err := RunEpochsExperiment(cfg); err == nil {
 		t.Fatal("zero epochs accepted")
+	}
+}
+
+// TestEpochsTelemetryReachesController: the experiment's one telemetry
+// set must feed the controller's own epoch metrics, not only the
+// solver's. At the quick settings (30 clients, 12 epochs, seed 1) the
+// five policies re-decide 12 + 12 + 9 + 3 + 1 = 37 times and keep the
+// standing allocation in the other 23 of their 60 epochs.
+func TestEpochsTelemetryReachesController(t *testing.T) {
+	tel := telemetry.New(nil)
+	cfg := DefaultEpochsConfig()
+	cfg.Clients = 30
+	cfg.Epochs = 12
+	cfg.Telemetry = tel
+	rows, err := RunEpochsExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decisions int
+	for _, r := range rows {
+		decisions += r.Decisions
+	}
+	if decisions != 37 {
+		t.Fatalf("policies made %d decisions, want 37", decisions)
+	}
+	if got := tel.Counter("epoch_resolves_total").Value(); got != 37 {
+		t.Errorf("epoch_resolves_total = %d, want 37", got)
+	}
+	if got := tel.Counter("epoch_skips_total").Value(); got != 23 {
+		t.Errorf("epoch_skips_total = %d, want 23", got)
 	}
 }
 

@@ -5,10 +5,9 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/predict"
-	"repro/internal/workload"
+	"repro/internal/telemetry"
 )
 
 // PredictorConfig drives the forecast-quality experiment: every predictor
@@ -16,23 +15,23 @@ import (
 // table links forecast error (MAPE/RMSE) to realized profit — the
 // quantity the paper's "predicted average request arrival rates" feed.
 type PredictorConfig struct {
-	Clients    int
-	Epochs     int
-	Seed       int64
-	NoiseSigma float64
-	Workload   workload.Config
-	Solver     core.Config
+	Clients int
+	Epochs  int
+	Seed    int64
+	// Telemetry, when non-nil, records the controller's epoch metrics
+	// and every solve.
+	Telemetry *telemetry.Set
 }
+
+// predictorNoiseSigma is the per-client lognormal noise on the trace.
+const predictorNoiseSigma = 0.08
 
 // DefaultPredictorConfig runs 16 epochs of a noisy diurnal day.
 func DefaultPredictorConfig() PredictorConfig {
 	return PredictorConfig{
-		Clients:    40,
-		Epochs:     16,
-		Seed:       1,
-		NoiseSigma: 0.08,
-		Workload:   workload.DefaultConfig(),
-		Solver:     core.DefaultConfig(),
+		Clients: 40,
+		Epochs:  16,
+		Seed:    1,
 	}
 }
 
@@ -51,10 +50,7 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 	if cfg.Clients <= 0 || cfg.Epochs < 2 {
 		return nil, fmt.Errorf("experiment: bad predictor config %+v", cfg)
 	}
-	wcfg := cfg.Workload
-	wcfg.NumClients = cfg.Clients
-	wcfg.Seed = cfg.Seed
-	scen, err := workload.Generate(wcfg)
+	scen, err := generate(cfg.Clients, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +60,7 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 	}
 	tr, err := epoch.GenerateTrace(base, cfg.Epochs, []epoch.Pattern{
 		epoch.Diurnal{Period: cfg.Epochs, Amplitude: 0.4, Phase: 0.1},
-	}, cfg.NoiseSigma, cfg.Seed)
+	}, predictorNoiseSigma, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +81,7 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 		}
 		ccfg := epoch.DefaultControllerConfig()
 		ccfg.Policy = epoch.AlwaysPolicy{}
-		ccfg.Solver = cfg.Solver
+		ccfg.Telemetry = cfg.Telemetry
 		if build != nil {
 			// A fresh predictor for the controller run (the backtest
 			// consumed the first one's state).

@@ -24,34 +24,32 @@ type ScaleExpConfig struct {
 	// ClientCounts are the instance sizes to run, in order.
 	ClientCounts []int
 	BaseSeed     int64
-	// CandidateClusters is the top-k pruning width (core.Config
-	// .CandidateClusters). 0 disables pruning.
-	CandidateClusters int
-	// ShardClusters sizes the shard count as clusters/ShardClusters
-	// (clamped to [1, clusters]), so shards keep a roughly constant
-	// cluster span as the cloud grows. 0 disables sharding.
-	ShardClusters int
-	// CompareExactAt, when one of the ClientCounts, additionally solves
-	// that instance with pruning and sharding disabled and records the
-	// profit gap — the acceptance check that the default k loses well
-	// under a percent. Exact solves are O(clients × clusters), so keep
-	// this at a mid-size point.
-	CompareExactAt int
-	// AlphaGranularity overrides the solver's dispersion grid (0 keeps
-	// the paper's default). The scale runs use a coarser grid: the DP is
-	// the inner loop of every exact evaluation.
-	AlphaGranularity int
 }
 
-// DefaultScaleExpConfig runs the issue's 1k/10k/100k/1M ladder.
+// The scale-mode solver settings.
+const (
+	// scaleTopK is the top-k pruning width (core.Config.CandidateClusters).
+	scaleTopK = 6
+	// scaleShardClusters sizes the shard count as clusters/scaleShardClusters
+	// (at least 1), so shards keep a roughly constant cluster span as the
+	// cloud grows.
+	scaleShardClusters = 8
+	// scaleAlphaGranularity is the coarser dispersion grid of the scale
+	// runs: the DP is the inner loop of every exact evaluation.
+	scaleAlphaGranularity = 6
+	// scaleCompareExactAt is the row that additionally solves its
+	// instance with pruning and sharding disabled and records the profit
+	// gap — the acceptance check that top-k loses well under a percent.
+	// Exact solves are O(clients × clusters), so this stays a mid-size
+	// point.
+	scaleCompareExactAt = 10_000
+)
+
+// DefaultScaleExpConfig runs the 1k/10k/100k/1M ladder.
 func DefaultScaleExpConfig() ScaleExpConfig {
 	return ScaleExpConfig{
-		ClientCounts:      []int{1_000, 10_000, 100_000, 1_000_000},
-		BaseSeed:          1,
-		CandidateClusters: 6,
-		ShardClusters:     8,
-		CompareExactAt:    10_000,
-		AlphaGranularity:  6,
+		ClientCounts: []int{1_000, 10_000, 100_000, 1_000_000},
+		BaseSeed:     1,
 	}
 }
 
@@ -83,7 +81,7 @@ type ScaleRow struct {
 	Profit   float64 `json:"profit"`
 	Unplaced int     `json:"unplaced"`
 
-	// ExactProfit and LossVsExact are only set on the CompareExactAt row:
+	// ExactProfit and LossVsExact are only set on the scaleCompareExactAt row:
 	// the unpruned, unsharded solve of the same instance and the relative
 	// profit gap ((exact-pruned)/exact; negative means the scale mode
 	// found more profit).
@@ -103,20 +101,13 @@ type ScaleReport struct {
 // improvement round, coarse dispersion grid, pruned candidates, sharded
 // rounds. Everything it gives up is breadth the big instances cannot
 // afford; correctness (feasibility, determinism) is untouched.
-func scaleSolverConfig(cfg ScaleExpConfig, clusters int) core.Config {
+func scaleSolverConfig(clusters int) core.Config {
 	sc := core.DefaultConfig()
 	sc.NumInitSolutions = 1
 	sc.MaxLocalSearchIters = 1
-	if cfg.AlphaGranularity > 0 {
-		sc.AlphaGranularity = cfg.AlphaGranularity
-	}
-	sc.CandidateClusters = cfg.CandidateClusters
-	if cfg.ShardClusters > 0 {
-		sc.Shards = clusters / cfg.ShardClusters
-		if sc.Shards < 1 {
-			sc.Shards = 1
-		}
-	}
+	sc.AlphaGranularity = scaleAlphaGranularity
+	sc.CandidateClusters = scaleTopK
+	sc.Shards = max(clusters/scaleShardClusters, 1)
 	return sc
 }
 
@@ -142,7 +133,7 @@ func RunScale(cfg ScaleExpConfig, progress io.Writer) (*ScaleReport, error) {
 		}
 		genDur := time.Since(tGen)
 
-		sc := scaleSolverConfig(cfg, scen.Cloud.NumClusters())
+		sc := scaleSolverConfig(scen.Cloud.NumClusters())
 		s, err := core.NewSolver(scen, sc)
 		if err != nil {
 			return nil, err
@@ -176,8 +167,8 @@ func RunScale(cfg ScaleExpConfig, progress io.Writer) (*ScaleReport, error) {
 			BytesPerClient: float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 		}
 
-		if n == cfg.CompareExactAt {
-			ec := scaleSolverConfig(cfg, scen.Cloud.NumClusters())
+		if n == scaleCompareExactAt {
+			ec := scaleSolverConfig(scen.Cloud.NumClusters())
 			ec.CandidateClusters = 0
 			ec.Shards = 0
 			es, err := core.NewSolver(scen, ec)

@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -33,17 +35,30 @@ type SweepConfig struct {
 	// BaseSeed seeds the scenario generator; scenario s of count c uses
 	// BaseSeed + hash(c, s).
 	BaseSeed int64
-	// Workload is the scenario template (client count and seed are
-	// overwritten per point).
-	Workload workload.Config
-	// Solver configures the proposed heuristic.
-	Solver core.Config
-	// PS configures the modified Proportional Share baseline.
-	PS baseline.PSConfig
 	// Workers bounds scenario-level parallelism (0 = GOMAXPROCS). The
 	// sweep's results and error reporting are identical for every
 	// worker count.
 	Workers int
+	// Telemetry, when non-nil, instruments the sweep fan-out, every
+	// solver and the Monte-Carlo draws.
+	Telemetry *telemetry.Set
+}
+
+// generate builds one scenario from the default workload template with
+// the given client count and seed (the paper's Section VI instance
+// generator).
+func generate(clients int, seed int64) (*model.Scenario, error) {
+	wcfg := workload.DefaultConfig()
+	wcfg.NumClients = clients
+	wcfg.Seed = seed
+	return workload.Generate(wcfg)
+}
+
+// solverConfig is the proposed heuristic at its defaults, reporting to tel.
+func solverConfig(tel *telemetry.Set) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Telemetry = tel
+	return cfg
 }
 
 // DefaultSweepConfig returns a fast-but-faithful sweep; the benchmark
@@ -56,9 +71,6 @@ func DefaultSweepConfig() SweepConfig {
 		MCDraws:             200,
 		MCPasses:            5,
 		BaseSeed:            1,
-		Workload:            workload.DefaultConfig(),
-		Solver:              core.DefaultConfig(),
-		PS:                  baseline.DefaultPSConfig(),
 	}
 }
 
@@ -124,7 +136,7 @@ func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
 	// own (point, slot) cell and every job runs even when another fails,
 	// so the sweep's output — including which error is reported, the
 	// lowest-indexed one — does not depend on the worker count.
-	err := parallel.ForErr(parallel.Options{Workers: cfg.Workers, Tel: cfg.Solver.Telemetry, Phase: "sweep"},
+	err := parallel.ForErr(parallel.Options{Workers: cfg.Workers, Tel: cfg.Telemetry, Phase: "sweep"},
 		len(jobs), func(_, idx int) error {
 			jb := jobs[idx]
 			st, err := runScenario(cfg, jb.clients, jb.seed)
@@ -142,14 +154,11 @@ func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
 
 // runScenario measures every method on one random scenario.
 func runScenario(cfg SweepConfig, clients int, seed int64) (ScenarioStats, error) {
-	wcfg := cfg.Workload
-	wcfg.NumClients = clients
-	wcfg.Seed = seed
-	scen, err := workload.Generate(wcfg)
+	scen, err := generate(clients, seed)
 	if err != nil {
 		return ScenarioStats{}, err
 	}
-	solver, err := core.NewSolver(scen, cfg.Solver)
+	solver, err := core.NewSolver(scen, solverConfig(cfg.Telemetry))
 	if err != nil {
 		return ScenarioStats{}, err
 	}
@@ -157,7 +166,7 @@ func runScenario(cfg SweepConfig, clients int, seed int64) (ScenarioStats, error
 	if err != nil {
 		return ScenarioStats{}, err
 	}
-	ps, err := baseline.SolveModifiedPS(scen, cfg.PS)
+	ps, err := baseline.SolveModifiedPS(scen, baseline.DefaultPSConfig())
 	if err != nil {
 		return ScenarioStats{}, err
 	}
@@ -165,7 +174,7 @@ func runScenario(cfg SweepConfig, clients int, seed int64) (ScenarioStats, error
 		Draws:           cfg.MCDraws,
 		Seed:            seed,
 		MaxSearchPasses: cfg.MCPasses,
-		Solver:          cfg.Solver,
+		Telemetry:       cfg.Telemetry,
 	}
 	env, err := baseline.RunMonteCarlo(scen, mcCfg)
 	if err != nil {

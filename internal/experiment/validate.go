@@ -8,29 +8,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/telemetry"
 )
 
 // ValidationConfig drives the analytic-vs-simulation validation (an
 // extension: the paper trusts the M/M/1 GPS model; we measure it).
 type ValidationConfig struct {
-	Clients  int
-	Seed     int64
-	Workload workload.Config
-	Solver   core.Config
-	Sim      sim.Config
+	Clients int
+	Seed    int64
+	// Horizon is the simulated time span (sim.Config.Horizon).
+	Horizon   float64
+	Telemetry *telemetry.Set
 }
 
 // DefaultValidationConfig validates a mid-size scenario.
 func DefaultValidationConfig() ValidationConfig {
-	simCfg := sim.DefaultConfig()
-	simCfg.Horizon = 20000
 	return ValidationConfig{
-		Clients:  50,
-		Seed:     1,
-		Workload: workload.DefaultConfig(),
-		Solver:   core.DefaultConfig(),
-		Sim:      simCfg,
+		Clients: 50,
+		Seed:    1,
+		Horizon: 20000,
 	}
 }
 
@@ -51,14 +47,11 @@ type ValidationResult struct {
 
 // RunValidation solves a scenario and simulates the resulting allocation.
 func RunValidation(cfg ValidationConfig) (ValidationResult, error) {
-	wcfg := cfg.Workload
-	wcfg.NumClients = cfg.Clients
-	wcfg.Seed = cfg.Seed
-	scen, err := workload.Generate(wcfg)
+	scen, err := generate(cfg.Clients, cfg.Seed)
 	if err != nil {
 		return ValidationResult{}, err
 	}
-	solver, err := core.NewSolver(scen, cfg.Solver)
+	solver, err := core.NewSolver(scen, solverConfig(cfg.Telemetry))
 	if err != nil {
 		return ValidationResult{}, err
 	}
@@ -66,7 +59,10 @@ func RunValidation(cfg ValidationConfig) (ValidationResult, error) {
 	if err != nil {
 		return ValidationResult{}, err
 	}
-	res, err := sim.Simulate(a, cfg.Sim)
+	simCfg := sim.DefaultConfig()
+	simCfg.Horizon = cfg.Horizon
+	simCfg.Telemetry = cfg.Telemetry
+	res, err := sim.Simulate(a, simCfg)
 	if err != nil {
 		return ValidationResult{}, err
 	}

@@ -97,9 +97,6 @@ func TestHandlerNilSet(t *testing.T) {
 }
 
 func TestLoggerHelpers(t *testing.T) {
-	if LoggerOr(nil) == nil {
-		t.Fatal("LoggerOr(nil) must not be nil")
-	}
 	var b strings.Builder
 	l := NewTextLogger(&b, 0)
 	l.Info("hello", "k", 1)

@@ -175,14 +175,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Mean returns the average observation (0 before any).
-func (h *Histogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
 // Registry holds named metrics. Metric handles are created once
 // (get-or-create) and then operated on lock-free; the registry lock is
 // only taken on (rare) creation and on export.

@@ -80,14 +80,11 @@ func (s *Set) FlightRecorder() *Flight {
 	return s.Flight
 }
 
-// Enabled reports whether the set records anything at all.
-func (s *Set) Enabled() bool { return s != nil }
-
 // Logger returns the set's logger, falling back to the no-op logger so
 // callers never nil-check before logging.
 func (s *Set) Logger() *slog.Logger {
 	if s == nil || s.Log == nil {
-		return NopLogger()
+		return nopLogger
 	}
 	return s.Log
 }
@@ -102,18 +99,6 @@ func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 var nopLogger = slog.New(discardHandler{})
-
-// NopLogger returns a logger that discards everything.
-func NopLogger() *slog.Logger { return nopLogger }
-
-// LoggerOr returns l, or the no-op logger when l is nil — the standard
-// way for a component to accept an optional injected logger.
-func LoggerOr(l *slog.Logger) *slog.Logger {
-	if l == nil {
-		return nopLogger
-	}
-	return l
-}
 
 // NewTextLogger builds a slog text logger writing to w at the given
 // level — what the cmds install behind their -debug / -v flags.
