@@ -32,7 +32,6 @@
 package cloudalloc
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -80,17 +79,9 @@ type (
 
 	// Allocation is a solution: assignments, dispersion rates and shares.
 	Allocation = alloc.Allocation
-	// Portion is one client's slice on one server.
-	Portion = alloc.Portion
-	// Breakdown decomposes an allocation's profit.
-	Breakdown = alloc.Breakdown
 
 	// SolveStats reports what the allocator did.
 	SolveStats = core.Stats
-	// ProfitAttribution decomposes a solve's profit delta by phase.
-	ProfitAttribution = core.Attribution
-	// PhaseTimings reports wall-clock time per solver phase.
-	PhaseTimings = core.PhaseTimings
 
 	// PSConfig tunes the modified Proportional Share baseline.
 	PSConfig = baseline.PSConfig
@@ -113,10 +104,6 @@ type (
 	Manager = cluster.Manager
 	// ManagerConfig tunes the distributed solve.
 	ManagerConfig = cluster.ManagerConfig
-	// ManagerStats reports a distributed solve.
-	ManagerStats = cluster.ManagerStats
-	// ManagerAttribution decomposes a distributed solve's profit by stage.
-	ManagerAttribution = cluster.ManagerAttribution
 
 	// Telemetry bundles a metrics registry, a span tracer and a
 	// structured logger. A nil *Telemetry disables observability at zero
@@ -124,12 +111,6 @@ type (
 	Telemetry = telemetry.Set
 	// SpanRecord is one finished span from the telemetry trace buffer.
 	SpanRecord = telemetry.SpanRecord
-	// TraceRef addresses a span so child work — including work on the
-	// far side of an agent RPC — can parent under it.
-	TraceRef = telemetry.TraceRef
-	// FlightEvent is one recorded solver decision from the flight
-	// recorder ring.
-	FlightEvent = telemetry.Event
 
 	// OnlineService is the streaming serving path: lock-free admission
 	// and placement decisions over a client churn stream, with deferred-
@@ -142,12 +123,6 @@ type (
 	OnlineEvent = online.Event
 	// OnlineEventKind discriminates arrivals, departures and rate changes.
 	OnlineEventKind = online.EventKind
-	// OnlineDecision is the service's answer to one event.
-	OnlineDecision = online.Decision
-	// ChurnConfig parameterizes the seeded churn event generator.
-	ChurnConfig = online.ChurnConfig
-	// Churn generates a deterministic churn event stream over a scenario.
-	Churn = online.Churn
 )
 
 // Churn stream event kinds, re-exported from internal/online.
@@ -267,12 +242,6 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 	return telemetry.WriteChromeTrace(w, spans)
 }
 
-// WriteTraceTree renders spans as indented ASCII trace trees, one per
-// TraceID, the same view /debug/trace?format=tree serves.
-func WriteTraceTree(w io.Writer, spans []SpanRecord) {
-	telemetry.WriteTraceTree(w, spans)
-}
-
 // Allocator runs the paper's Resource_Alloc heuristic.
 type Allocator struct {
 	solver *core.Solver
@@ -294,17 +263,6 @@ func NewAllocator(scen *Scenario, opts ...Option) (*Allocator, error) {
 // Solve runs the full heuristic and returns the allocation.
 func (al *Allocator) Solve() (*Allocation, SolveStats, error) { return al.solver.Solve() }
 
-// Improve runs the local-search phases on an existing allocation.
-func (al *Allocator) Improve(a *Allocation) {
-	al.solver.ImproveLocalCtx(context.Background(), a, nil)
-}
-
-// Evaluate returns the approximate profit and portions of placing client
-// id on cluster k without mutating the allocation.
-func (al *Allocator) Evaluate(a *Allocation, id ClientID, k ClusterID) (float64, []Portion, error) {
-	return al.solver.AssignDistribute(a, id, k)
-}
-
 // DefaultOnlineConfig returns production-shaped online-service defaults:
 // synchronous (deterministic) commits at 10% relative drift with a cheap
 // incremental solver. Raise CommitRel/CommitFloor to amortize commits
@@ -317,14 +275,6 @@ func DefaultOnlineConfig() OnlineConfig { return online.DefaultConfig() }
 func NewOnlineService(scen *Scenario, cfg OnlineConfig) (*OnlineService, error) {
 	return online.New(scen, cfg)
 }
-
-// DefaultChurnConfig returns a balanced churn mix: equal arrivals and
-// departures with twice as much rate jitter, no flash crowd.
-func DefaultChurnConfig() ChurnConfig { return online.DefaultChurnConfig() }
-
-// NewChurn builds the deterministic churn event generator the online
-// benchmark and replay tests drive the service with.
-func NewChurn(scen *Scenario, cfg ChurnConfig) *Churn { return online.NewChurn(scen, cfg) }
 
 // DefaultPSConfig returns the modified Proportional Share defaults.
 func DefaultPSConfig() PSConfig { return baseline.DefaultPSConfig() }
@@ -375,17 +325,12 @@ func NewManager(scen *Scenario, agents []Agent, cfg ManagerConfig) (*Manager, er
 type AgentServer = agentrpc.Server
 
 // ServeAgent wraps an agent behind a TCP listener; call Serve on the
-// returned server.
-func ServeAgent(l net.Listener, ag Agent) *AgentServer { return agentrpc.NewServer(l, ag) }
-
-// ServeAgentWith is ServeAgent with server-side RPC telemetry (per-op
-// call/error counters, latency histograms, byte counters and spans).
-func ServeAgentWith(l net.Listener, ag Agent, set *Telemetry) *AgentServer {
+// returned server. A non-nil set records server-side RPC telemetry
+// (per-op call/error counters, latency histograms, byte counters and
+// spans); nil records none.
+func ServeAgent(l net.Listener, ag Agent, set *Telemetry) *AgentServer {
 	return agentrpc.NewServer(l, ag, agentrpc.WithTelemetry(set))
 }
-
-// DialAgent connects to a served agent and returns it as an Agent.
-func DialAgent(addr string) (Agent, error) { return agentrpc.Dial(addr) }
 
 // AgentCallPolicy shapes the client side's fault handling on a dialed
 // agent: per-attempt conn deadlines, retry with deterministic backoff +
@@ -396,12 +341,9 @@ type AgentCallPolicy = agentrpc.Policy
 // deadline, a few retries, hedging off).
 func DefaultAgentCallPolicy() AgentCallPolicy { return agentrpc.DefaultPolicy() }
 
-// DialAgentPolicy is DialAgent with an explicit call policy and optional
-// client-side RPC telemetry (nil set disables it).
-func DialAgentPolicy(addr string, pol AgentCallPolicy, set *Telemetry) (Agent, error) {
-	opts := []agentrpc.Option{agentrpc.WithPolicy(pol)}
-	if set != nil {
-		opts = append(opts, agentrpc.WithTelemetry(set))
-	}
-	return agentrpc.Dial(addr, opts...)
+// DialAgent connects to a served agent under the call policy and returns
+// it as an Agent. A non-nil set records client-side RPC telemetry; nil
+// records none.
+func DialAgent(addr string, pol AgentCallPolicy, set *Telemetry) (Agent, error) {
+	return agentrpc.Dial(addr, agentrpc.WithPolicy(pol), agentrpc.WithTelemetry(set))
 }

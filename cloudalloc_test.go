@@ -2,13 +2,12 @@ package cloudalloc
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/alloc"
+	"repro/internal/online"
 )
 
 func genScenario(t *testing.T, n int, seed int64) *Scenario {
@@ -58,30 +57,6 @@ func TestPublicAPIOptionsValidated(t *testing.T) {
 		if _, err := NewAllocator(scen, opt); err == nil {
 			t.Errorf("negative %s accepted", name)
 		}
-	}
-}
-
-func TestPublicAPIEvaluateAndImprove(t *testing.T) {
-	scen := genScenario(t, 10, 2)
-	al, err := NewAllocator(scen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := alloc.New(scen)
-	est, portions, err := al.Evaluate(a, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(portions) == 0 || math.IsNaN(est) {
-		t.Fatalf("est=%v portions=%v", est, portions)
-	}
-	if err := a.Assign(0, 0, portions); err != nil {
-		t.Fatal(err)
-	}
-	before := a.Profit()
-	al.Improve(a)
-	if a.Profit() < before-1e-9 {
-		t.Fatalf("Improve regressed profit: %v -> %v", before, a.Profit())
 	}
 }
 
@@ -172,10 +147,10 @@ func TestPublicAPIDistributedTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeAgent(l, local)
+	srv := ServeAgent(l, local, nil)
 	go srv.Serve()
 	defer srv.Close()
-	remote, err := DialAgent(l.Addr().String())
+	remote, err := DialAgent(l.Addr().String(), DefaultAgentCallPolicy(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +188,9 @@ func TestPublicAPIOnlineService(t *testing.T) {
 	}
 	defer svc.Close()
 
-	ccfg := DefaultChurnConfig()
+	ccfg := online.DefaultChurnConfig()
 	ccfg.Events = 500
-	churn := NewChurn(scen, ccfg)
+	churn := online.NewChurn(scen, ccfg)
 	var admits int
 	for {
 		ev, ok := churn.Next()

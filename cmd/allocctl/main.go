@@ -60,7 +60,7 @@ func run(args []string) error {
 	pol.Seed = *seed
 	var agents []cloudalloc.Agent
 	for _, addr := range strings.Split(*addrs, ",") {
-		ag, err := cloudalloc.DialAgentPolicy(strings.TrimSpace(addr), pol, tel)
+		ag, err := cloudalloc.DialAgent(strings.TrimSpace(addr), pol, tel)
 		if err != nil {
 			return err
 		}

@@ -86,7 +86,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := cloudalloc.ServeAgentWith(l, agent, tel)
+	srv := cloudalloc.ServeAgent(l, agent, tel)
 	tel.Logger().Info("serving", "cluster", *clustID, "scenario", *path, "addr", srv.Addr().String())
 	fmt.Printf("allocd: serving cluster %d of %s on %s\n", *clustID, *path, srv.Addr())
 	return srv.Serve()

@@ -52,7 +52,7 @@ func TestRunServesDebugEndpoints(t *testing.T) {
 	var agent cloudalloc.Agent
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		agent, err = cloudalloc.DialAgent(listen)
+		agent, err = cloudalloc.DialAgent(listen, cloudalloc.DefaultAgentCallPolicy(), nil)
 		if err == nil {
 			break
 		}

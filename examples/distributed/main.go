@@ -42,7 +42,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		srv := cloudalloc.ServeAgent(l, local)
+		srv := cloudalloc.ServeAgent(l, local, nil)
 		go func() {
 			if err := srv.Serve(); err != nil {
 				log.Printf("agent serve: %v", err)
@@ -51,7 +51,7 @@ func run() error {
 		servers = append(servers, srv)
 		fmt.Printf("cluster %d agent listening on %s\n", k, srv.Addr())
 
-		remote, err := cloudalloc.DialAgent(srv.Addr().String())
+		remote, err := cloudalloc.DialAgent(srv.Addr().String(), cloudalloc.DefaultAgentCallPolicy(), nil)
 		if err != nil {
 			return err
 		}

@@ -33,8 +33,6 @@ type (
 	ControllerConfig = epoch.ControllerConfig
 	// ControllerSummary aggregates a controller run.
 	ControllerSummary = epoch.ControllerSummary
-	// ControllerStep is one epoch of a controller run.
-	ControllerStep = epoch.Step
 
 	// Predictor forecasts next-epoch arrival rates.
 	Predictor = predict.Predictor
@@ -57,7 +55,7 @@ func RunController(scen *Scenario, tr Trace, cfg ControllerConfig) (ControllerSu
 }
 
 // SolveExhaustive enumerates every client→cluster assignment; tiny
-// instances only (≤ baseline.MaxExhaustiveClients clients).
+// instances only (at most 10 clients).
 func SolveExhaustive(scen *Scenario) (*Allocation, error) {
 	return baseline.SolveExhaustive(scen, core.DefaultConfig())
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -95,7 +93,7 @@ func TestDeadlineAbortsHungSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	agents[len(agents)-1].Close()
-	agents[len(agents)-1] = &hungAgent{id: model.ClusterID(len(agents) - 1), inner: hungRemote}
+	agents[len(agents)-1] = &hungAgent{RemoteAgent: hungRemote, id: model.ClusterID(len(agents) - 1)}
 	mgr, err := cluster.NewManager(scen, agents, cluster.DefaultManagerConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -123,29 +121,11 @@ func TestDeadlineAbortsHungSolve(t *testing.T) {
 // check passes) and forwards everything else to a remote whose server
 // never replies.
 type hungAgent struct {
-	id    model.ClusterID
-	inner *RemoteAgent
+	*RemoteAgent
+	id model.ClusterID
 }
 
-func (h *hungAgent) ClusterID(ctx context.Context) (model.ClusterID, error) { return h.id, nil }
-func (h *hungAgent) Reset(ctx context.Context) error                        { return h.inner.Reset(ctx) }
-func (h *hungAgent) Evaluate(ctx context.Context, id model.ClientID) (cluster.EvalResult, error) {
-	return h.inner.Evaluate(ctx, id)
-}
-func (h *hungAgent) Commit(ctx context.Context, id model.ClientID, p []alloc.Portion) error {
-	return h.inner.Commit(ctx, id, p)
-}
-func (h *hungAgent) Remove(ctx context.Context, id model.ClientID) error {
-	return h.inner.Remove(ctx, id)
-}
-func (h *hungAgent) Improve(ctx context.Context) (cluster.ImproveStats, error) {
-	return h.inner.Improve(ctx)
-}
-func (h *hungAgent) Profit(ctx context.Context) (float64, error) { return h.inner.Profit(ctx) }
-func (h *hungAgent) Snapshot(ctx context.Context) (map[model.ClientID][]alloc.Portion, error) {
-	return h.inner.Snapshot(ctx)
-}
-func (h *hungAgent) Close() error { return h.inner.Close() }
+func (h *hungAgent) ClusterID(context.Context) (model.ClusterID, error) { return h.id, nil }
 
 // TestRetryRedialsAfterConnKill: killing the server side of every live
 // connection makes the next call fail its first attempt, redial and
@@ -160,9 +140,8 @@ func TestRetryRedialsAfterConnKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conns atomic.Value // latest accepted conn
-	wrapped := &connTrackListener{Listener: l, latest: &conns}
-	srv := NewServer(wrapped, local)
+	fl := newFaultListener(l, 1, nil)
+	srv := NewServer(fl, local)
 	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 
@@ -181,9 +160,7 @@ func TestRetryRedialsAfterConnKill(t *testing.T) {
 	}
 	// Kill the server side of the pooled connection: the client's next
 	// attempt on it fails, and the retry must redial.
-	if c, ok := conns.Load().(net.Conn); ok {
-		c.Close()
-	}
+	fl.crash(0)
 	if _, err := remote.Profit(context.Background()); err != nil {
 		t.Fatalf("call after conn kill: %v", err)
 	}
@@ -193,19 +170,6 @@ func TestRetryRedialsAfterConnKill(t *testing.T) {
 	if got := set.Counter("rpc_client_redials_total").Value(); got < 1 {
 		t.Fatalf("rpc_client_redials_total = %d, want >= 1", got)
 	}
-}
-
-type connTrackListener struct {
-	net.Listener
-	latest *atomic.Value
-}
-
-func (l *connTrackListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
-		l.latest.Store(c)
-	}
-	return c, err
 }
 
 // TestRemoteErrorNotRetried: application-level errors are final — the

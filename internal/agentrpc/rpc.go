@@ -11,8 +11,8 @@
 // idempotency ids the server deduplicates, so a retry after an
 // ambiguous failure — request applied, response lost — replays the
 // recorded outcome instead of re-applying; and read-only calls can
-// hedge a second connection when the first is slow. internal/chaos is
-// the proving ground for all of it.
+// hedge a second connection when the first is slow. The package's chaos
+// tests are the proving ground for all of it.
 package agentrpc
 
 import (

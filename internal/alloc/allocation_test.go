@@ -387,13 +387,13 @@ func TestTxnRollbackReportsFailedRestore(t *testing.T) {
 func TestRevenueErrDistinguishesZeroCases(t *testing.T) {
 	s := testScenario(t)
 	a := New(s)
-	if _, err := a.RevenueErr(0); !errors.Is(err, ErrUnassigned) {
-		t.Fatalf("err = %v, want ErrUnassigned", err)
+	if _, err := a.revenueErr(0); !errors.Is(err, errUnassigned) {
+		t.Fatalf("err = %v, want errUnassigned", err)
 	}
 	if err := a.Assign(0, 0, fullPortion(0)); err != nil {
 		t.Fatal(err)
 	}
-	rev, err := a.RevenueErr(0)
+	rev, err := a.revenueErr(0)
 	if err != nil || rev <= 0 {
 		t.Fatalf("rev = %v, err = %v", rev, err)
 	}
@@ -403,8 +403,8 @@ func TestRevenueErrDistinguishesZeroCases(t *testing.T) {
 	a.portions[0][0].Alpha = 1 // re-dirty the client to force recompute
 	a.markClientDirty(0, 0)
 	a.clientDirty[0] = true
-	if _, err := a.RevenueErr(0); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("err = %v, want ErrSaturated", err)
+	if _, err := a.revenueErr(0); !errors.Is(err, errSaturated) {
+		t.Fatalf("err = %v, want errSaturated", err)
 	}
 	if a.Revenue(0) != 0 {
 		t.Fatal("saturated client should price at zero")

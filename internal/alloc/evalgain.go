@@ -104,7 +104,7 @@ type GainScratch struct {
 // cost of the servers it would join. It is the read-only equivalent of
 // the mutate-and-measure sequence Unassign → Assign → Revenue → cost
 // delta → Unassign, and rejects exactly the candidates a real Assign (or
-// a saturated RevenueErr) would reject, returning ok=false.
+// a saturated revenueErr) would reject, returning ok=false.
 func (v *View) PlacementGain(k model.ClusterID, portions []Portion, scratch *GainScratch) (gain float64, ok bool) {
 	a := v.a
 	scen := a.scen
@@ -155,7 +155,7 @@ func (v *View) PlacementGain(k model.ClusterID, portions []Portion, scratch *Gai
 		alphaSum += p.Alpha
 
 		// Revenue term: the portion's tandem delay. An unstable stage is
-		// the ErrSaturated case — an infeasible, not merely worthless,
+		// the errSaturated case — an infeasible, not merely worthless,
 		// placement.
 		d, err := queueing.TandemDelay(
 			queueing.PortionShares{Proc: p.ProcShare, Comm: p.CommShare},

@@ -39,7 +39,7 @@ func mutateAndMeasureGain(a *Allocation, i model.ClientID, k model.ClusterID, po
 		restore()
 		return 0, false
 	}
-	rev, revErr := a.RevenueErr(i)
+	rev, revErr := a.revenueErr(i)
 	gain := rev - (serverCost() - costBefore)
 	a.Unassign(i)
 	restore()

@@ -10,21 +10,21 @@ import (
 	"repro/internal/queueing"
 )
 
-// ErrUnassigned reports a revenue query for a client that is not placed.
-var ErrUnassigned = errors.New("alloc: client unassigned")
+// errUnassigned reports a revenue query for a client that is not placed.
+var errUnassigned = errors.New("alloc: client unassigned")
 
-// ErrSaturated reports a client whose current portions cannot sustain its
+// errSaturated reports a client whose current portions cannot sustain its
 // predicted arrival rate (a portion's tandem queue is unstable). The
 // solver treats this as "infeasible move", distinct from a placement that
 // is merely worth zero revenue.
-var ErrSaturated = errors.New("alloc: client portion saturated")
+var errSaturated = errors.New("alloc: client portion saturated")
 
 // ResponseTime returns the mean response time R̄_i of client i under the
 // current allocation (paper eq. (1)). It returns an error if the client is
 // unassigned or any portion is saturated.
 func (a *Allocation) ResponseTime(i model.ClientID) (float64, error) {
 	if !a.Assigned(i) {
-		return 0, fmt.Errorf("alloc: client %d: %w", i, ErrUnassigned)
+		return 0, fmt.Errorf("alloc: client %d: %w", i, errUnassigned)
 	}
 	cl := &a.scen.Clients[i]
 	var r float64
@@ -56,28 +56,28 @@ func (a *Allocation) computeRevenue(i model.ClientID) (rev float64, saturated bo
 }
 
 // Revenue returns the revenue earned from client i. Saturated or
-// unassigned clients earn zero; use RevenueErr to tell the cases apart.
+// unassigned clients earn zero; use revenueErr to tell the cases apart.
 // The value is served from the ledger cache when clean and settled into
 // it otherwise, so repeated reads inside a local-search sweep are O(1).
 func (a *Allocation) Revenue(i model.ClientID) float64 {
-	rev, _ := a.RevenueErr(i)
+	rev, _ := a.revenueErr(i)
 	return rev
 }
 
-// RevenueErr returns client i's revenue, distinguishing the two zero
-// cases the plain Revenue conflates: ErrUnassigned when the client is not
-// placed and ErrSaturated when its portions cannot sustain the predicted
+// revenueErr returns client i's revenue, distinguishing the two zero
+// cases the plain Revenue conflates: errUnassigned when the client is not
+// placed and errSaturated when its portions cannot sustain the predicted
 // rate (an infeasible, not merely worthless, placement).
-func (a *Allocation) RevenueErr(i model.ClientID) (float64, error) {
+func (a *Allocation) revenueErr(i model.ClientID) (float64, error) {
 	if !a.Assigned(i) {
-		return 0, fmt.Errorf("alloc: client %d: %w", i, ErrUnassigned)
+		return 0, fmt.Errorf("alloc: client %d: %w", i, errUnassigned)
 	}
 	if a.clientDirty[i] {
 		// Settle on read; the stale dirty-list entry is skipped at flush.
 		a.settleClient(i, &a.ledgers[a.clusterOf[i]])
 	}
 	if a.clientSat[i] {
-		return 0, fmt.Errorf("alloc: client %d: %w", i, ErrSaturated)
+		return 0, fmt.Errorf("alloc: client %d: %w", i, errSaturated)
 	}
 	return a.clientRev[i], nil
 }

@@ -53,9 +53,9 @@ func (a *Allocation) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// FromSnapshot rebuilds an allocation over the scenario, validating every
+// fromSnapshot rebuilds an allocation over the scenario, validating every
 // placement against the scenario's constraints.
-func FromSnapshot(scen *model.Scenario, s Snapshot) (*Allocation, error) {
+func fromSnapshot(scen *model.Scenario, s Snapshot) (*Allocation, error) {
 	a := New(scen)
 	for _, pl := range s.Placements {
 		if int(pl.Client) < 0 || int(pl.Client) >= scen.NumClients() {
@@ -75,5 +75,5 @@ func ReadJSON(scen *model.Scenario, r io.Reader) (*Allocation, error) {
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("alloc: decode snapshot: %w", err)
 	}
-	return FromSnapshot(scen, s)
+	return fromSnapshot(scen, s)
 }

@@ -50,7 +50,7 @@ func TestSnapshotSkipsUnassigned(t *testing.T) {
 
 func TestFromSnapshotRejectsInvalid(t *testing.T) {
 	s := testScenario(t)
-	if _, err := FromSnapshot(s, Snapshot{Placements: []Placement{{Client: 99, Cluster: 0}}}); err == nil {
+	if _, err := fromSnapshot(s, Snapshot{Placements: []Placement{{Client: 99, Cluster: 0}}}); err == nil {
 		t.Fatal("unknown client accepted")
 	}
 	bad := Snapshot{Placements: []Placement{{
@@ -59,7 +59,7 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 		// Unstable share.
 		Portions: []Portion{{Server: 0, Alpha: 1, ProcShare: 0.01, CommShare: 0.5}},
 	}}}
-	if _, err := FromSnapshot(s, bad); err == nil {
+	if _, err := fromSnapshot(s, bad); err == nil {
 		t.Fatal("infeasible placement accepted")
 	}
 }

@@ -105,7 +105,7 @@ func TestReassignmentSearchImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.Profit()
-	ReassignmentSearch(solver, a, 10)
+	reassignmentSearch(solver, a, 10)
 	if a.Profit() < before-1e-9 {
 		t.Fatalf("local search regressed: %v -> %v", before, a.Profit())
 	}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/model"
 )
 
-// RejectClient in a client→cluster vector leaves the client unserved
+// rejectClient in a client→cluster vector leaves the client unserved
 // (admission control).
-const RejectClient = -1
+const rejectClient = -1
 
 // evalAssignment builds an allocation from a client→cluster vector using
 // the proposed cluster-level resource allocation, and returns it with its
@@ -24,7 +24,7 @@ func evalAssignment(solver *core.Solver, clusters []int) (*alloc.Allocation, flo
 	a := alloc.New(scen)
 	for i, k := range clusters {
 		id := model.ClientID(i)
-		if k == RejectClient {
+		if k == rejectClient {
 			continue
 		}
 		if k < 0 || k >= scen.Cloud.NumClusters() {
@@ -44,9 +44,9 @@ func evalAssignment(solver *core.Solver, clusters []int) (*alloc.Allocation, flo
 	return a, a.Profit(), nil
 }
 
-// MaxExhaustiveClients bounds the brute-force search; beyond this the
+// maxExhaustiveClients bounds the brute-force search; beyond this the
 // K^N enumeration is pointless.
-const MaxExhaustiveClients = 10
+const maxExhaustiveClients = 10
 
 // SolveExhaustive enumerates every client→cluster assignment — including
 // rejecting a client outright (admission control) — with the proposed
@@ -54,9 +54,9 @@ const MaxExhaustiveClients = 10
 // instances: the paper's "exhaustive search … in the case of very small
 // input size".
 func SolveExhaustive(scen *model.Scenario, cfg core.Config) (*alloc.Allocation, error) {
-	if scen.NumClients() > MaxExhaustiveClients {
+	if scen.NumClients() > maxExhaustiveClients {
 		return nil, fmt.Errorf("baseline: %d clients exceed exhaustive limit %d",
-			scen.NumClients(), MaxExhaustiveClients)
+			scen.NumClients(), maxExhaustiveClients)
 	}
 	solver, err := core.NewSolver(scen, cfg)
 	if err != nil {
@@ -92,7 +92,7 @@ func SolveExhaustive(scen *model.Scenario, cfg core.Config) (*alloc.Allocation, 
 			}
 			return nil
 		}
-		for k := RejectClient; k < numK; k++ {
+		for k := rejectClient; k < numK; k++ {
 			assign[i] = k
 			if err := rec(i + 1); err != nil {
 				return err

@@ -55,7 +55,7 @@ func TestSolveExhaustiveTinyInstance(t *testing.T) {
 }
 
 func TestSolveExhaustiveRejectsLargeInstance(t *testing.T) {
-	scen := genScenario(t, MaxExhaustiveClients+1, 16)
+	scen := genScenario(t, maxExhaustiveClients+1, 16)
 	if _, err := SolveExhaustive(scen, core.DefaultConfig()); err == nil {
 		t.Fatal("oversized instance accepted")
 	}

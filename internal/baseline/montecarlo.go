@@ -112,7 +112,7 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 			// (O(clients+servers), unavoidable); the post-search evaluation
 			// below then re-prices only the clients the search actually moved.
 			p0 := a.Profit()
-			ReassignmentSearch(solver, a, cfg.MaxSearchPasses)
+			reassignmentSearch(solver, a, cfg.MaxSearchPasses)
 			p1 := a.Profit()
 			results[d] = drawResult{initial: p0, optimized: p1}
 			if b := &bests[w]; b.a == nil || p1 > b.profit || (p1 == b.profit && d < b.index) {
@@ -187,13 +187,13 @@ func randomAssign(solver *core.Solver, a *alloc.Allocation, rng *rand.Rand) erro
 	return nil
 }
 
-// ReassignmentSearch is the client-level local search used on random
+// reassignmentSearch is the client-level local search used on random
 // solutions: each client in turn is removed and re-placed on its best
 // cluster; passes repeat until no reassignment improves the profit or the
 // pass budget is exhausted. It delegates to the solver's cloud-level
 // ReassignmentPassCtx (the same move the proposed heuristic uses). Returns
 // the number of improving moves.
-func ReassignmentSearch(solver *core.Solver, a *alloc.Allocation, maxPasses int) int {
+func reassignmentSearch(solver *core.Solver, a *alloc.Allocation, maxPasses int) int {
 	var moves int
 	for pass := 0; pass < maxPasses; pass++ {
 		m := solver.ReassignmentPassCtx(context.Background(), a)

@@ -26,7 +26,7 @@ type ManagerConfig struct {
 	// fan-out (evaluate broadcasts, replay loads, improve rounds,
 	// profit polls, snapshot merges) — the round loop's backpressure:
 	// hundreds of agents never become hundreds of simultaneous
-	// in-flight calls. 0 uses DefaultMaxInFlight.
+	// in-flight calls. 0 uses defaultMaxInFlight.
 	MaxInFlight int
 	// Telemetry, when non-nil, instruments the manager: solve/round
 	// spans, round-latency histograms and per-cluster profit gauges.
@@ -49,10 +49,10 @@ const (
 // clients) thanks to the solver's dirty-cluster tracking.
 const maxReassignPasses = 3
 
-// DefaultMaxInFlight is the fan-out concurrency bound when
+// defaultMaxInFlight is the fan-out concurrency bound when
 // ManagerConfig.MaxInFlight is 0. Agent RPCs are I/O-bound, so the
 // bound is deliberately above GOMAXPROCS on small hosts.
-const DefaultMaxInFlight = 16
+const defaultMaxInFlight = 16
 
 // DefaultManagerConfig matches the sequential solver's defaults.
 func DefaultManagerConfig() ManagerConfig {
@@ -408,7 +408,7 @@ func (m *Manager) maxInFlight() int {
 	if m.cfg.MaxInFlight > 0 {
 		return m.cfg.MaxInFlight
 	}
-	return DefaultMaxInFlight
+	return defaultMaxInFlight
 }
 
 // fanOut runs fn once per agent on a bounded worker pool — the round

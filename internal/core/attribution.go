@@ -7,7 +7,7 @@ import "time"
 // incremental per-cluster ledger (O(touched) per read, so the breakdown
 // is always on — no telemetry required). The identity
 //
-//	Initial + PhaseSum() ≈ Final
+//	Initial + phaseSum() ≈ Final
 //
 // holds up to floating-point summation order: the ledger groups Kahan
 // sums per cluster, so the per-phase deltas and the final whole-cloud
@@ -33,8 +33,8 @@ type Attribution struct {
 	Final float64 `json:"final"`
 }
 
-// PhaseSum is the total profit attributed to the local-search phases.
-func (at Attribution) PhaseSum() float64 {
+// phaseSum is the total profit attributed to the local-search phases.
+func (at Attribution) phaseSum() float64 {
 	return at.ShareAdjust + at.DispersionAdjust + at.TurnOn + at.TurnOff +
 		at.Reassign + at.Reconcile
 }
@@ -43,7 +43,7 @@ func (at Attribution) PhaseSum() float64 {
 // account for — floating-point regrouping only, bounded by the ledger
 // drift tolerance.
 func (at Attribution) Residual() float64 {
-	return at.Final - at.Initial - at.PhaseSum()
+	return at.Final - at.Initial - at.phaseSum()
 }
 
 // PhaseTimings reports where a solve's wall-clock time went. Sweep (and

@@ -31,7 +31,7 @@ func checkAttribution(t *testing.T, st Stats) {
 	tol := 1e-6 * (1 + math.Abs(at.Final))
 	if r := math.Abs(at.Residual()); r > tol {
 		t.Fatalf("attribution does not account for the profit delta: initial %v + phases %v = %v, final %v (residual %v > %v)\n%+v",
-			at.Initial, at.PhaseSum(), at.Initial+at.PhaseSum(), at.Final, r, tol, at)
+			at.Initial, at.phaseSum(), at.Initial+at.phaseSum(), at.Final, r, tol, at)
 	}
 }
 

@@ -231,7 +231,7 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 			current = a
 			copy(lastDecision, forecast)
 		}
-		step.RealizedProfit, step.SaturatedClients = Realize(cur, current)
+		step.RealizedProfit, step.SaturatedClients = realize(cur, current)
 		summary.TotalProfit += step.RealizedProfit
 		summary.Steps = append(summary.Steps, step)
 		if tel != nil {

@@ -6,7 +6,7 @@
 // RunController replays a rate Trace against a decision Policy,
 // re-solving warm (from the previous epoch's allocation, as the paper's
 // pseudo-code does) or cold (from scratch) when the policy asks, and
-// Realize measures profit under the *actual* rates — including the SLA
+// realize measures profit under the *actual* rates — including the SLA
 // damage when the drift saturates previously adequate shares.
 package epoch
 
@@ -16,11 +16,11 @@ import (
 	"repro/internal/queueing"
 )
 
-// Realize prices the allocation at the actual arrival rates: response
+// realize prices the allocation at the actual arrival rates: response
 // times are recomputed with the actual per-portion loads; a saturated
 // portion voids the client's revenue for the epoch. Returns the realized
 // profit and the number of saturated clients.
-func Realize(scen *model.Scenario, a *alloc.Allocation) (float64, int) {
+func realize(scen *model.Scenario, a *alloc.Allocation) (float64, int) {
 	var profit float64
 	var saturated int
 	actualLoad := make([]float64, scen.Cloud.NumServers())

@@ -13,9 +13,9 @@ type Series struct {
 	Values []float64
 }
 
-// AsciiChart renders series over a shared x-axis as a fixed-size ASCII
+// asciiChart renders series over a shared x-axis as a fixed-size ASCII
 // plot — enough to eyeball the shape of Figures 4 and 5 in a terminal.
-func AsciiChart(title string, xs []int, series []Series, height int) string {
+func asciiChart(title string, xs []int, series []Series, height int) string {
 	if len(xs) == 0 || len(series) == 0 || height < 2 {
 		return ""
 	}
@@ -88,7 +88,7 @@ func AsciiChart(title string, xs []int, series []Series, height int) string {
 
 // Fig4Chart renders the Figure 4 series as an ASCII plot.
 func Fig4Chart(points []SweepPoint) string {
-	rows := Fig4Rows(points)
+	rows := fig4Rows(points)
 	xs := make([]int, len(rows))
 	proposed := make([]float64, len(rows))
 	ps := make([]float64, len(rows))
@@ -99,7 +99,7 @@ func Fig4Chart(points []SweepPoint) string {
 		ps[i] = r.ModifiedPS
 		best[i] = r.BestFound
 	}
-	return AsciiChart("Figure 4 (normalized total profit vs clients)", xs, []Series{
+	return asciiChart("Figure 4 (normalized total profit vs clients)", xs, []Series{
 		{Name: "proposed", Marker: 'P', Values: proposed},
 		{Name: "modified PS", Marker: 's', Values: ps},
 		{Name: "best found", Marker: '*', Values: best},
@@ -108,7 +108,7 @@ func Fig4Chart(points []SweepPoint) string {
 
 // Fig5Chart renders the Figure 5 series as an ASCII plot.
 func Fig5Chart(points []SweepPoint) string {
-	rows := Fig5Rows(points)
+	rows := fig5Rows(points)
 	xs := make([]int, len(rows))
 	before := make([]float64, len(rows))
 	after := make([]float64, len(rows))
@@ -119,7 +119,7 @@ func Fig5Chart(points []SweepPoint) string {
 		after[i] = r.WorstInitialAfter
 		worstProp[i] = r.WorstProposed
 	}
-	return AsciiChart("Figure 5 (worst-case normalized profit vs clients)", xs, []Series{
+	return asciiChart("Figure 5 (worst-case normalized profit vs clients)", xs, []Series{
 		{Name: "worst initial (before opt)", Marker: 'w', Values: before},
 		{Name: "worst initial (after local search)", Marker: 'a', Values: after},
 		{Name: "worst proposed", Marker: 'P', Values: worstProp},

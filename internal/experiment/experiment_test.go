@@ -66,7 +66,7 @@ func TestFigureTablesQualitativeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f4 := Fig4Rows(points)
+	f4 := fig4Rows(points)
 	for _, r := range f4 {
 		// The paper's headline claims: proposed within ~9% of best found,
 		// clearly above the modified PS baseline.
@@ -80,7 +80,7 @@ func TestFigureTablesQualitativeShape(t *testing.T) {
 			t.Errorf("bestFound normalized %v > 1", r.BestFound)
 		}
 	}
-	f5 := Fig5Rows(points)
+	f5 := fig5Rows(points)
 	for _, r := range f5 {
 		if r.WorstInitialAfter < r.WorstInitialBefore-1e-9 {
 			t.Errorf("clients=%d: local search made worst random worse: %+v", r.Clients, r)
@@ -297,7 +297,7 @@ func TestRunPredictors(t *testing.T) {
 
 func TestAsciiChart(t *testing.T) {
 	xs := []int{10, 20, 50}
-	out := AsciiChart("demo", xs, []Series{
+	out := asciiChart("demo", xs, []Series{
 		{Name: "up", Marker: 'u', Values: []float64{0.1, 0.5, 0.9}},
 		{Name: "down", Marker: 'd', Values: []float64{0.9, 0.5, 0.1}},
 	}, 8)
@@ -308,14 +308,14 @@ func TestAsciiChart(t *testing.T) {
 		t.Fatal("markers missing")
 	}
 	// Degenerate inputs render nothing rather than panicking.
-	if AsciiChart("x", nil, nil, 8) != "" {
+	if asciiChart("x", nil, nil, 8) != "" {
 		t.Fatal("empty chart should be empty")
 	}
-	if AsciiChart("x", xs, []Series{{Name: "n", Marker: 'n', Values: []float64{math.NaN()}}}, 8) != "" {
+	if asciiChart("x", xs, []Series{{Name: "n", Marker: 'n', Values: []float64{math.NaN()}}}, 8) != "" {
 		t.Fatal("all-NaN chart should be empty")
 	}
 	// Constant series must not divide by zero.
-	flat := AsciiChart("flat", xs, []Series{{Name: "f", Marker: 'f', Values: []float64{1, 1, 1}}}, 8)
+	flat := asciiChart("flat", xs, []Series{{Name: "f", Marker: 'f', Values: []float64{1, 1, 1}}}, 8)
 	if flat == "" {
 		t.Fatal("flat series should still render")
 	}

@@ -17,8 +17,8 @@ type Fig4Row struct {
 	Scenarios  int
 }
 
-// Fig4Rows reduces a sweep to the Figure 4 series.
-func Fig4Rows(points []SweepPoint) []Fig4Row {
+// fig4Rows reduces a sweep to the Figure 4 series.
+func fig4Rows(points []SweepPoint) []Fig4Row {
 	rows := make([]Fig4Row, 0, len(points))
 	for _, pt := range points {
 		var row Fig4Row
@@ -51,7 +51,7 @@ func Fig4Table(points []SweepPoint) string {
 	b.WriteString("Figure 4: normalized total profit vs number of clients\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "clients\tproposed\tmodifiedPS\tbestFound\tscenarios")
-	for _, r := range Fig4Rows(points) {
+	for _, r := range fig4Rows(points) {
 		fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%d\n",
 			r.Clients, r.Proposed, r.ModifiedPS, r.BestFound, r.Scenarios)
 	}
@@ -70,8 +70,8 @@ type Fig5Row struct {
 	Scenarios          int
 }
 
-// Fig5Rows reduces a sweep to the Figure 5 series.
-func Fig5Rows(points []SweepPoint) []Fig5Row {
+// fig5Rows reduces a sweep to the Figure 5 series.
+func fig5Rows(points []SweepPoint) []Fig5Row {
 	rows := make([]Fig5Row, 0, len(points))
 	for _, pt := range points {
 		row := Fig5Row{
@@ -101,7 +101,7 @@ func Fig5Table(points []SweepPoint) string {
 	b.WriteString("Figure 5: worst-case normalized profit vs number of clients\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "clients\tworstInit(before)\tworstInit(afterLS)\tworstProposed\tbestFound\tscenarios")
-	for _, r := range Fig5Rows(points) {
+	for _, r := range fig5Rows(points) {
 		fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%.3f\t%d\n",
 			r.Clients, r.WorstInitialBefore, r.WorstInitialAfter, r.WorstProposed, r.BestFound, r.Scenarios)
 	}

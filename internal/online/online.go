@@ -337,7 +337,9 @@ func (s *Service) publish(a *alloc.Allocation, version uint64) {
 }
 
 // Decide processes one event and returns the decision. Lock-free except
-// when it triggers a synchronous commit.
+// when it triggers a synchronous commit. An event for an unknown client,
+// with a NaN or infinite rate, or of an unknown kind changes nothing and
+// counts as a reject.
 func (s *Service) Decide(ev Event) Decision {
 	var t0 time.Time
 	if s.decideDur != nil {
@@ -346,13 +348,18 @@ func (s *Service) Decide(ev Event) Decision {
 	s.nDecisions.Add(1)
 	s.decisions.Inc()
 	var d Decision
-	switch ev.Kind {
-	case EventArrive:
+	switch {
+	case uint(ev.Client) >= uint(len(s.desired)) || !(math.Abs(ev.Rate) <= math.MaxFloat64):
+		// An unknown client or a NaN/±Inf rate is rejected untouched:
+		// one such rate in the accumulators would poison every later
+		// threshold test.
+		d = s.reject()
+	case ev.Kind == EventArrive || ev.Kind == EventRateChange:
 		d = s.decideOffer(ev.Client, ev.Rate)
-	case EventRateChange:
-		d = s.decideOffer(ev.Client, ev.Rate)
-	case EventDepart:
+	case ev.Kind == EventDepart:
 		d = s.decideDepart(ev.Client)
+	default:
+		d = s.reject()
 	}
 	if s.decideDur != nil {
 		s.decideDur.ObserveSince(t0)
@@ -406,13 +413,20 @@ func (s *Service) decideOffer(i model.ClientID, rate float64) Decision {
 		committed = s.addPending(bestK, rate, cl)
 	}
 	if !admitted {
-		s.nRejects.Add(1)
-		s.rejects.Inc()
-		return Decision{Cluster: model.ClusterID(alloc.Unassigned), Committed: committed}
+		d := s.reject()
+		d.Committed = committed
+		return d
 	}
 	s.nAdmits.Add(1)
 	s.admits.Inc()
 	return Decision{Admitted: true, Cluster: model.ClusterID(bestK), Bound: bestBound, Committed: committed}
+}
+
+// reject counts a rejected event and returns its decision.
+func (s *Service) reject() Decision {
+	s.nRejects.Add(1)
+	s.rejects.Inc()
+	return Decision{Cluster: model.ClusterID(alloc.Unassigned)}
 }
 
 // decideDepart withdraws client i's pending load.

@@ -434,3 +434,72 @@ func TestPendingLoadSharing(t *testing.T) {
 		t.Fatalf("net pending %v after self-canceling pair, want 0", net)
 	}
 }
+
+// TestDecideRejectsInvalidEvents: an event with a NaN or infinite rate,
+// an out-of-range client or an unknown kind is a rejected no-op. Before
+// the guard one NaN rate poisoned the cluster accumulators for good (every
+// later event on that cluster committed, and profit read NaN), and an
+// out-of-range client panicked the service.
+func TestDecideRejectsInvalidEvents(t *testing.T) {
+	scen := testScenario(t, 60, 3, 0)
+	n := scen.NumClients()
+	// 200 small rate jitters around the committed rates: below every
+	// commit threshold on a healthy service.
+	valid := make([]Event, 200)
+	for j := range valid {
+		i := j % n
+		f := 1.02
+		if j/n%2 == 1 {
+			f = 0.98
+		}
+		valid[j] = Event{Kind: EventRateChange, Client: model.ClientID(i), Rate: scen.Clients[i].PredictedRate * f}
+	}
+	run := func(s *Service) int64 {
+		before := s.Commits()
+		for _, ev := range valid {
+			s.Decide(ev)
+		}
+		return s.Commits() - before
+	}
+	clean := newTestService(t, scen, nil)
+	baseline := run(clean)
+	clean.Close()
+
+	bad := []struct {
+		name string
+		ev   Event
+	}{
+		{"NaN rate", Event{Kind: EventRateChange, Client: 5, Rate: math.NaN()}},
+		{"NaN arrival", Event{Kind: EventArrive, Client: 7, Rate: math.NaN()}},
+		{"+Inf rate", Event{Kind: EventRateChange, Client: 5, Rate: math.Inf(1)}},
+		{"-Inf rate", Event{Kind: EventRateChange, Client: 5, Rate: math.Inf(-1)}},
+		{"client -1", Event{Kind: EventArrive, Client: -1, Rate: 1}},
+		{"client N", Event{Kind: EventRateChange, Client: model.ClientID(n), Rate: 1}},
+		{"depart client N+3", Event{Kind: EventDepart, Client: model.ClientID(n + 3)}},
+		{"unknown kind", Event{Kind: EventRateChange + 1, Client: 5, Rate: 1}},
+	}
+	for _, b := range bad {
+		ev := b.ev
+		t.Run(b.name, func(t *testing.T) {
+			s := newTestService(t, scen, nil)
+			defer s.Close()
+			rejects := s.Rejects()
+			d := s.Decide(ev)
+			if d.Admitted || d.Cluster != model.ClusterID(alloc.Unassigned) || d.Committed {
+				t.Fatalf("decision %+v, want a rejected no-op", d)
+			}
+			if got := s.Rejects() - rejects; got != 1 {
+				t.Fatalf("Rejects grew by %d, want 1", got)
+			}
+			if got := run(s); got > baseline {
+				t.Fatalf("%d commits over 200 valid events after the bad one, %d without it", got, baseline)
+			}
+			if p := s.Profit(); math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("profit %v", p)
+			}
+			if err := s.Flush().Validate(); err != nil {
+				t.Fatalf("flushed allocation invalid: %v", err)
+			}
+		})
+	}
+}

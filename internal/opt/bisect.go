@@ -8,18 +8,18 @@ package opt
 
 import "errors"
 
-// ErrNoBracket is returned when a root cannot be bracketed in the given
+// errNoBracket is returned when a root cannot be bracketed in the given
 // interval.
-var ErrNoBracket = errors.New("opt: root not bracketed")
+var errNoBracket = errors.New("opt: root not bracketed")
 
 // _defaultBisectIters bounds the bisection loops; 200 halvings reduce any
 // float64 bracket below 1 ulp.
 const _defaultBisectIters = 200
 
-// Bisect finds x in [lo, hi] with f(x) ≈ 0 for a function that is
+// bisect finds x in [lo, hi] with f(x) ≈ 0 for a function that is
 // monotone (either direction) on the interval. It requires f(lo) and
 // f(hi) to have opposite signs (zero counts as either sign).
-func Bisect(f func(float64) float64, lo, hi float64) (float64, error) {
+func bisect(f func(float64) float64, lo, hi float64) (float64, error) {
 	flo, fhi := f(lo), f(hi)
 	if flo == 0 {
 		return lo, nil
@@ -28,7 +28,7 @@ func Bisect(f func(float64) float64, lo, hi float64) (float64, error) {
 		return hi, nil
 	}
 	if (flo > 0) == (fhi > 0) {
-		return 0, ErrNoBracket
+		return 0, errNoBracket
 	}
 	for i := 0; i < _defaultBisectIters; i++ {
 		mid := lo + (hi-lo)/2

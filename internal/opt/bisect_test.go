@@ -6,7 +6,7 @@ import (
 )
 
 func TestBisectIncreasing(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2)
+	x, err := bisect(func(x float64) float64 { return x*x - 2 }, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func TestBisectIncreasing(t *testing.T) {
 }
 
 func TestBisectDecreasing(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return 3 - x }, 0, 10)
+	x, err := bisect(func(x float64) float64 { return 3 - x }, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,16 +26,16 @@ func TestBisectDecreasing(t *testing.T) {
 }
 
 func TestBisectEndpoints(t *testing.T) {
-	if x, err := Bisect(func(x float64) float64 { return x }, 0, 1); err != nil || x != 0 {
+	if x, err := bisect(func(x float64) float64 { return x }, 0, 1); err != nil || x != 0 {
 		t.Fatalf("root at lo endpoint: x=%v err=%v", x, err)
 	}
-	if x, err := Bisect(func(x float64) float64 { return x - 1 }, 0, 1); err != nil || x != 1 {
+	if x, err := bisect(func(x float64) float64 { return x - 1 }, 0, 1); err != nil || x != 1 {
 		t.Fatalf("root at hi endpoint: x=%v err=%v", x, err)
 	}
 }
 
 func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x + 10 }, 0, 1); err != ErrNoBracket {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
+	if _, err := bisect(func(x float64) float64 { return x + 10 }, 0, 1); err != errNoBracket {
+		t.Fatalf("err = %v, want errNoBracket", err)
 	}
 }

@@ -16,9 +16,9 @@ type ConcaveItem struct {
 	Cap   float64
 }
 
-// ErrSimplexInfeasible is returned when Σ Cap_i ≤ budget, so the budget
+// errSimplexInfeasible is returned when Σ Cap_i ≤ budget, so the budget
 // cannot be placed.
-var ErrSimplexInfeasible = errors.New("opt: simplex budget exceeds total capacity")
+var errSimplexInfeasible = errors.New("opt: simplex budget exceeds total capacity")
 
 // _capMargin keeps solutions strictly inside each item's capacity.
 const _capMargin = 1e-9
@@ -35,7 +35,7 @@ func MaximizeOnSimplex(items []ConcaveItem, budget float64) ([]float64, error) {
 		if budget == 0 {
 			return nil, nil
 		}
-		return nil, ErrSimplexInfeasible
+		return nil, errSimplexInfeasible
 	}
 	var capSum float64
 	for i, it := range items {
@@ -45,7 +45,7 @@ func MaximizeOnSimplex(items []ConcaveItem, budget float64) ([]float64, error) {
 		capSum += it.Cap * (1 - _capMargin)
 	}
 	if capSum <= budget {
-		return nil, ErrSimplexInfeasible
+		return nil, errSimplexInfeasible
 	}
 
 	// x_i(ν): invert the decreasing derivative by bisection on [0, cap).
@@ -60,7 +60,7 @@ func MaximizeOnSimplex(items []ConcaveItem, budget float64) ([]float64, error) {
 		if it.Deriv(hi) >= nu {
 			return hi
 		}
-		x, err := Bisect(func(x float64) float64 { return it.Deriv(x) - nu }, 0, hi)
+		x, err := bisect(func(x float64) float64 { return it.Deriv(x) - nu }, 0, hi)
 		if err != nil {
 			return 0
 		}
@@ -93,7 +93,7 @@ func MaximizeOnSimplex(items []ConcaveItem, budget float64) ([]float64, error) {
 			return nil, errors.New("opt: simplex multiplier bracket failed")
 		}
 	}
-	nu, err := Bisect(func(nu float64) float64 { return sumAt(nu) - budget }, loNu, hiNu)
+	nu, err := bisect(func(nu float64) float64 { return sumAt(nu) - budget }, loNu, hiNu)
 	if err != nil {
 		return nil, fmt.Errorf("opt: simplex multiplier search: %w", err)
 	}

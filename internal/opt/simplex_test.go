@@ -66,11 +66,11 @@ func TestSimplexPrefersFasterServer(t *testing.T) {
 
 func TestSimplexInfeasible(t *testing.T) {
 	items := []ConcaveItem{mm1DispersionItem(1, 1, 0.5, 1)} // cap 0.5 < 1
-	if _, err := MaximizeOnSimplex(items, 1); !errors.Is(err, ErrSimplexInfeasible) {
-		t.Fatalf("err = %v, want ErrSimplexInfeasible", err)
+	if _, err := MaximizeOnSimplex(items, 1); !errors.Is(err, errSimplexInfeasible) {
+		t.Fatalf("err = %v, want errSimplexInfeasible", err)
 	}
-	if _, err := MaximizeOnSimplex(nil, 1); !errors.Is(err, ErrSimplexInfeasible) {
-		t.Fatalf("empty items: err = %v, want ErrSimplexInfeasible", err)
+	if _, err := MaximizeOnSimplex(nil, 1); !errors.Is(err, errSimplexInfeasible) {
+		t.Fatalf("empty items: err = %v, want errSimplexInfeasible", err)
 	}
 }
 

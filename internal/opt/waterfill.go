@@ -34,9 +34,9 @@ func (it ShareItem) delayCost(share float64) float64 {
 	return it.Weight * it.Exec / den
 }
 
-// ErrInsufficientBudget is returned when the stability floors alone exceed
+// errInsufficientBudget is returned when the stability floors alone exceed
 // the share budget, so no feasible allocation exists.
-var ErrInsufficientBudget = errors.New("opt: share budget below stability floor")
+var errInsufficientBudget = errors.New("opt: share budget below stability floor")
 
 // _stabilityMargin keeps every share strictly above its floor so delays
 // stay finite; it mirrors the paper's ε in constraint (7).
@@ -58,7 +58,7 @@ func WaterfillShares(items []ShareItem, budget float64) ([]float64, float64, err
 		return nil, 0, nil
 	}
 	if budget <= 0 {
-		return nil, 0, ErrInsufficientBudget
+		return nil, 0, errInsufficientBudget
 	}
 	lows := make([]float64, len(items))
 	var floorSum float64
@@ -75,7 +75,7 @@ func WaterfillShares(items []ShareItem, budget float64) ([]float64, float64, err
 		floorSum += lows[i]
 	}
 	if floorSum >= budget {
-		return nil, 0, ErrInsufficientBudget
+		return nil, 0, errInsufficientBudget
 	}
 
 	sharesAt := func(eta float64) ([]float64, float64) {
@@ -114,7 +114,7 @@ func WaterfillShares(items []ShareItem, budget float64) ([]float64, float64, err
 		shares, _ := sharesAt(loEta)
 		return shares, totalDelayCost(items, shares), nil
 	}
-	eta, err := Bisect(func(eta float64) float64 {
+	eta, err := bisect(func(eta float64) float64 {
 		_, sum := sharesAt(eta)
 		return sum - budget
 	}, loEta, hiEta)

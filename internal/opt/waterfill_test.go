@@ -63,11 +63,11 @@ func TestWaterfillInfeasible(t *testing.T) {
 		{Weight: 1, Exec: 1, PortionRate: 3, Cap: 4}, // floor 0.75
 		{Weight: 1, Exec: 1, PortionRate: 2, Cap: 4}, // floor 0.5
 	}
-	if _, _, err := WaterfillShares(items, 1); !errors.Is(err, ErrInsufficientBudget) {
-		t.Fatalf("err = %v, want ErrInsufficientBudget", err)
+	if _, _, err := WaterfillShares(items, 1); !errors.Is(err, errInsufficientBudget) {
+		t.Fatalf("err = %v, want errInsufficientBudget", err)
 	}
-	if _, _, err := WaterfillShares(items, 0); !errors.Is(err, ErrInsufficientBudget) {
-		t.Fatalf("zero budget: err = %v, want ErrInsufficientBudget", err)
+	if _, _, err := WaterfillShares(items, 0); !errors.Is(err, errInsufficientBudget) {
+		t.Fatalf("zero budget: err = %v, want errInsufficientBudget", err)
 	}
 }
 

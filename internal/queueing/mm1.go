@@ -9,21 +9,21 @@ import (
 	"math"
 )
 
-// ErrUnstable is returned when an arrival rate meets or exceeds the service
+// errUnstable is returned when an arrival rate meets or exceeds the service
 // rate of a queue, so no finite mean response time exists.
-var ErrUnstable = errors.New("queueing: arrival rate >= service rate (unstable queue)")
+var errUnstable = errors.New("queueing: arrival rate >= service rate (unstable queue)")
 
-// MM1ResponseTime returns the mean sojourn (response) time of an M/M/1
+// mm1ResponseTime returns the mean sojourn (response) time of an M/M/1
 // queue with the given service and arrival rates: 1/(μ − λ).
-func MM1ResponseTime(serviceRate, arrivalRate float64) (float64, error) {
+func mm1ResponseTime(serviceRate, arrivalRate float64) (float64, error) {
 	if serviceRate <= 0 {
-		return 0, ErrUnstable
+		return 0, errUnstable
 	}
 	if arrivalRate < 0 {
 		return 0, errors.New("queueing: negative arrival rate")
 	}
 	if arrivalRate >= serviceRate {
-		return 0, ErrUnstable
+		return 0, errUnstable
 	}
 	return 1 / (serviceRate - arrivalRate), nil
 }
@@ -44,10 +44,10 @@ func GPSServiceRate(share, capacity, execTime float64) float64 {
 //	t / (φ·C − a·t)
 //
 // with share φ, capacity C, execution time t and portion arrival rate a
-// (= α·λ̃). It returns ErrUnstable when the share cannot sustain the load.
+// (= α·λ̃). It returns errUnstable when the share cannot sustain the load.
 func PortionDelay(share, capacity, execTime, portionRate float64) (float64, error) {
 	mu := GPSServiceRate(share, capacity, execTime)
-	return MM1ResponseTime(mu, portionRate)
+	return mm1ResponseTime(mu, portionRate)
 }
 
 // MinStableShare is the GPS share strictly below which a portion with the

@@ -19,31 +19,31 @@ func TestMM1ResponseTime(t *testing.T) {
 		{name: "light load", mu: 10, lam: 1, want: 1.0 / 9},
 		{name: "near saturation", mu: 1, lam: 0.999, want: 1000},
 		{name: "zero arrivals", mu: 4, lam: 0, want: 0.25},
-		{name: "saturated", mu: 1, lam: 1, wantErr: ErrUnstable},
-		{name: "overloaded", mu: 1, lam: 2, wantErr: ErrUnstable},
-		{name: "zero service", mu: 0, lam: 0, wantErr: ErrUnstable},
+		{name: "saturated", mu: 1, lam: 1, wantErr: errUnstable},
+		{name: "overloaded", mu: 1, lam: 2, wantErr: errUnstable},
+		{name: "zero service", mu: 0, lam: 0, wantErr: errUnstable},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := MM1ResponseTime(tt.mu, tt.lam)
+			got, err := mm1ResponseTime(tt.mu, tt.lam)
 			if tt.wantErr != nil {
 				if !errors.Is(err, tt.wantErr) {
-					t.Fatalf("MM1ResponseTime(%v,%v) err = %v, want %v", tt.mu, tt.lam, err, tt.wantErr)
+					t.Fatalf("mm1ResponseTime(%v,%v) err = %v, want %v", tt.mu, tt.lam, err, tt.wantErr)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("MM1ResponseTime(%v,%v) unexpected error: %v", tt.mu, tt.lam, err)
+				t.Fatalf("mm1ResponseTime(%v,%v) unexpected error: %v", tt.mu, tt.lam, err)
 			}
 			if math.Abs(got-tt.want) > 1e-9*tt.want+1e-12 {
-				t.Fatalf("MM1ResponseTime(%v,%v) = %v, want %v", tt.mu, tt.lam, got, tt.want)
+				t.Fatalf("mm1ResponseTime(%v,%v) = %v, want %v", tt.mu, tt.lam, got, tt.want)
 			}
 		})
 	}
 }
 
 func TestMM1ResponseTimeNegativeArrival(t *testing.T) {
-	if _, err := MM1ResponseTime(1, -0.5); err == nil {
+	if _, err := mm1ResponseTime(1, -0.5); err == nil {
 		t.Fatal("expected error for negative arrival rate")
 	}
 }
@@ -55,9 +55,9 @@ func TestMM1Monotonicity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		mu := 1 + rng.Float64()*9
 		lam := rng.Float64() * mu * 0.9
-		w1, err1 := MM1ResponseTime(mu, lam)
-		w2, err2 := MM1ResponseTime(mu*1.1, lam)
-		w3, err3 := MM1ResponseTime(mu, lam*0.9)
+		w1, err1 := mm1ResponseTime(mu, lam)
+		w2, err2 := mm1ResponseTime(mu*1.1, lam)
+		w3, err3 := mm1ResponseTime(mu, lam*0.9)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -95,8 +95,8 @@ func TestPortionDelay(t *testing.T) {
 	if math.Abs(d-1) > 1e-12 {
 		t.Fatalf("delay = %v, want 1", d)
 	}
-	if _, err := PortionDelay(0.25, 4, 1, 1); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("saturated portion: err = %v, want ErrUnstable", err)
+	if _, err := PortionDelay(0.25, 4, 1, 1); !errors.Is(err, errUnstable) {
+		t.Fatalf("saturated portion: err = %v, want errUnstable", err)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestMinStableShareBoundary(t *testing.T) {
 		rate = 2.0
 	)
 	floor := MinStableShare(cap, exec, rate)
-	if _, err := PortionDelay(floor, cap, exec, rate); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("at floor: err = %v, want ErrUnstable", err)
+	if _, err := PortionDelay(floor, cap, exec, rate); !errors.Is(err, errUnstable) {
+		t.Fatalf("at floor: err = %v, want errUnstable", err)
 	}
 	if _, err := PortionDelay(floor*1.001, cap, exec, rate); err != nil {
 		t.Fatalf("above floor: unexpected error %v", err)

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// TandemSojournTail is P(T > t) for the sum of the two independent
+// tandemSojournTail is P(T > t) for the sum of the two independent
 // exponential sojourn times of the pipelined processing→communication
 // queues (a hypoexponential distribution): with rates r1 = μ1−λ and
 // r2 = μ2−λ,
@@ -13,7 +13,7 @@ import (
 //	P(T > t) = (r2·e^{−r1·t} − r1·e^{−r2·t}) / (r2 − r1)
 //
 // and the Erlang-2 tail (1 + r·t)·e^{−r·t} when the rates coincide.
-func TandemSojournTail(sh PortionShares, caps ServerCaps, ex ExecTimes, portionRate, t float64) (float64, error) {
+func tandemSojournTail(sh PortionShares, caps ServerCaps, ex ExecTimes, portionRate, t float64) (float64, error) {
 	r1, err := stageRate(sh.Proc, caps.Proc, ex.Proc, portionRate)
 	if err != nil {
 		return 0, err
@@ -32,7 +32,7 @@ func TandemSojournTail(sh PortionShares, caps ServerCaps, ex ExecTimes, portionR
 	return (r2*math.Exp(-r1*t) - r1*math.Exp(-r2*t)) / (r2 - r1), nil
 }
 
-// TandemSojournPercentile inverts TandemSojournTail by bisection: the
+// TandemSojournPercentile inverts tandemSojournTail by bisection: the
 // smallest t with P(T > t) ≤ 1 − q.
 func TandemSojournPercentile(sh PortionShares, caps ServerCaps, ex ExecTimes, portionRate, q float64) (float64, error) {
 	if q <= 0 || q >= 1 {
@@ -42,7 +42,7 @@ func TandemSojournPercentile(sh PortionShares, caps ServerCaps, ex ExecTimes, po
 	// Bracket: the tail is 1 at t=0 and decays exponentially.
 	hi := 1.0
 	for {
-		tail, err := TandemSojournTail(sh, caps, ex, portionRate, hi)
+		tail, err := tandemSojournTail(sh, caps, ex, portionRate, hi)
 		if err != nil {
 			return 0, err
 		}
@@ -57,7 +57,7 @@ func TandemSojournPercentile(sh PortionShares, caps ServerCaps, ex ExecTimes, po
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := lo + (hi-lo)/2
-		tail, err := TandemSojournTail(sh, caps, ex, portionRate, mid)
+		tail, err := tandemSojournTail(sh, caps, ex, portionRate, mid)
 		if err != nil {
 			return 0, err
 		}
@@ -74,7 +74,7 @@ func TandemSojournPercentile(sh PortionShares, caps ServerCaps, ex ExecTimes, po
 func stageRate(share, capacity, exec, rate float64) (float64, error) {
 	mu := GPSServiceRate(share, capacity, exec)
 	if rate >= mu || mu <= 0 {
-		return 0, ErrUnstable
+		return 0, errUnstable
 	}
 	return mu - rate, nil
 }

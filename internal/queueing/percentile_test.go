@@ -16,21 +16,21 @@ func tandemArgs() (PortionShares, ServerCaps, ExecTimes) {
 
 func TestTandemSojournTailBoundaries(t *testing.T) {
 	sh, caps, ex := tandemArgs()
-	tail0, err := TandemSojournTail(sh, caps, ex, 1, 0)
+	tail0, err := tandemSojournTail(sh, caps, ex, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(tail0-1) > 1e-12 {
 		t.Fatalf("P(T>0) = %v, want 1", tail0)
 	}
-	tailBig, err := TandemSojournTail(sh, caps, ex, 1, 100)
+	tailBig, err := tandemSojournTail(sh, caps, ex, 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tailBig > 1e-12 {
 		t.Fatalf("P(T>100) = %v, want ≈0", tailBig)
 	}
-	if _, err := TandemSojournTail(PortionShares{Proc: 0.1, Comm: 0.5}, caps, ex, 1, 1); !errors.Is(err, ErrUnstable) {
+	if _, err := tandemSojournTail(PortionShares{Proc: 0.1, Comm: 0.5}, caps, ex, 1, 1); !errors.Is(err, errUnstable) {
 		t.Fatalf("saturated stage: err = %v", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestTandemSojournTailEqualRates(t *testing.T) {
 	sh := PortionShares{Proc: 0.5, Comm: 0.5}
 	caps := ServerCaps{Proc: 4, Comm: 4}
 	ex := ExecTimes{Proc: 1, Comm: 1}
-	tail, err := TandemSojournTail(sh, caps, ex, 1, 2)
+	tail, err := tandemSojournTail(sh, caps, ex, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTandemPercentileInvertsTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail, err := TandemSojournTail(sh, caps, ex, 1, tq)
+		tail, err := tandemSojournTail(sh, caps, ex, 1, tq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +81,8 @@ func TestTandemTailMonotoneProperty(t *testing.T) {
 		rate := 0.3 * math.Min(sh.Proc*caps.Proc/ex.Proc, sh.Comm*caps.Comm/ex.Comm)
 		t1 := rng.Float64() * 3
 		t2 := t1 + 0.1 + rng.Float64()
-		a, err1 := TandemSojournTail(sh, caps, ex, rate, t1)
-		b, err2 := TandemSojournTail(sh, caps, ex, rate, t2)
+		a, err1 := tandemSojournTail(sh, caps, ex, rate, t1)
+		b, err2 := tandemSojournTail(sh, caps, ex, rate, t2)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -23,10 +23,10 @@ func TestTandemDelayAdditive(t *testing.T) {
 func TestTandemDelayUnstableEitherStage(t *testing.T) {
 	caps := ServerCaps{Proc: 4, Comm: 4}
 	ex := ExecTimes{Proc: 1, Comm: 1}
-	if _, err := TandemDelay(PortionShares{Proc: 0.1, Comm: 0.9}, caps, ex, 1); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("proc-saturated: err = %v, want ErrUnstable", err)
+	if _, err := TandemDelay(PortionShares{Proc: 0.1, Comm: 0.9}, caps, ex, 1); !errors.Is(err, errUnstable) {
+		t.Fatalf("proc-saturated: err = %v, want errUnstable", err)
 	}
-	if _, err := TandemDelay(PortionShares{Proc: 0.9, Comm: 0.1}, caps, ex, 1); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("comm-saturated: err = %v, want ErrUnstable", err)
+	if _, err := TandemDelay(PortionShares{Proc: 0.9, Comm: 0.1}, caps, ex, 1); !errors.Is(err, errUnstable) {
+		t.Fatalf("comm-saturated: err = %v, want errUnstable", err)
 	}
 }

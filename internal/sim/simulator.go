@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/alloc"
-	"repro/internal/dispatch"
 	"repro/internal/model"
 	"repro/internal/queueing"
 	"repro/internal/telemetry"
@@ -112,7 +111,7 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 	// Build one tandem queue pair per portion, and per-client dispatchers.
 	var (
 		queues      []*portionQueues
-		dispatchers = make([]*dispatch.Dispatcher, scen.NumClients())
+		dispatchers = make([]*dispatcher, scen.NumClients())
 		queueIndex  = make(map[[2]int]int) // (client, portionIdx) → queue
 		rates       = make([]float64, scen.NumClients())
 	)
@@ -124,14 +123,15 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 		cl := &scen.Clients[i]
 		rates[i] = cl.PredictedRate
 		ps := a.Portions(id)
-		d, err := dispatch.New(ps)
+		var routed *telemetry.Counter
+		if tel != nil {
+			routed = tel.dispatched
+		}
+		d, err := newDispatcher(ps, routed)
 		if err != nil {
 			return nil, fmt.Errorf("sim: client %d: %w", i, err)
 		}
 		dispatchers[i] = d
-		if tel != nil {
-			d.Instrument(tel.dispatched)
-		}
 		for pi, p := range ps {
 			class := scen.Cloud.ServerClass(p.Server)
 			queueIndex[[2]int{i, pi}] = len(queues)
@@ -174,7 +174,7 @@ func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
 			i := e.client
 			// Next arrival for this client.
 			heap.Push(&h, event{at: e.at + expDraw(rates[i]), kind: evArrival, client: i})
-			pi := dispatchers[i].Route(rng)
+			pi := dispatchers[i].route(rng)
 			q := queues[queueIndex[[2]int{i, pi}]]
 			req := &request{client: i, arrivedAt: e.at}
 			if startService(&q.proc, e.at) {

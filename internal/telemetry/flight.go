@@ -97,15 +97,15 @@ type Flight struct {
 	seed  uint64
 }
 
-// DefaultFlightCapacity bounds the ring when none is given.
-const DefaultFlightCapacity = 8192
+// defaultFlightCapacity bounds the ring when none is given.
+const defaultFlightCapacity = 8192
 
 // NewFlight builds a recorder retaining the last capacity events
-// (DefaultFlightCapacity when capacity <= 0) and sampling 1-in-every
+// (defaultFlightCapacity when capacity <= 0) and sampling 1-in-every
 // client-scoped events (every <= 1 records all).
 func NewFlight(capacity, every int) *Flight {
 	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
+		capacity = defaultFlightCapacity
 	}
 	if every < 1 {
 		every = 1
@@ -113,8 +113,8 @@ func NewFlight(capacity, every int) *Flight {
 	return &Flight{buf: make([]Event, 0, capacity), every: uint64(every), seed: 1}
 }
 
-// SampleEvery returns the 1-in-N sampling stride (0 on nil).
-func (f *Flight) SampleEvery() uint64 {
+// sampleEvery returns the 1-in-N sampling stride (0 on nil).
+func (f *Flight) sampleEvery() uint64 {
 	if f == nil {
 		return 0
 	}

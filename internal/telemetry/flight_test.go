@@ -15,7 +15,7 @@ func TestFlightNilSafety(t *testing.T) {
 	if got := f.Snapshot(); got != nil {
 		t.Fatalf("nil snapshot = %v", got)
 	}
-	if f.Total() != 0 || f.SampleEvery() != 0 {
+	if f.Total() != 0 || f.sampleEvery() != 0 {
 		t.Fatal("nil totals nonzero")
 	}
 }

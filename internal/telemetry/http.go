@@ -32,7 +32,7 @@ func Handler(s *Set) *http.ServeMux {
 	if s != nil {
 		// Best effort: a second registry reusing the name keeps the
 		// process-global expvar page; its own /metrics is unaffected.
-		_ = s.Metrics.PublishExpvar("cloudalloc")
+		_ = s.Metrics.publishExpvar("cloudalloc")
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -44,7 +44,7 @@ func Handler(s *Set) *http.ServeMux {
 		switch r.URL.Query().Get("format") {
 		case "tree":
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			WriteTraceTree(w, spans)
+			writeTraceTree(w, spans)
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")
 			_ = WriteChromeTrace(w, spans)
@@ -68,7 +68,7 @@ func Handler(s *Set) *http.ServeMux {
 			f := s.Flight
 			events = f.Snapshot()
 			total = f.Total()
-			every = f.SampleEvery()
+			every = f.sampleEvery()
 		}
 		events = lastN(events, r.URL.Query().Get("n"))
 		w.Header().Set("Content-Type", "application/json")

@@ -49,7 +49,7 @@ func TestIDJSONRoundTrip(t *testing.T) {
 }
 
 func TestStartCtxParentLinks(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8, 1)
 	root, ctx := tr.StartCtx(context.Background(), "root")
 	child, cctx := tr.StartCtx(ctx, "child")
 	grand, _ := tr.StartCtx(cctx, "grand")
@@ -82,7 +82,7 @@ func TestStartCtxAtOrderIndependent(t *testing.T) {
 	// span IDs must match — fan-out span identity is a function of the
 	// task index, not of goroutine scheduling.
 	ids := func(order []int) map[int]ID {
-		tr := NewTracer(8)
+		tr := newTracer(8, 1)
 		root, ctx := tr.StartCtx(context.Background(), "root")
 		out := map[int]ID{}
 		for _, i := range order {
@@ -101,7 +101,7 @@ func TestStartCtxAtOrderIndependent(t *testing.T) {
 	}
 
 	// Indexed children must not collide with counter-assigned siblings.
-	tr := NewTracer(8)
+	tr := newTracer(8, 1)
 	_, ctx := tr.StartCtx(context.Background(), "root")
 	counter, _ := tr.StartCtx(ctx, "seq")
 	indexed, _ := tr.StartCtxAt(ctx, "idx", 1)
@@ -114,7 +114,7 @@ func TestContextWithRefCrossProcess(t *testing.T) {
 	// Simulate the RPC hop: a span on tracer A, its ref shipped over the
 	// wire, rehydrated into a context for tracer B. B's span must join
 	// A's trace.
-	trA, trB := NewTracerSeeded(8, 1), NewTracerSeeded(8, 2)
+	trA, trB := newTracer(8, 1), newTracer(8, 2)
 	root, _ := trA.StartCtx(context.Background(), "manager.solve")
 	wire := root.Ref()
 
@@ -133,7 +133,7 @@ func TestContextWithRefCrossProcess(t *testing.T) {
 
 	// Zero refs are wire-compatible no-ops: the remote span is a root.
 	ctx2 := ContextWithRef(context.Background(), TraceRef{})
-	if RefFromContext(ctx2).Valid() {
+	if RefFromContext(ctx2).valid() {
 		t.Fatal("zero ref produced trace context")
 	}
 }

@@ -117,9 +117,6 @@ var MicroBuckets = []float64{
 	1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
 }
 
-// SizeBuckets spans 64B to 4MB for message-size metrics.
-var SizeBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
-
 func newHistogram(upper []float64) *Histogram {
 	u := append([]float64(nil), upper...)
 	sort.Float64s(u)
@@ -187,8 +184,8 @@ type Registry struct {
 	published bool
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -438,10 +435,10 @@ func (r *Registry) String() string {
 
 var _ expvar.Var = (*Registry)(nil)
 
-// PublishExpvar publishes the registry under the given expvar name.
+// publishExpvar publishes the registry under the given expvar name.
 // Safe to call more than once per registry; a second registry reusing a
 // taken name is an error (expvar panics on duplicates, which we avoid).
-func (r *Registry) PublishExpvar(name string) error {
+func (r *Registry) publishExpvar(name string) error {
 	if r == nil {
 		return nil
 	}

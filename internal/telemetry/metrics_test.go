@@ -12,7 +12,7 @@ import (
 // many goroutines; run under -race this is the registry's thread-safety
 // proof, and the totals double as a lost-update check.
 func TestConcurrentHammering(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	const (
 		workers = 16
 		perW    = 2000
@@ -60,7 +60,7 @@ func TestConcurrentHammering(t *testing.T) {
 // TestPrometheusGolden locks the exposition format: sorted families,
 // HELP/TYPE headers, label merging on histogram buckets.
 func TestPrometheusGolden(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	reg.Help("zz_requests_total", "requests served")
 	reg.Counter(Name("zz_requests_total", "op", "get")).Add(3)
 	reg.Counter(Name("zz_requests_total", "op", "put")).Add(1)
@@ -88,7 +88,7 @@ zz_requests_total{op="put"} 1
 }
 
 func TestRegistryExpvarString(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	reg.Counter("c").Add(2)
 	reg.Gauge("g").Set(1.5)
 	reg.Histogram("h", []float64{1}).Observe(0.5)
@@ -106,16 +106,16 @@ func TestRegistryExpvarString(t *testing.T) {
 }
 
 func TestPublishExpvar(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.PublishExpvar("telemetry_test_reg"); err != nil {
+	reg := newRegistry()
+	if err := reg.publishExpvar("telemetry_test_reg"); err != nil {
 		t.Fatal(err)
 	}
 	// Second publish of the same registry is a no-op.
-	if err := reg.PublishExpvar("telemetry_test_reg"); err != nil {
+	if err := reg.publishExpvar("telemetry_test_reg"); err != nil {
 		t.Fatal(err)
 	}
 	// A different registry must not panic on the taken name.
-	if err := NewRegistry().PublishExpvar("telemetry_test_reg"); err == nil {
+	if err := newRegistry().publishExpvar("telemetry_test_reg"); err == nil {
 		t.Fatal("want error for duplicate expvar name")
 	}
 }
@@ -189,7 +189,7 @@ func TestDurationBucketsCoverMinutes(t *testing.T) {
 	if top := DurationBuckets[len(DurationBuckets)-1]; top != 600 {
 		t.Fatalf("DurationBuckets top out at %vs, want 600s", top)
 	}
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("solve_seconds", DurationBuckets)
 	h.Observe(94.0)
 	var sb strings.Builder
@@ -220,7 +220,7 @@ func TestMicroBucketsCoverDecisionLatencies(t *testing.T) {
 	if top := MicroBuckets[len(MicroBuckets)-1]; top != 1e-1 {
 		t.Fatalf("MicroBuckets top out at %vs, want 0.1s", top)
 	}
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("decide_seconds", MicroBuckets)
 	h.Observe(750e-9) // a typical lock-free decision
 	h.Observe(3e-3)   // an inline commit (warm re-solve)

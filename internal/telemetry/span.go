@@ -86,8 +86,8 @@ type TraceRef struct {
 	SpanID  ID `json:"span_id"`
 }
 
-// Valid reports whether the ref carries trace context.
-func (r TraceRef) Valid() bool { return r.TraceID != 0 && r.SpanID != 0 }
+// valid reports whether the ref carries trace context.
+func (r TraceRef) valid() bool { return r.TraceID != 0 && r.SpanID != 0 }
 
 // spanCtx is the in-process trace context carried through
 // context.Context: the current span's identity plus the shared child
@@ -103,7 +103,7 @@ type spanCtxKey struct{}
 // (or another goroutine) into a context, so spans started under it
 // become children of ref. A zero ref returns ctx unchanged.
 func ContextWithRef(ctx context.Context, ref TraceRef) context.Context {
-	if !ref.Valid() {
+	if !ref.valid() {
 		return ctx
 	}
 	return context.WithValue(ctx, spanCtxKey{}, spanCtx{ref: ref, kids: new(atomic.Uint64)})
@@ -147,18 +147,15 @@ type Tracer struct {
 	roots atomic.Uint64 // numbers root spans within this tracer
 }
 
-// DefaultTraceCapacity bounds the ring buffer when none is given.
-const DefaultTraceCapacity = 4096
+// defaultTraceCapacity bounds the ring buffer when none is given.
+const defaultTraceCapacity = 4096
 
-// NewTracer builds a tracer retaining the last capacity spans
-// (DefaultTraceCapacity when capacity <= 0).
-func NewTracer(capacity int) *Tracer { return NewTracerSeeded(capacity, 1) }
-
-// NewTracerSeeded builds a tracer whose root trace IDs derive from seed;
-// two processes given distinct seeds cannot collide on root IDs.
-func NewTracerSeeded(capacity int, seed uint64) *Tracer {
+// newTracer builds a tracer retaining the last capacity spans
+// (defaultTraceCapacity when capacity <= 0) whose root trace IDs derive
+// from seed; two tracers given distinct seeds cannot collide on root IDs.
+func newTracer(capacity int, seed uint64) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+		capacity = defaultTraceCapacity
 	}
 	if seed == 0 {
 		seed = 1
@@ -237,7 +234,7 @@ const indexedChildBit = uint64(1) << 62
 
 func (t *Tracer) startUnder(parent spanCtx, name string, index uint64, indexed bool) Span {
 	sp := Span{tr: t, name: name, start: time.Now(), kids: new(atomic.Uint64)}
-	if parent.ref.Valid() {
+	if parent.ref.valid() {
 		n := index | indexedChildBit
 		if !indexed {
 			if parent.kids != nil {

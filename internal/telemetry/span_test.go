@@ -8,7 +8,7 @@ import (
 )
 
 func TestSpanRecording(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8, 1)
 	sp := tr.Start("solve")
 	sp.Attr("clients", 250)
 	sp.Attr("phase", "greedy")
@@ -32,7 +32,7 @@ func TestSpanRecording(t *testing.T) {
 // snapshot holds exactly the newest spans, oldest first.
 func TestRingWraparound(t *testing.T) {
 	const capacity = 4
-	tr := NewTracer(capacity)
+	tr := newTracer(capacity, 1)
 	for i := 0; i < 10; i++ {
 		sp := tr.Start(fmt.Sprintf("span-%d", i))
 		sp.End()
@@ -54,7 +54,7 @@ func TestRingWraparound(t *testing.T) {
 
 // TestTracerConcurrent exercises the ring under -race.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -80,7 +80,7 @@ func TestTracerConcurrent(t *testing.T) {
 }
 
 func TestDoubleEndIsSingleRecord(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8, 1)
 	sp := tr.Start("once")
 	sp.End()
 	sp.End() // second End must be inert

@@ -23,8 +23,8 @@ type Set struct {
 // logger (the no-op logger when nil).
 func New(log *slog.Logger) *Set {
 	return &Set{
-		Metrics: NewRegistry(),
-		Tracer:  NewTracer(0),
+		Metrics: newRegistry(),
+		Tracer:  newTracer(0, 1),
 		Log:     log,
 		Flight:  NewFlight(0, 1),
 	}

@@ -74,7 +74,7 @@ func BenchmarkStartCtxDisabled(b *testing.B) {
 }
 
 func BenchmarkStartCtxEnabled(b *testing.B) {
-	tr := NewTracer(1024)
+	tr := newTracer(1024, 1)
 	root, ctx := tr.StartCtx(context.Background(), "root")
 	defer root.End()
 	b.ReportAllocs()

@@ -115,14 +115,14 @@ func buildTraceTrees(spans []SpanRecord) []*treeNode {
 	return roots
 }
 
-// WriteTraceTree renders spans as indented ASCII trees, one per trace,
+// writeTraceTree renders spans as indented ASCII trees, one per trace,
 // newest-rooted trace last:
 //
 //	trace 4a2e...  manager.solve  1.24s
 //	├── manager.improve_round  612ms  round=0
 //	│   ├── rpc.improve  203ms  peer=127.0.0.1:7071
 //	...
-func WriteTraceTree(w io.Writer, spans []SpanRecord) {
+func writeTraceTree(w io.Writer, spans []SpanRecord) {
 	roots := buildTraceTrees(spans)
 	for _, root := range roots {
 		fmt.Fprintf(w, "trace %s  %s\n", root.rec.TraceID, formatTreeLine(root.rec))

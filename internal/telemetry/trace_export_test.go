@@ -11,7 +11,7 @@ import (
 // the snapshot: root → (child_a → grandchild, child_b).
 func recordTree(t *testing.T) []SpanRecord {
 	t.Helper()
-	tr := NewTracer(16)
+	tr := newTracer(16, 1)
 	root, ctx := tr.StartCtx(context.Background(), "root")
 	a, actx := tr.StartCtx(ctx, "child_a")
 	g, _ := tr.StartCtx(actx, "grandchild")
@@ -26,7 +26,7 @@ func recordTree(t *testing.T) []SpanRecord {
 
 func TestWriteTraceTree(t *testing.T) {
 	var sb strings.Builder
-	WriteTraceTree(&sb, recordTree(t))
+	writeTraceTree(&sb, recordTree(t))
 	out := sb.String()
 	for _, want := range []string{"trace ", "root", "├── child_a", "│   └── grandchild", "└── child_b", "k=3"} {
 		if !strings.Contains(out, want) {
@@ -35,7 +35,7 @@ func TestWriteTraceTree(t *testing.T) {
 	}
 
 	sb.Reset()
-	WriteTraceTree(&sb, nil)
+	writeTraceTree(&sb, nil)
 	if !strings.Contains(sb.String(), "no spans") {
 		t.Fatalf("empty tree output = %q", sb.String())
 	}
@@ -48,7 +48,7 @@ func TestWriteTraceTreeOrphanBecomesRoot(t *testing.T) {
 		{Name: "orphan", TraceID: 9, SpanID: 5, ParentID: 1234},
 	}
 	var sb strings.Builder
-	WriteTraceTree(&sb, spans)
+	writeTraceTree(&sb, spans)
 	if !strings.Contains(sb.String(), "orphan") {
 		t.Fatalf("orphan span dropped:\n%s", sb.String())
 	}

@@ -20,8 +20,8 @@ type Range struct {
 	Max float64 `json:"max"`
 }
 
-// Draw samples uniformly from the range.
-func (r Range) Draw(rng *rand.Rand) float64 {
+// draw samples uniformly from the range.
+func (r Range) draw(rng *rand.Rand) float64 {
 	return r.Min + rng.Float64()*(r.Max-r.Min)
 }
 
@@ -128,19 +128,19 @@ func Generate(cfg Config) (*model.Scenario, error) {
 	for s := range classes {
 		classes[s] = model.ServerClass{
 			ID:              model.ServerClassID(s),
-			ProcCap:         cfg.Capacity.Draw(rng),
-			StoreCap:        cfg.Capacity.Draw(rng),
-			CommCap:         cfg.Capacity.Draw(rng),
-			FixedCost:       cfg.FixedCost.Draw(rng),
-			UtilizationCost: cfg.UtilCost.Draw(rng),
+			ProcCap:         cfg.Capacity.draw(rng),
+			StoreCap:        cfg.Capacity.draw(rng),
+			CommCap:         cfg.Capacity.draw(rng),
+			FixedCost:       cfg.FixedCost.draw(rng),
+			UtilizationCost: cfg.UtilCost.draw(rng),
 		}
 	}
 	utilities := make([]model.UtilityClass, cfg.NumUtilityClasses)
 	for u := range utilities {
 		utilities[u] = model.UtilityClass{
 			ID:    model.UtilityClassID(u),
-			Base:  cfg.Base.Draw(rng),
-			Slope: cfg.Slope.Draw(rng),
+			Base:  cfg.Base.draw(rng),
+			Slope: cfg.Slope.draw(rng),
 		}
 	}
 
@@ -166,15 +166,15 @@ func Generate(cfg Config) (*model.Scenario, error) {
 
 	clients := make([]model.Client, cfg.NumClients)
 	for i := range clients {
-		arrival := cfg.Arrival.Draw(rng)
+		arrival := cfg.Arrival.draw(rng)
 		clients[i] = model.Client{
 			ID:            model.ClientID(i),
 			Class:         model.UtilityClassID(rng.Intn(cfg.NumUtilityClasses)),
 			ArrivalRate:   arrival,
 			PredictedRate: arrival * cfg.PredictionFactor,
-			ProcTime:      cfg.ExecTime.Draw(rng),
-			CommTime:      cfg.ExecTime.Draw(rng),
-			DiskNeed:      cfg.DiskNeed.Draw(rng),
+			ProcTime:      cfg.ExecTime.draw(rng),
+			CommTime:      cfg.ExecTime.draw(rng),
+			DiskNeed:      cfg.DiskNeed.draw(rng),
 		}
 	}
 

@@ -153,13 +153,13 @@ func TestRangeDraw(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := Range{Min: 2, Max: 6}
 	for i := 0; i < 1000; i++ {
-		v := r.Draw(rng)
+		v := r.draw(rng)
 		if v < 2 || v > 6 {
 			t.Fatalf("draw %v outside range", v)
 		}
 	}
 	point := Range{Min: 3, Max: 3}
-	if v := point.Draw(rng); v != 3 {
+	if v := point.draw(rng); v != 3 {
 		t.Fatalf("degenerate range draw = %v", v)
 	}
 }
