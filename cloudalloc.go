@@ -26,7 +26,7 @@
 // costs O(touched clients and servers) rather than O(cloud), and
 // speculative moves commit or roll back through a transactional API.
 //
-// See DESIGN.md for the system inventory (§7 covers the evaluation
+// See DESIGN.md for how each mechanism works (§2 covers the evaluation
 // engine) and EXPERIMENTS.md for the paper-vs-measured record of every
 // reproduced figure.
 package cloudalloc

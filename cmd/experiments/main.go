@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index).
+// evaluation (see EXPERIMENTS.md Index for the experiment index).
 //
 // Usage:
 //

@@ -10,7 +10,7 @@ import (
 // per-server cost caches, per-cluster running totals, and the dirty sets
 // that make Profit()/ProfitBreakdown() O(touched) instead of O(cloud).
 //
-// Invariants (see DESIGN.md §7):
+// Invariants (see DESIGN.md §2):
 //
 //   - A client is "dirty" iff it is assigned and its cached revenue has
 //     not been recomputed since its portions last changed. Unassigned

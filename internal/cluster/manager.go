@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -315,27 +317,24 @@ func (m *Manager) initialPass(ctx context.Context, rng *rand.Rand) (map[model.Cl
 		return nil, 0, fmt.Errorf("cluster: reset: %w", err)
 	}
 	assignments := make(map[model.ClientID]assignment, m.scen.NumClients())
-	var heap bidHeap
+	var order []bidRef
 	for _, ci := range rng.Perm(m.scen.NumClients()) {
 		id := model.ClientID(ci)
 		bids, err := m.broadcastEvaluate(ctx, id)
 		if err != nil {
 			return nil, 0, err
 		}
-		// Feasible bids go into a max-heap on (Est desc, cluster asc),
-		// so a commit retry pops the runner-up in O(log K) instead of
-		// re-scanning all K bids per rejected cluster.
-		heap = heap[:0]
+		// A failed Commit falls through to the next feasible bid.
+		order = order[:0]
 		for k, bid := range bids {
 			if bid.Feasible {
-				heap = heap.push(bidRef{est: bid.Est, k: k})
+				order = append(order, bidRef{est: bid.Est, k: k})
 			}
 		}
-		for len(heap) > 0 {
-			var top bidRef
-			heap, top = heap.pop()
-			if err := m.agents[top.k].Commit(ctx, id, bids[top.k].Portions); err == nil {
-				assignments[id] = assignment{cluster: model.ClusterID(top.k), portions: bids[top.k].Portions}
+		slices.SortFunc(order, compareBids)
+		for _, b := range order {
+			if err := m.agents[b.k].Commit(ctx, id, bids[b.k].Portions); err == nil {
+				assignments[id] = assignment{cluster: model.ClusterID(b.k), portions: bids[b.k].Portions}
 				break
 			}
 		}
@@ -347,60 +346,19 @@ func (m *Manager) initialPass(ctx context.Context, rng *rand.Rand) (map[model.Cl
 	return assignments, profit, nil
 }
 
-// bidRef is one feasible cluster bid in the initial pass's commit heap.
+// bidRef is one feasible cluster bid in the initial pass's commit order.
 type bidRef struct {
 	est float64
 	k   int
 }
 
-// bidBefore orders the heap: higher estimate first, lower cluster index
-// on ties — the order the former linear rescan selected.
-func bidBefore(x, y bidRef) bool {
-	if x.est != y.est {
-		return x.est > y.est
+// compareBids orders commit attempts: higher estimate first, lower
+// cluster index on ties.
+func compareBids(x, y bidRef) int {
+	if c := cmp.Compare(y.est, x.est); c != 0 {
+		return c
 	}
-	return x.k < y.k
-}
-
-// bidHeap is a binary max-heap on a recycled slice.
-type bidHeap []bidRef
-
-func (h bidHeap) push(b bidRef) bidHeap {
-	h = append(h, b)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !bidBefore(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func (h bidHeap) pop() (bidHeap, bidRef) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		next := i
-		if l < len(h) && bidBefore(h[l], h[next]) {
-			next = l
-		}
-		if r < len(h) && bidBefore(h[r], h[next]) {
-			next = r
-		}
-		if next == i {
-			break
-		}
-		h[i], h[next] = h[next], h[i]
-		i = next
-	}
-	return h, top
+	return cmp.Compare(x.k, y.k)
 }
 
 // maxInFlight resolves the fan-out concurrency bound.

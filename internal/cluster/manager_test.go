@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +13,13 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBidHeapOrdering: the commit-retry heap must yield bids in the
-// order the former linear rescan selected — estimate descending,
-// cluster index ascending on ties — for any insertion order.
-func TestBidHeapOrdering(t *testing.T) {
+// TestBidOrdering: the initial pass tries commits in estimate-descending
+// order, cluster index ascending on ties, for any input order.
+func TestBidOrdering(t *testing.T) {
 	tests := []struct {
 		name string
 		in   []bidRef
-		want []int // expected cluster index pop order
+		want []int // expected cluster index commit order
 	}{
 		{"empty", nil, nil},
 		{"single", []bidRef{{est: 1, k: 0}}, []int{0}},
@@ -55,29 +56,14 @@ func TestBidHeapOrdering(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			var h bidHeap
-			for _, b := range tt.in {
-				h = h.push(b)
-			}
+			in := slices.Clone(tt.in)
+			slices.SortFunc(in, compareBids)
 			var got []int
-			var prev *bidRef
-			for len(h) > 0 {
-				var top bidRef
-				h, top = h.pop()
-				if prev != nil && bidBefore(top, *prev) {
-					t.Fatalf("heap yielded %+v after %+v", top, *prev)
-				}
-				p := top
-				prev = &p
-				got = append(got, top.k)
+			for _, b := range in {
+				got = append(got, b.k)
 			}
-			if len(got) != len(tt.want) {
-				t.Fatalf("popped %d bids, want %d", len(got), len(tt.want))
-			}
-			for i := range got {
-				if got[i] != tt.want[i] {
-					t.Fatalf("pop order %v, want %v", got, tt.want)
-				}
+			if !slices.Equal(got, tt.want) {
+				t.Fatalf("commit order %v, want %v", got, tt.want)
 			}
 		})
 	}
@@ -142,6 +128,98 @@ func (r *rejectAgent) Snapshot(ctx context.Context) (map[model.ClientID][]alloc.
 	return nil, nil
 }
 func (r *rejectAgent) Close() error { return nil }
+
+// scriptAgent bids a fixed estimate for every client and, when told to,
+// fails every Commit. attempts logs each Commit's cluster in call order
+// (initialPass commits serially, so the shared log needs no lock).
+type scriptAgent struct {
+	rejectAgent
+	est      float64
+	feasible bool
+	fail     bool
+	attempts *[]int
+}
+
+func (s *scriptAgent) Evaluate(ctx context.Context, id model.ClientID) (EvalResult, error) {
+	return EvalResult{Feasible: s.feasible, Est: s.est}, nil
+}
+
+func (s *scriptAgent) Commit(ctx context.Context, id model.ClientID, p []alloc.Portion) error {
+	*s.attempts = append(*s.attempts, int(s.id))
+	if s.fail {
+		return errTestInjected
+	}
+	return nil
+}
+
+// TestInitialPassFallsThroughFailedCommit: when the best bidder's Commit
+// fails, the client lands on the runner-up bid — on an estimate tie the
+// lower cluster — and every feasible bid is tried once before the client
+// is left unplaced.
+func TestInitialPassFallsThroughFailedCommit(t *testing.T) {
+	type bid struct {
+		est            float64
+		feasible, fail bool
+	}
+	tests := []struct {
+		name     string
+		bids     []bid // one per cluster
+		attempts []int
+		landed   int // -1: unplaced
+	}{
+		{
+			"runner-up",
+			[]bid{{7, true, false}, {3, true, false}, {9, true, true}, {20, false, false}, {1, true, false}},
+			[]int{2, 0}, 0,
+		},
+		{
+			"tie breaks on lower cluster",
+			[]bid{{2, true, false}, {9, true, true}, {5, true, false}, {5, true, false}, {20, false, false}},
+			[]int{1, 2}, 2,
+		},
+		{
+			"every commit fails",
+			[]bid{{4, true, true}, {4, true, true}, {6, true, true}, {20, false, false}, {-1, true, true}},
+			[]int{2, 0, 1, 4}, -1,
+		},
+	}
+	scen := genScenario(t, 1, 1)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if len(tt.bids) != scen.Cloud.NumClusters() {
+				t.Fatalf("%d bids for %d clusters", len(tt.bids), scen.Cloud.NumClusters())
+			}
+			var attempts []int
+			agents := make([]Agent, len(tt.bids))
+			for k, b := range tt.bids {
+				agents[k] = &scriptAgent{
+					rejectAgent: rejectAgent{id: model.ClusterID(k)},
+					est:         b.est, feasible: b.feasible, fail: b.fail,
+					attempts: &attempts,
+				}
+			}
+			mgr, err := NewManager(scen, agents, DefaultManagerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			assignments, _, err := mgr.initialPass(testCtx, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(attempts, tt.attempts) {
+				t.Fatalf("Commit attempts %v, want %v", attempts, tt.attempts)
+			}
+			as, ok := assignments[0]
+			switch {
+			case tt.landed < 0 && ok:
+				t.Fatalf("client placed on cluster %d after every commit failed", as.cluster)
+			case tt.landed >= 0 && (!ok || int(as.cluster) != tt.landed):
+				t.Fatalf("client landed on %v (placed %v), want cluster %d", as.cluster, ok, tt.landed)
+			}
+		})
+	}
+}
 
 // TestSolveAllReject: when no cluster accepts any client the solve
 // still terminates cleanly with zero profit and every client unplaced —

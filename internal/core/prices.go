@@ -15,7 +15,7 @@ import (
 // chosen; we calibrate it so that, if every client were placed whole on an
 // average server, the sqrt-headroom demanded across all clients would
 // exactly equal the share headroom the cloud has left after serving the
-// raw load (see DESIGN.md). An overloaded cloud therefore gets a large η
+// raw load (see DESIGN.md §3.5). An overloaded cloud therefore gets a large η
 // (shares hug the stability floors, packing tightly) and an idle cloud a
 // small η (clients get generous shares).
 type shadowPrices struct {

@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// ScaleExpConfig drives the large-scale benchmark backing the SCALE
-// section of EXPERIMENTS.md: one solve per client count on a
+// ScaleExpConfig drives the scale ladder behind BENCH_scale.json
+// (EXPERIMENTS.md Performance): one solve per client count on a
 // workload.ScaleConfig instance, with the scale-mode solver settings
 // (single greedy start, one improvement round, index-pruned candidate
 // generation, sharded rounds) — the configuration that makes 100k–1M

@@ -110,6 +110,16 @@ func TestStartCtxAtOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestNewSetsRootAtDistinctTraceIDs: two sets — a manager's and an
+// agent's, say — must not start their first traces at the same ID, or a
+// merged /debug/trace view would conflate unrelated trees.
+func TestNewSetsRootAtDistinctTraceIDs(t *testing.T) {
+	a, b := New(nil).Tracer.Start("root"), New(nil).Tracer.Start("root")
+	if a.Ref().TraceID == b.Ref().TraceID {
+		t.Fatalf("two sets rooted their first traces at the same ID %v", a.Ref().TraceID)
+	}
+}
+
 func TestContextWithRefCrossProcess(t *testing.T) {
 	// Simulate the RPC hop: a span on tracer A, its ref shipped over the
 	// wire, rehydrated into a context for tracer B. B's span must join

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 )
 
 // Set bundles the three observability facilities a component is handed:
@@ -20,11 +21,14 @@ type Set struct {
 
 // New builds a fully enabled Set: fresh registry, default-capacity
 // tracer, default-capacity unsampled flight recorder, and the given
-// logger (the no-op logger when nil).
+// logger (the no-op logger when nil). Each set draws its tracer's root
+// seed at random, so the root trace IDs of two sets — a manager's and an
+// agent's, say — do not collide; child IDs still derive deterministically
+// from their root.
 func New(log *slog.Logger) *Set {
 	return &Set{
 		Metrics: newRegistry(),
-		Tracer:  newTracer(0, 1),
+		Tracer:  newTracer(0, rand.Uint64()),
 		Log:     log,
 		Flight:  NewFlight(0, 1),
 	}

@@ -60,7 +60,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's experimental parameters with the
-// documented substitutions for the unspecified constants (see DESIGN.md).
+// documented substitutions for the unspecified constants (see DESIGN.md §1.1).
 func DefaultConfig() Config {
 	return Config{
 		NumClusters:          5,
