@@ -1,13 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see EXPERIMENTS.md Index for the experiment index).
+// evaluation, one experiment.Artefacts entry each (EXPERIMENTS.md Index).
 //
 // Usage:
 //
 //	experiments -run fig4|fig5|complexity|sim|ablation|epochs|predictors|scale|all [-quick] [-seed 1]
 //
-// -quick reduces scenario and Monte-Carlo draw counts for a fast run;
-// without it the sweep uses the paper's counts (≥20 scenarios per point,
-// 5 at 200 clients, 10,000 Monte-Carlo draws) and takes a while.
+// Without -quick each artefact runs at the size EXPERIMENTS.md records
+// (for the sweep: 20 scenarios per client count, 5 at 200 clients, 600
+// Monte-Carlo draws) and -run all takes several minutes; -quick runs
+// reduced sizes in about a minute.
 package main
 
 import (
@@ -29,189 +30,43 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		which     = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, epochs, predictors, scale or all")
-		scaleOut  = fs.String("scale-out", "BENCH_scale.json", "output path for the scale benchmark record (empty = don't write)")
-		scaleMax  = fs.Int("scale-max", 0, "cap the scale ladder's client counts (0 = full 1k..1M ladder)")
-		quick     = fs.Bool("quick", false, "reduced scenario/draw counts")
-		seed      = fs.Int64("seed", 1, "base seed")
-		draws     = fs.Int("draws", 0, "override Monte-Carlo draws per scenario (0 = mode default)")
-		scenarios = fs.Int("scenarios", 0, "override scenarios per client count (0 = mode default)")
-		metrics   = fs.Bool("metrics", false, "collect solver and controller telemetry across the run and dump it (Prometheus text) to stderr")
+		which    = fs.String("run", "all", "fig4, fig5, complexity, sim, ablation, epochs, predictors, scale or all")
+		scaleOut = fs.String("scale-out", "BENCH_scale.json", "output path for the scale benchmark record (empty = don't write)")
+		scaleMax = fs.Int("scale-max", 0, "cap the scale ladder's client counts (0 = full 1k..1M ladder)")
+		quick    = fs.Bool("quick", false, "reduced sizes")
+		seed     = fs.Int64("seed", 1, "base seed")
+		metrics  = fs.Bool("metrics", false, "collect solver and controller telemetry across the run and dump it (Prometheus text) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var artefacts []experiment.Artefact
+	switch *which {
+	case "scale":
+		return runScale(*quick, *seed, *scaleOut, *scaleMax)
+	case "all":
+		artefacts = experiment.Artefacts
+	default:
+		for _, a := range experiment.Artefacts {
+			if a.Name == *which {
+				artefacts = append(artefacts, a)
+			}
+		}
+		if len(artefacts) == 0 {
+			return fmt.Errorf("unknown experiment %q", *which)
+		}
 	}
 	var tel *telemetry.Set
 	if *metrics {
 		tel = telemetry.New(nil)
 		defer tel.Metrics.WritePrometheus(os.Stderr)
 	}
-
-	var sweepPoints []experiment.SweepPoint
-	needSweep := *which == "all" || *which == "fig4" || *which == "fig5"
-	if needSweep {
-		cfg := sweepConfig(*quick, *seed)
-		cfg.Telemetry = tel
-		if *draws > 0 {
-			cfg.MCDraws = *draws
-		}
-		if *scenarios > 0 {
-			cfg.ScenariosPerCount = *scenarios
-			if cfg.ScenariosAtMaxCount > *scenarios {
-				cfg.ScenariosAtMaxCount = *scenarios
-			}
-		}
-		fmt.Printf("running sweep: counts=%v scenarios=%d (max-count %d) draws=%d...\n",
-			cfg.ClientCounts, cfg.ScenariosPerCount, cfg.ScenariosAtMaxCount, cfg.MCDraws)
-		pts, err := experiment.RunSweep(cfg)
-		if err != nil {
+	r := experiment.NewRunner(os.Stdout, *quick, *seed, tel)
+	for _, a := range artefacts {
+		if err := r.Run(a); err != nil {
 			return err
 		}
-		sweepPoints = pts
 	}
-
-	switch *which {
-	case "fig4":
-		fmt.Println(experiment.Fig4Table(sweepPoints))
-		fmt.Println(experiment.Fig4Chart(sweepPoints))
-	case "fig5":
-		fmt.Println(experiment.Fig5Table(sweepPoints))
-		fmt.Println(experiment.Fig5Chart(sweepPoints))
-	case "complexity":
-		return runComplexity(*quick, *seed, tel)
-	case "sim":
-		return runSim(*quick, *seed, tel)
-	case "ablation":
-		return runAblation(*quick, *seed, tel)
-	case "epochs":
-		return runEpochs(*quick, *seed, tel)
-	case "predictors":
-		return runPredictors(*quick, *seed, tel)
-	case "scale":
-		return runScale(*quick, *seed, *scaleOut, *scaleMax)
-	case "all":
-		fmt.Println(experiment.Fig4Table(sweepPoints))
-		fmt.Println(experiment.Fig4Chart(sweepPoints))
-		fmt.Println(experiment.Fig5Table(sweepPoints))
-		fmt.Println(experiment.Fig5Chart(sweepPoints))
-		if err := runComplexity(*quick, *seed, tel); err != nil {
-			return err
-		}
-		if err := runSim(*quick, *seed, tel); err != nil {
-			return err
-		}
-		if err := runAblation(*quick, *seed, tel); err != nil {
-			return err
-		}
-		if err := runEpochs(*quick, *seed, tel); err != nil {
-			return err
-		}
-		return runPredictors(*quick, *seed, tel)
-	default:
-		return fmt.Errorf("unknown experiment %q", *which)
-	}
-	return nil
-}
-
-func sweepConfig(quick bool, seed int64) experiment.SweepConfig {
-	cfg := experiment.DefaultSweepConfig()
-	cfg.BaseSeed = seed
-	if quick {
-		cfg.ClientCounts = []int{10, 20, 50, 100, 150, 200}
-		cfg.ScenariosPerCount = 5
-		cfg.ScenariosAtMaxCount = 3
-		cfg.MCDraws = 100
-		cfg.MCPasses = 3
-		return cfg
-	}
-	// Paper-scale scenario counts; the Monte-Carlo draw count is reduced
-	// from the paper's 10,000 to 1,500 — each of our draws already includes
-	// the reassignment local search, and the best-found envelope saturates
-	// well before that (see EXPERIMENTS.md).
-	cfg.ScenariosPerCount = 20
-	cfg.ScenariosAtMaxCount = 5
-	cfg.MCDraws = 1500
-	cfg.MCPasses = 5
-	return cfg
-}
-
-func runComplexity(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultComplexityConfig()
-	cfg.BaseSeed = seed
-	cfg.Telemetry = tel
-	if quick {
-		cfg.ClientCounts = []int{25, 50, 100}
-		cfg.Repeats = 2
-	}
-	rows, err := experiment.RunComplexity(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.ComplexityTable(rows))
-	return nil
-}
-
-func runSim(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultValidationConfig()
-	cfg.Seed = seed
-	cfg.Telemetry = tel
-	if quick {
-		cfg.Clients = 30
-		cfg.Horizon = 5000
-	}
-	v, err := experiment.RunValidation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.ValidationTable(v))
-	return nil
-}
-
-func runAblation(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultAblationConfig()
-	cfg.BaseSeed = seed
-	cfg.Telemetry = tel
-	if quick {
-		cfg.Clients = 50
-		cfg.Scenarios = 4
-	}
-	variants, phases, err := experiment.RunAblation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.AblationTable(variants, phases))
-	return nil
-}
-
-func runEpochs(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultEpochsConfig()
-	cfg.Seed = seed
-	cfg.Telemetry = tel
-	if quick {
-		cfg.Clients = 30
-		cfg.Epochs = 12
-	}
-	rows, err := experiment.RunEpochsExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.EpochsTable(rows))
-	return nil
-}
-
-func runPredictors(quick bool, seed int64, tel *telemetry.Set) error {
-	cfg := experiment.DefaultPredictorConfig()
-	cfg.Seed = seed
-	cfg.Telemetry = tel
-	if quick {
-		cfg.Clients = 25
-		cfg.Epochs = 10
-	}
-	rows, err := experiment.RunPredictors(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiment.PredictorTable(rows))
 	return nil
 }
 

@@ -38,12 +38,6 @@ var configCensus = []struct {
 	cfg    any
 	budget int
 }{
-	{experiment.SweepConfig{}, 8},
-	{experiment.ComplexityConfig{}, 4},
-	{experiment.ValidationConfig{}, 4},
-	{experiment.AblationConfig{}, 4},
-	{experiment.EpochsConfig{}, 4},
-	{experiment.PredictorConfig{}, 4},
 	{experiment.ScaleExpConfig{}, 2},
 	{epoch.ControllerConfig{}, 3},
 	{baseline.MCConfig{}, 5},
@@ -72,7 +66,7 @@ func TestConfigFieldBudget(t *testing.T) {
 			t.Errorf("%v has %d settable values, budget %d", typ, n, b.budget)
 		}
 	}
-	if total != 113 {
-		t.Errorf("census total %d, want 113", total)
+	if total != 85 {
+		t.Errorf("census total %d, want 85", total)
 	}
 }

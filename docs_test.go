@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // docFiles are the documents whose names must resolve against the code.
@@ -34,7 +36,7 @@ type codeIndex struct {
 	literals map[string]bool            // non-test string literals and json tag names
 	patterns []*regexp.Regexp           // non-test literal concatenations, operands as wildcards
 	flags    map[string]map[string]bool // "allocd", "cloudalloc solve", … → flag names
-	modes    map[string]bool            // experiments -run values
+	modes    map[string]bool            // experiments -run values: experiment.Artefacts names and the switch's cases
 	benchmk  map[string]bool            // BENCHMARK.json metric and workload names
 	goFiles  []string                   // every Go file, for section references in comments
 }
@@ -62,6 +64,9 @@ func buildCodeIndex(t *testing.T) *codeIndex {
 		flags:    map[string]map[string]bool{},
 		modes:    map[string]bool{},
 		benchmk:  map[string]bool{},
+	}
+	for _, a := range experiment.Artefacts {
+		ix.modes[a.Name] = true
 	}
 	member := func(key, name string) {
 		if ix.members[key] == nil {
@@ -217,7 +222,8 @@ func (ix *codeIndex) indexLiterals(f *ast.File) {
 
 // indexFlags records the flags each flag.NewFlagSet in a command's file
 // defines, keyed by the command ("allocd") or, for cloudalloc, by its
-// subcommand ("cloudalloc solve"), and cmd/experiments' -run modes.
+// subcommand ("cloudalloc solve"), and the -run modes cmd/experiments'
+// switch names besides experiment.Artefacts.
 func (ix *codeIndex) indexFlags(f *ast.File, cmd string) {
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -664,5 +670,39 @@ func TestDocsSettingsTable(t *testing.T) {
 	sort.Strings(missing)
 	for _, leaf := range missing {
 		t.Errorf("Settings table has no row for %s", leaf)
+	}
+}
+
+// indexRowRe matches an EXPERIMENTS.md Index row: its ID and its command.
+var indexRowRe = regexp.MustCompile(`(?m)^\| ([A-Z][A-Za-z0-9-]*) \|[^|]*\| ([^|]*) \|`)
+
+// TestDocsArtefactsIndexed: every experiment.Artefacts entry has exactly
+// one EXPERIMENTS.md Index row, under its ID, whose command is
+// `experiments -run <name>`, and every such row names an entry.
+func TestDocsArtefactsIndexed(t *testing.T) {
+	d := readDoc(t, "EXPERIMENTS.md")
+	_, index, ok := strings.Cut(d.prose, "\n## Index\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Index section")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	rows := map[string][]string{} // -run name → IDs of the rows running it
+	for _, m := range indexRowRe.FindAllStringSubmatch(index, -1) {
+		if name, ok := strings.CutPrefix(m[2], "`experiments -run "); ok {
+			name = strings.TrimSuffix(name, "`")
+			rows[name] = append(rows[name], m[1])
+		}
+	}
+	for _, a := range experiment.Artefacts {
+		switch ids := rows[a.Name]; {
+		case len(ids) != 1:
+			t.Errorf("%s: %d Index rows run `experiments -run %s`, want 1", a.ID, len(ids), a.Name)
+		case ids[0] != a.ID:
+			t.Errorf("the Index row running `experiments -run %s` is %s, want %s", a.Name, ids[0], a.ID)
+		}
+		delete(rows, a.Name)
+	}
+	for name, ids := range rows {
+		t.Errorf("Index rows %v run `experiments -run %s`, which is no experiment.Artefacts entry", ids, name)
 	}
 }

@@ -9,29 +9,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AblationConfig drives the heuristic-phase ablation study (extension:
-// quantifies how much each Resource_Alloc phase contributes).
-type AblationConfig struct {
-	Clients   int
-	Scenarios int
-	BaseSeed  int64
-	Telemetry *telemetry.Set
-}
-
-// DefaultAblationConfig ablates on 10 mid-size scenarios.
-func DefaultAblationConfig() AblationConfig {
-	return AblationConfig{
-		Clients:   80,
-		Scenarios: 10,
-		BaseSeed:  1,
-	}
-}
-
-// AblationRow is the mean profit of one solver variant relative to the
+// ablationRow is the mean profit of one solver variant relative to the
 // full configuration. In the per-phase table, Variant names a phase,
 // MeanProfit is its mean profit delta in the full solver and Relative
 // that delta as a share of the full solver's mean final profit.
-type AblationRow struct {
+type ablationRow struct {
 	Variant    string
 	MeanProfit float64
 	Relative   float64 // vs the full solver
@@ -57,26 +39,24 @@ func ablationVariants() []variant {
 }
 
 // ablationPhases names the local-search phases whose Attribution deltas
-// RunAblation reports, in the order it reads them.
+// runAblation reports, in the order it reads them.
 var ablationPhases = []string{"share-adjust", "dispersion-adjust", "turn-on", "turn-off", "reassign"}
 
-// RunAblation evaluates every solver variant on the same scenario set
-// and, from the full variant's Stats.Attribution, what each local-search
-// phase contributes to its profit.
-func RunAblation(cfg AblationConfig) (variants, phases []AblationRow, err error) {
-	if cfg.Clients <= 0 || cfg.Scenarios <= 0 {
-		return nil, nil, fmt.Errorf("experiment: bad ablation config %+v", cfg)
-	}
+// runAblation evaluates every solver variant on the same sz.scenarios
+// scenarios of sz.clients and, from the full variant's Stats.Attribution,
+// what each local-search phase contributes to its profit (an extension:
+// quantifies how much each Resource_Alloc phase contributes).
+func runAblation(sz sizes, seed int64, tel *telemetry.Set) (variants, phases []ablationRow, err error) {
 	vs := ablationVariants()
 	sums := make([]float64, len(vs))
 	phaseSums := make([]float64, len(ablationPhases))
-	for s := 0; s < cfg.Scenarios; s++ {
-		scen, err := generate(cfg.Clients, cfg.BaseSeed+int64(s))
+	for s := 0; s < sz.scenarios; s++ {
+		scen, err := generate(sz.clients, seed+int64(s))
 		if err != nil {
 			return nil, nil, err
 		}
 		for vi, v := range vs {
-			sCfg := solverConfig(cfg.Telemetry)
+			sCfg := solverConfig(tel)
 			v.mutate(&sCfg)
 			solver, err := core.NewSolver(scen, sCfg)
 			if err != nil {
@@ -95,10 +75,10 @@ func RunAblation(cfg AblationConfig) (variants, phases []AblationRow, err error)
 			}
 		}
 	}
-	n := float64(cfg.Scenarios)
+	n := float64(sz.scenarios)
 	full := sums[0] / n
-	row := func(name string, sum float64) AblationRow {
-		r := AblationRow{Variant: name, MeanProfit: sum / n}
+	row := func(name string, sum float64) ablationRow {
+		r := ablationRow{Variant: name, MeanProfit: sum / n}
 		if full != 0 {
 			r.Relative = r.MeanProfit / full
 		}
@@ -113,15 +93,19 @@ func RunAblation(cfg AblationConfig) (variants, phases []AblationRow, err error)
 	return variants, phases, nil
 }
 
-// AblationTable renders the variant rows and the per-phase rows as text.
-func AblationTable(variants, phases []AblationRow) string {
+// renderAblation renders the variant rows and the per-phase rows as text.
+func renderAblation(r *Runner, sz sizes) (string, error) {
+	variants, phases, err := runAblation(sz, r.seed, r.tel)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	table := func(title, header, format string, rows []AblationRow) {
+	table := func(title, header, format string, rows []ablationRow) {
 		b.WriteString(title)
 		w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, header)
-		for _, r := range rows {
-			fmt.Fprintf(w, format, r.Variant, r.MeanProfit, r.Relative)
+		for _, row := range rows {
+			fmt.Fprintf(w, format, row.Variant, row.MeanProfit, row.Relative)
 		}
 		w.Flush()
 	}
@@ -129,5 +113,5 @@ func AblationTable(variants, phases []AblationRow) string {
 		"variant\tmeanProfit\trelative", "%s\t%.2f\t%.3f\n", variants)
 	table("\nPer-phase profit of the full solver (share of its final profit)\n",
 		"phase\tmeanDelta\tshare", "%s\t%+.4f\t%+.1e\n", phases)
-	return b.String()
+	return b.String(), nil
 }

@@ -6,21 +6,21 @@ import (
 	"strings"
 )
 
-// Series is one named line of an ASCII chart.
-type Series struct {
+// series is one named line of an ASCII chart.
+type series struct {
 	Name   string
 	Marker byte
 	Values []float64
 }
 
-// asciiChart renders series over a shared x-axis as a fixed-size ASCII
+// asciiChart renders lines over a shared x-axis as a fixed-size ASCII
 // plot — enough to eyeball the shape of Figures 4 and 5 in a terminal.
-func asciiChart(title string, xs []int, series []Series, height int) string {
-	if len(xs) == 0 || len(series) == 0 || height < 2 {
+func asciiChart(title string, xs []int, lines []series, height int) string {
+	if len(xs) == 0 || len(lines) == 0 || height < 2 {
 		return ""
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range series {
+	for _, s := range lines {
 		for _, v := range s.Values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
@@ -53,7 +53,7 @@ func asciiChart(title string, xs []int, series []Series, height int) string {
 		}
 		return r
 	}
-	for _, s := range series {
+	for _, s := range lines {
 		for xi, v := range s.Values {
 			if xi >= len(xs) || math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
@@ -80,14 +80,14 @@ func asciiChart(title string, xs []int, series []Series, height int) string {
 		fmt.Fprintf(&b, "%-*d", colWidth, x)
 	}
 	b.WriteString("\n")
-	for _, s := range series {
+	for _, s := range lines {
 		fmt.Fprintf(&b, "        %c = %s\n", s.Marker, s.Name)
 	}
 	return b.String()
 }
 
-// Fig4Chart renders the Figure 4 series as an ASCII plot.
-func Fig4Chart(points []SweepPoint) string {
+// fig4Chart renders the Figure 4 series as an ASCII plot.
+func fig4Chart(points []sweepPoint) string {
 	rows := fig4Rows(points)
 	xs := make([]int, len(rows))
 	proposed := make([]float64, len(rows))
@@ -97,17 +97,17 @@ func Fig4Chart(points []SweepPoint) string {
 		xs[i] = r.Clients
 		proposed[i] = r.Proposed
 		ps[i] = r.ModifiedPS
-		best[i] = r.BestFound
+		best[i] = r.MCBest
 	}
-	return asciiChart("Figure 4 (normalized total profit vs clients)", xs, []Series{
+	return asciiChart("Figure 4 (normalized total profit vs clients)", xs, []series{
 		{Name: "proposed", Marker: 'P', Values: proposed},
 		{Name: "modified PS", Marker: 's', Values: ps},
-		{Name: "best found", Marker: '*', Values: best},
+		{Name: "Monte-Carlo best", Marker: '*', Values: best},
 	}, 16)
 }
 
-// Fig5Chart renders the Figure 5 series as an ASCII plot.
-func Fig5Chart(points []SweepPoint) string {
+// fig5Chart renders the Figure 5 series as an ASCII plot.
+func fig5Chart(points []sweepPoint) string {
 	rows := fig5Rows(points)
 	xs := make([]int, len(rows))
 	before := make([]float64, len(rows))
@@ -119,7 +119,7 @@ func Fig5Chart(points []SweepPoint) string {
 		after[i] = r.WorstInitialAfter
 		worstProp[i] = r.WorstProposed
 	}
-	return asciiChart("Figure 5 (worst-case normalized profit vs clients)", xs, []Series{
+	return asciiChart("Figure 5 (worst-case normalized profit vs clients)", xs, []series{
 		{Name: "worst initial (before opt)", Marker: 'w', Values: before},
 		{Name: "worst initial (after local search)", Marker: 'a', Values: after},
 		{Name: "worst proposed", Marker: 'P', Values: worstProp},

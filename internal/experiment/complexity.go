@@ -11,27 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ComplexityConfig drives the decision-time scaling measurement backing
-// the paper's complexity analysis (Section VI): initial-solution cost
-// O(|A|·|S|·G) and the ÷K speedup from distributing per-cluster work.
-type ComplexityConfig struct {
-	ClientCounts []int
-	Repeats      int
-	BaseSeed     int64
-	Telemetry    *telemetry.Set
-}
-
-// DefaultComplexityConfig measures 3 repeats over the paper's range.
-func DefaultComplexityConfig() ComplexityConfig {
-	return ComplexityConfig{
-		ClientCounts: []int{25, 50, 100, 200},
-		Repeats:      3,
-		BaseSeed:     1,
-	}
-}
-
-// ComplexityRow reports mean solve times for one client count.
-type ComplexityRow struct {
+// complexityRow reports mean solve times for one client count.
+type complexityRow struct {
 	Clients    int
 	Servers    int
 	Sequential time.Duration
@@ -39,40 +20,40 @@ type ComplexityRow struct {
 	Speedup    float64
 }
 
-// RunComplexity measures sequential vs cluster-parallel solve times.
-func RunComplexity(cfg ComplexityConfig) ([]ComplexityRow, error) {
-	if len(cfg.ClientCounts) == 0 || cfg.Repeats <= 0 {
-		return nil, fmt.Errorf("experiment: bad complexity config %+v", cfg)
-	}
-	rows := make([]ComplexityRow, 0, len(cfg.ClientCounts))
-	for _, n := range cfg.ClientCounts {
+// runComplexity measures the decision-time scaling behind the paper's
+// complexity analysis (Section VI): initial-solution cost O(|A|·|S|·G)
+// and the ÷K speedup from distributing per-cluster work. Both arms run
+// at Workers = 1, so the only concurrency is core.Config.Parallel's
+// per-cluster fan-out and the speedup measures the decomposition alone.
+func runComplexity(sz sizes, seed int64, tel *telemetry.Set) ([]complexityRow, error) {
+	rows := make([]complexityRow, 0, len(sz.counts))
+	for _, n := range sz.counts {
 		var seq, par time.Duration
 		var servers int
-		for r := 0; r < cfg.Repeats; r++ {
-			scen, err := generate(n, cfg.BaseSeed+int64(n)+int64(r)*131)
+		for r := 0; r < sz.scenarios; r++ {
+			scen, err := generate(n, seed+int64(n)+int64(r)*131)
 			if err != nil {
 				return nil, err
 			}
 			servers = scen.Cloud.NumServers()
-
-			sCfg := solverConfig(cfg.Telemetry)
-			ds, err := timeSolve(scen, sCfg)
-			if err != nil {
-				return nil, err
+			for _, perCluster := range []bool{false, true} {
+				cfg := solverConfig(tel)
+				cfg.Workers = 1
+				cfg.Parallel = perCluster
+				d, err := timeSolve(scen, cfg)
+				if err != nil {
+					return nil, err
+				}
+				if perCluster {
+					par += d
+				} else {
+					seq += d
+				}
 			}
-			seq += ds
-
-			pCfg := solverConfig(cfg.Telemetry)
-			pCfg.Parallel = true
-			dp, err := timeSolve(scen, pCfg)
-			if err != nil {
-				return nil, err
-			}
-			par += dp
 		}
-		seq /= time.Duration(cfg.Repeats)
-		par /= time.Duration(cfg.Repeats)
-		row := ComplexityRow{Clients: n, Servers: servers, Sequential: seq, Parallel: par}
+		seq /= time.Duration(sz.scenarios)
+		par /= time.Duration(sz.scenarios)
+		row := complexityRow{Clients: n, Servers: servers, Sequential: seq, Parallel: par}
 		if par > 0 {
 			row.Speedup = float64(seq) / float64(par)
 		}
@@ -94,17 +75,21 @@ func timeSolve(scen *model.Scenario, cfg core.Config) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// ComplexityTable renders the scaling rows as text.
-func ComplexityTable(rows []ComplexityRow) string {
+// renderComplexity renders the scaling rows as text.
+func renderComplexity(r *Runner, sz sizes) (string, error) {
+	rows, err := runComplexity(sz, r.seed, r.tel)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Decision-time scaling (paper Section VI complexity claims)\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "clients\tservers\tsequential\tcluster-parallel\tspeedup")
-	for _, r := range rows {
+	for _, row := range rows {
 		fmt.Fprintf(w, "%d\t%d\t%s\t%s\t%.2fx\n",
-			r.Clients, r.Servers, r.Sequential.Round(time.Microsecond),
-			r.Parallel.Round(time.Microsecond), r.Speedup)
+			row.Clients, row.Servers, row.Sequential.Round(time.Microsecond),
+			row.Parallel.Round(time.Microsecond), row.Speedup)
 	}
 	w.Flush()
-	return b.String()
+	return b.String(), nil
 }

@@ -1,26 +1,61 @@
 package experiment
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
-// fastSweep returns a sweep config small enough for unit tests.
-func fastSweep() SweepConfig {
-	cfg := DefaultSweepConfig()
-	cfg.ClientCounts = []int{10, 20}
-	cfg.ScenariosPerCount = 3
-	cfg.ScenariosAtMaxCount = 2
-	cfg.MCDraws = 10
-	cfg.MCPasses = 2
-	return cfg
+// smallSweep is a sweep small enough for unit tests.
+var smallSweep = sizes{counts: []int{10, 20}, scenarios: 3, scenariosAtMax: 2, draws: 10, passes: 2}
+
+// testRunner renders at seed 1 without telemetry, discarding its output.
+func testRunner() *Runner { return NewRunner(io.Discard, false, 1, nil) }
+
+// artefact returns the Artefacts entry named name.
+func artefact(t *testing.T, name string) Artefact {
+	t.Helper()
+	for _, a := range Artefacts {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no artefact %q", name)
+	return Artefact{}
+}
+
+// TestRunnerSweepsOnce: FIG4 and FIG5 share their sweep sizes, so one
+// runner printing both runs the sweep once.
+func TestRunnerSweepsOnce(t *testing.T) {
+	fig4, fig5 := artefact(t, "fig4"), artefact(t, "fig5")
+	if !reflect.DeepEqual(fig4.quick, fig5.quick) || !reflect.DeepEqual(fig4.full, fig5.full) {
+		t.Fatal("FIG4 and FIG5 sizes differ, but they print one sweep")
+	}
+	fig4.quick, fig5.quick = smallSweep, smallSweep
+	var out bytes.Buffer
+	r := NewRunner(&out, true, 1, nil)
+	for _, a := range []Artefact{fig4, fig5} {
+		if err := r.Run(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := strings.Count(out.String(), "running sweep"); n != 1 {
+		t.Fatalf("sweep ran %d times:\n%s", n, out.String())
+	}
+	for _, want := range []string{"Figure 4:", "Figure 5:", "mcBest", "* = Monte-Carlo best"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
+	}
 }
 
 func TestRunSweepShapes(t *testing.T) {
-	points, err := RunSweep(fastSweep())
+	points, err := runSweep(smallSweep, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +66,7 @@ func TestRunSweepShapes(t *testing.T) {
 		t.Fatalf("count 10 has %d scenarios", len(points[0].Stats))
 	}
 	if len(points[1].Stats) != 2 {
-		t.Fatalf("max count should use ScenariosAtMaxCount: %d", len(points[1].Stats))
+		t.Fatalf("max count should use scenariosAtMax: %d", len(points[1].Stats))
 	}
 	for _, pt := range points {
 		for _, st := range pt.Stats {
@@ -48,21 +83,8 @@ func TestRunSweepShapes(t *testing.T) {
 	}
 }
 
-func TestRunSweepValidation(t *testing.T) {
-	cfg := fastSweep()
-	cfg.ClientCounts = nil
-	if _, err := RunSweep(cfg); err == nil {
-		t.Fatal("empty counts accepted")
-	}
-	cfg = fastSweep()
-	cfg.MCDraws = 0
-	if _, err := RunSweep(cfg); err == nil {
-		t.Fatal("zero draws accepted")
-	}
-}
-
 func TestFigureTablesQualitativeShape(t *testing.T) {
-	points, err := RunSweep(fastSweep())
+	points, err := runSweep(smallSweep, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +98,8 @@ func TestFigureTablesQualitativeShape(t *testing.T) {
 		if r.Proposed <= r.ModifiedPS {
 			t.Errorf("clients=%d: proposed (%v) should beat PS (%v)", r.Clients, r.Proposed, r.ModifiedPS)
 		}
-		if r.BestFound > 1+1e-9 {
-			t.Errorf("bestFound normalized %v > 1", r.BestFound)
+		if r.MCBest > 1+1e-9 {
+			t.Errorf("mcBest normalized %v > 1", r.MCBest)
 		}
 	}
 	f5 := fig5Rows(points)
@@ -89,7 +111,7 @@ func TestFigureTablesQualitativeShape(t *testing.T) {
 			t.Errorf("clients=%d: worst proposed %v outside (0,1]", r.Clients, r.WorstProposed)
 		}
 	}
-	for _, table := range []string{Fig4Table(points), Fig5Table(points)} {
+	for _, table := range []string{fig4Table(points), fig5Table(points)} {
 		if !strings.Contains(table, "clients") {
 			t.Fatalf("table missing header: %q", table)
 		}
@@ -97,10 +119,8 @@ func TestFigureTablesQualitativeShape(t *testing.T) {
 }
 
 func TestRunComplexity(t *testing.T) {
-	cfg := DefaultComplexityConfig()
-	cfg.ClientCounts = []int{10, 25}
-	cfg.Repeats = 1
-	rows, err := RunComplexity(cfg)
+	sz := sizes{counts: []int{10, 25}, scenarios: 1}
+	rows, err := runComplexity(sz, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +135,14 @@ func TestRunComplexity(t *testing.T) {
 			t.Fatalf("servers = %d", r.Servers)
 		}
 	}
-	if !strings.Contains(ComplexityTable(rows), "speedup") {
-		t.Fatal("table missing speedup column")
-	}
-	cfg.Repeats = 0
-	if _, err := RunComplexity(cfg); err == nil {
-		t.Fatal("zero repeats accepted")
+	if table, err := renderComplexity(testRunner(), sz); err != nil || !strings.Contains(table, "speedup") {
+		t.Fatalf("table missing speedup column (%v):\n%s", err, table)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	cfg := DefaultValidationConfig()
-	cfg.Clients = 15
-	cfg.Horizon = 3000
-	v, err := RunValidation(cfg)
+	sz := sizes{clients: 15, horizon: 3000}
+	v, err := runValidation(sz, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +155,14 @@ func TestRunValidation(t *testing.T) {
 	if v.CompletedRequests == 0 {
 		t.Fatal("no requests completed")
 	}
-	if !strings.Contains(ValidationTable(v), "profit") {
-		t.Fatal("table missing profit row")
+	if table, err := renderValidation(testRunner(), sz); err != nil || !strings.Contains(table, "profit") {
+		t.Fatalf("table missing profit row (%v):\n%s", err, table)
 	}
 }
 
 func TestRunAblation(t *testing.T) {
-	cfg := DefaultAblationConfig()
-	cfg.Clients = 20
-	cfg.Scenarios = 2
-	rows, phases, err := RunAblation(cfg)
+	sz := sizes{clients: 20, scenarios: 2}
+	rows, phases, err := runAblation(sz, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,28 +198,22 @@ func TestRunAblation(t *testing.T) {
 	if len(phases) != len(ablationPhases) {
 		t.Fatalf("phases = %d", len(phases))
 	}
-	table := AblationTable(rows, phases)
-	if !strings.Contains(table, "variant") || !strings.Contains(table, "phase") {
-		t.Fatal("table missing header")
-	}
-	cfg.Scenarios = 0
-	if _, _, err := RunAblation(cfg); err == nil {
-		t.Fatal("zero scenarios accepted")
+	table, err := renderAblation(testRunner(), sz)
+	if err != nil || !strings.Contains(table, "variant") || !strings.Contains(table, "phase") {
+		t.Fatalf("table missing header (%v):\n%s", err, table)
 	}
 }
 
 func TestRunEpochsExperiment(t *testing.T) {
-	cfg := DefaultEpochsConfig()
-	cfg.Clients = 15
-	cfg.Epochs = 6
-	rows, err := RunEpochsExperiment(cfg)
+	sz := sizes{clients: 15, epochs: 6}
+	rows, err := runEpochs(sz, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := make(map[string]EpochsRow, len(rows))
+	byName := make(map[string]epochsRow, len(rows))
 	for _, r := range rows {
 		byName[r.Policy] = r
 	}
@@ -221,27 +227,19 @@ func TestRunEpochsExperiment(t *testing.T) {
 	if always.SolveTime <= never.SolveTime {
 		t.Fatalf("always should spend more solve time: %v vs %v", always.SolveTime, never.SolveTime)
 	}
-	if !strings.Contains(EpochsTable(rows), "decisions") {
-		t.Fatal("table missing header")
-	}
-	cfg.Epochs = 0
-	if _, err := RunEpochsExperiment(cfg); err == nil {
-		t.Fatal("zero epochs accepted")
+	if table, err := renderEpochs(testRunner(), sz); err != nil || !strings.Contains(table, "decisions") {
+		t.Fatalf("table missing header (%v):\n%s", err, table)
 	}
 }
 
 // TestEpochsTelemetryReachesController: the experiment's one telemetry
 // set must feed the controller's own epoch metrics, not only the
-// solver's. At the quick settings (30 clients, 12 epochs, seed 1) the
+// solver's. At EPOCH's quick sizes (30 clients, 12 epochs, seed 1) the
 // five policies re-decide 12 + 12 + 9 + 3 + 1 = 37 times and keep the
 // standing allocation in the other 23 of their 60 epochs.
 func TestEpochsTelemetryReachesController(t *testing.T) {
 	tel := telemetry.New(nil)
-	cfg := DefaultEpochsConfig()
-	cfg.Clients = 30
-	cfg.Epochs = 12
-	cfg.Telemetry = tel
-	rows, err := RunEpochsExperiment(cfg)
+	rows, err := runEpochs(artefact(t, "epochs").quick, 1, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +259,8 @@ func TestEpochsTelemetryReachesController(t *testing.T) {
 }
 
 func TestRunPredictors(t *testing.T) {
-	cfg := DefaultPredictorConfig()
-	cfg.Clients = 12
-	cfg.Epochs = 6
-	rows, err := RunPredictors(cfg)
+	sz := sizes{clients: 12, epochs: 6}
+	rows, err := runPredictors(sz, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,18 +282,14 @@ func TestRunPredictors(t *testing.T) {
 				r.Predictor, r.RealizedProfit, rows[0].RealizedProfit)
 		}
 	}
-	if !strings.Contains(PredictorTable(rows), "MAPE") {
-		t.Fatal("table missing header")
-	}
-	cfg.Epochs = 1
-	if _, err := RunPredictors(cfg); err == nil {
-		t.Fatal("single epoch accepted")
+	if table, err := renderPredictors(testRunner(), sz); err != nil || !strings.Contains(table, "MAPE") {
+		t.Fatalf("table missing header (%v):\n%s", err, table)
 	}
 }
 
 func TestAsciiChart(t *testing.T) {
 	xs := []int{10, 20, 50}
-	out := asciiChart("demo", xs, []Series{
+	out := asciiChart("demo", xs, []series{
 		{Name: "up", Marker: 'u', Values: []float64{0.1, 0.5, 0.9}},
 		{Name: "down", Marker: 'd', Values: []float64{0.9, 0.5, 0.1}},
 	}, 8)
@@ -311,25 +303,25 @@ func TestAsciiChart(t *testing.T) {
 	if asciiChart("x", nil, nil, 8) != "" {
 		t.Fatal("empty chart should be empty")
 	}
-	if asciiChart("x", xs, []Series{{Name: "n", Marker: 'n', Values: []float64{math.NaN()}}}, 8) != "" {
+	if asciiChart("x", xs, []series{{Name: "n", Marker: 'n', Values: []float64{math.NaN()}}}, 8) != "" {
 		t.Fatal("all-NaN chart should be empty")
 	}
 	// Constant series must not divide by zero.
-	flat := asciiChart("flat", xs, []Series{{Name: "f", Marker: 'f', Values: []float64{1, 1, 1}}}, 8)
+	flat := asciiChart("flat", xs, []series{{Name: "f", Marker: 'f', Values: []float64{1, 1, 1}}}, 8)
 	if flat == "" {
 		t.Fatal("flat series should still render")
 	}
 }
 
 func TestFigureCharts(t *testing.T) {
-	points, err := RunSweep(fastSweep())
+	points, err := runSweep(smallSweep, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := Fig4Chart(points); !strings.Contains(c, "proposed") {
+	if c := fig4Chart(points); !strings.Contains(c, "proposed") {
 		t.Fatalf("fig4 chart malformed:\n%s", c)
 	}
-	if c := Fig5Chart(points); !strings.Contains(c, "worst proposed") {
+	if c := fig5Chart(points); !strings.Contains(c, "worst proposed") {
 		t.Fatalf("fig5 chart malformed:\n%s", c)
 	}
 }

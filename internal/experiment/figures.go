@@ -7,21 +7,21 @@ import (
 	"text/tabwriter"
 )
 
-// Fig4Row is one x-axis point of Figure 4: mean normalized total profit
+// fig4Row is one x-axis point of Figure 4: mean normalized total profit
 // of each method (normalized per scenario by the best profit found).
-type Fig4Row struct {
+type fig4Row struct {
 	Clients    int
 	Proposed   float64
 	ModifiedPS float64
-	BestFound  float64 // 1 by construction; kept for the table
+	MCBest     float64 // the Monte-Carlo best; below 1 where another method found more
 	Scenarios  int
 }
 
 // fig4Rows reduces a sweep to the Figure 4 series.
-func fig4Rows(points []SweepPoint) []Fig4Row {
-	rows := make([]Fig4Row, 0, len(points))
+func fig4Rows(points []sweepPoint) []fig4Row {
+	rows := make([]fig4Row, 0, len(points))
 	for _, pt := range points {
-		var row Fig4Row
+		var row fig4Row
 		row.Clients = pt.Clients
 		for _, st := range pt.Stats {
 			if st.Best <= 0 {
@@ -32,36 +32,45 @@ func fig4Rows(points []SweepPoint) []Fig4Row {
 			row.Scenarios++
 			row.Proposed += st.Proposed / st.Best
 			row.ModifiedPS += st.PS / st.Best
-			row.BestFound += math.Max(st.MCBestOpt, 0) / st.Best
+			row.MCBest += math.Max(st.MCBestOpt, 0) / st.Best
 		}
 		if row.Scenarios > 0 {
 			n := float64(row.Scenarios)
 			row.Proposed /= n
 			row.ModifiedPS /= n
-			row.BestFound /= n
+			row.MCBest /= n
 		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// Fig4Table renders the Figure 4 series as text.
-func Fig4Table(points []SweepPoint) string {
+// renderFig4 renders the Figure 4 series as a table and an ASCII plot.
+func renderFig4(r *Runner, sz sizes) (string, error) {
+	points, err := r.points(sz)
+	if err != nil {
+		return "", err
+	}
+	return fig4Table(points) + "\n" + fig4Chart(points), nil
+}
+
+// fig4Table renders the Figure 4 series as text.
+func fig4Table(points []sweepPoint) string {
 	var b strings.Builder
 	b.WriteString("Figure 4: normalized total profit vs number of clients\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "clients\tproposed\tmodifiedPS\tbestFound\tscenarios")
+	fmt.Fprintln(w, "clients\tproposed\tmodifiedPS\tmcBest\tscenarios")
 	for _, r := range fig4Rows(points) {
 		fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%d\n",
-			r.Clients, r.Proposed, r.ModifiedPS, r.BestFound, r.Scenarios)
+			r.Clients, r.Proposed, r.ModifiedPS, r.MCBest, r.Scenarios)
 	}
 	w.Flush()
 	return b.String()
 }
 
-// Fig5Row is one x-axis point of Figure 5: the worst-case profile across
+// fig5Row is one x-axis point of Figure 5: the worst-case profile across
 // the scenarios, normalized per scenario by the best profit found.
-type Fig5Row struct {
+type fig5Row struct {
 	Clients            int
 	WorstInitialBefore float64 // worst random solution before optimization
 	WorstInitialAfter  float64 // worst random solution after local search
@@ -71,10 +80,10 @@ type Fig5Row struct {
 }
 
 // fig5Rows reduces a sweep to the Figure 5 series.
-func fig5Rows(points []SweepPoint) []Fig5Row {
-	rows := make([]Fig5Row, 0, len(points))
+func fig5Rows(points []sweepPoint) []fig5Row {
+	rows := make([]fig5Row, 0, len(points))
 	for _, pt := range points {
-		row := Fig5Row{
+		row := fig5Row{
 			Clients:            pt.Clients,
 			WorstInitialBefore: math.Inf(1),
 			WorstInitialAfter:  math.Inf(1),
@@ -95,8 +104,17 @@ func fig5Rows(points []SweepPoint) []Fig5Row {
 	return rows
 }
 
-// Fig5Table renders the Figure 5 series as text.
-func Fig5Table(points []SweepPoint) string {
+// renderFig5 renders the Figure 5 series as a table and an ASCII plot.
+func renderFig5(r *Runner, sz sizes) (string, error) {
+	points, err := r.points(sz)
+	if err != nil {
+		return "", err
+	}
+	return fig5Table(points) + "\n" + fig5Chart(points), nil
+}
+
+// fig5Table renders the Figure 5 series as text.
+func fig5Table(points []sweepPoint) string {
 	var b strings.Builder
 	b.WriteString("Figure 5: worst-case normalized profit vs number of clients\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

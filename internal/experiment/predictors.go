@@ -10,33 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// PredictorConfig drives the forecast-quality experiment: every predictor
-// runs the same diurnal trace through the decision controller, so the
-// table links forecast error (MAPE/RMSE) to realized profit — the
-// quantity the paper's "predicted average request arrival rates" feed.
-type PredictorConfig struct {
-	Clients int
-	Epochs  int
-	Seed    int64
-	// Telemetry, when non-nil, records the controller's epoch metrics
-	// and every solve.
-	Telemetry *telemetry.Set
-}
-
 // predictorNoiseSigma is the per-client lognormal noise on the trace.
 const predictorNoiseSigma = 0.08
 
-// DefaultPredictorConfig runs 16 epochs of a noisy diurnal day.
-func DefaultPredictorConfig() PredictorConfig {
-	return PredictorConfig{
-		Clients: 40,
-		Epochs:  16,
-		Seed:    1,
-	}
-}
-
-// PredictorRow is one forecaster's outcome.
-type PredictorRow struct {
+// predictorRow is one forecaster's outcome.
+type predictorRow struct {
 	Predictor      string
 	MAPE           float64
 	RMSE           float64
@@ -44,13 +22,12 @@ type PredictorRow struct {
 	Saturated      int
 }
 
-// RunPredictors backtests each forecaster and replays it through the
-// controller on the same trace.
-func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
-	if cfg.Clients <= 0 || cfg.Epochs < 2 {
-		return nil, fmt.Errorf("experiment: bad predictor config %+v", cfg)
-	}
-	scen, err := generate(cfg.Clients, cfg.Seed)
+// runPredictors backtests each forecaster on one noisy diurnal trace of
+// sz.epochs over sz.clients and replays it through the controller, so
+// the table links forecast error (MAPE/RMSE) to realized profit — the
+// quantity the paper's "predicted average request arrival rates" feed.
+func runPredictors(sz sizes, seed int64, tel *telemetry.Set) ([]predictorRow, error) {
+	scen, err := generate(sz.clients, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -58,15 +35,15 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 	for i := range base {
 		base[i] = scen.Clients[i].ArrivalRate
 	}
-	tr, err := epoch.GenerateTrace(base, cfg.Epochs, []epoch.Pattern{
-		epoch.Diurnal{Period: cfg.Epochs, Amplitude: 0.4, Phase: 0.1},
-	}, predictorNoiseSigma, cfg.Seed)
+	tr, err := epoch.GenerateTrace(base, sz.epochs, []epoch.Pattern{
+		epoch.Diurnal{Period: sz.epochs, Amplitude: 0.4, Phase: 0.1},
+	}, predictorNoiseSigma, seed)
 	if err != nil {
 		return nil, err
 	}
 
-	mk := func(name string, build func() (predict.Predictor, error)) (PredictorRow, error) {
-		row := PredictorRow{Predictor: name}
+	mk := func(name string, build func() (predict.Predictor, error)) (predictorRow, error) {
+		row := predictorRow{Predictor: name}
 		if build != nil {
 			p, err := build()
 			if err != nil {
@@ -81,7 +58,7 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 		}
 		ccfg := epoch.DefaultControllerConfig()
 		ccfg.Policy = epoch.AlwaysPolicy{}
-		ccfg.Telemetry = cfg.Telemetry
+		ccfg.Telemetry = tel
 		if build != nil {
 			// A fresh predictor for the controller run (the backtest
 			// consumed the first one's state).
@@ -112,7 +89,7 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 		{"Holt α=0.6 β=0.3", func() (predict.Predictor, error) { return predict.NewHolt(0.6, 0.3) }},
 		{"sliding mean w=4", func() (predict.Predictor, error) { return predict.NewSlidingMean(4) }},
 	}
-	rows := make([]PredictorRow, 0, len(specs))
+	rows := make([]predictorRow, 0, len(specs))
 	for _, s := range specs {
 		row, err := mk(s.name, s.build)
 		if err != nil {
@@ -123,15 +100,19 @@ func RunPredictors(cfg PredictorConfig) ([]PredictorRow, error) {
 	return rows, nil
 }
 
-// PredictorTable renders the forecast comparison as text.
-func PredictorTable(rows []PredictorRow) string {
+// renderPredictors renders the forecast comparison as text.
+func renderPredictors(r *Runner, sz sizes) (string, error) {
+	rows, err := runPredictors(sz, r.seed, r.tel)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Forecasters on a noisy diurnal trace (controller re-decides every epoch)\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "predictor\tMAPE\tRMSE\trealizedProfit\tsaturatedClientEpochs")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2f\t%d\n", r.Predictor, r.MAPE, r.RMSE, r.RealizedProfit, r.Saturated)
+	for _, row := range rows {
+		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2f\t%d\n", row.Predictor, row.MAPE, row.RMSE, row.RealizedProfit, row.Saturated)
 	}
 	w.Flush()
-	return b.String()
+	return b.String(), nil
 }

@@ -1,8 +1,10 @@
 // Package experiment reproduces the paper's evaluation (Section VI):
-// the Figure 4 comparison (proposed vs modified PS vs best-found), the
-// Figure 5 worst-case envelope, the complexity/scaling measurements the
-// paper claims, plus two extensions: discrete-event validation of the
-// analytical model and ablations of the heuristic's phases.
+// the Figure 4 comparison (proposed vs modified PS vs the Monte-Carlo
+// envelope), the Figure 5 worst-case envelope, the complexity/scaling
+// measurements the paper claims, plus four extensions: discrete-event
+// validation of the analytical model, ablations of the heuristic's
+// phases, decision policies under drift and forecast quality. Artefacts
+// is the table of all seven; the scale ladder (RunScale) stands apart.
 package experiment
 
 import (
@@ -16,33 +18,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// SweepConfig drives the Figure 4/5 sweep over client counts.
-type SweepConfig struct {
-	// ClientCounts is the x-axis (paper: up to 200 clients).
-	ClientCounts []int
-	// ScenariosPerCount is the number of random scenarios per count
-	// (paper: at least 20, 5 for 200 clients).
-	ScenariosPerCount int
-	// ScenariosAtMaxCount overrides ScenariosPerCount at the largest
-	// count (the paper drops to 5 there); 0 keeps ScenariosPerCount.
-	ScenariosAtMaxCount int
-	// MCDraws is the number of Monte-Carlo draws per scenario (paper:
-	// at least 10,000).
-	MCDraws int
-	// MCPasses bounds the per-draw reassignment search.
-	MCPasses int
-	// BaseSeed seeds the scenario generator; scenario s of count c uses
-	// BaseSeed + hash(c, s).
-	BaseSeed int64
-	// Workers bounds scenario-level parallelism (0 = GOMAXPROCS). The
-	// sweep's results and error reporting are identical for every
-	// worker count.
-	Workers int
-	// Telemetry, when non-nil, instruments the sweep fan-out, every
-	// solver and the Monte-Carlo draws.
-	Telemetry *telemetry.Set
-}
 
 // generate builds one scenario from the default workload template with
 // the given client count and seed (the paper's Section VI instance
@@ -61,73 +36,52 @@ func solverConfig(tel *telemetry.Set) core.Config {
 	return cfg
 }
 
-// DefaultSweepConfig returns a fast-but-faithful sweep; the benchmark
-// harness raises the scenario and draw counts to the paper's numbers.
-func DefaultSweepConfig() SweepConfig {
-	return SweepConfig{
-		ClientCounts:        []int{10, 20, 50, 100, 150, 200},
-		ScenariosPerCount:   20,
-		ScenariosAtMaxCount: 5,
-		MCDraws:             200,
-		MCPasses:            5,
-		BaseSeed:            1,
-	}
-}
-
-// ScenarioStats are the profits measured on one random scenario. Raw
+// scenarioStats are the profits measured on one random scenario. Raw
 // profits, not normalized; Best is the normalization denominator (the
 // best profit any method found, the paper's "best solution found").
-type ScenarioStats struct {
-	Seed         int64
-	Proposed     float64
-	ProposedInit float64
-	PS           float64
-	MCBestOpt    float64
-	MCWorstOpt   float64
-	MCBestInit   float64
-	MCWorstInit  float64
-	Best         float64
+type scenarioStats struct {
+	Proposed    float64
+	PS          float64
+	MCBestOpt   float64
+	MCWorstOpt  float64
+	MCBestInit  float64
+	MCWorstInit float64
+	Best        float64
 }
 
-// SweepPoint aggregates the scenarios of one client count.
-type SweepPoint struct {
+// sweepPoint aggregates the scenarios of one client count.
+type sweepPoint struct {
 	Clients int
-	Stats   []ScenarioStats
+	Stats   []scenarioStats
 }
 
-// RunSweep evaluates every method on every (count, scenario) pair.
-func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
-	if len(cfg.ClientCounts) == 0 {
-		return nil, fmt.Errorf("experiment: no client counts")
-	}
-	if cfg.ScenariosPerCount <= 0 || cfg.MCDraws <= 0 {
-		return nil, fmt.Errorf("experiment: scenarios=%d draws=%d", cfg.ScenariosPerCount, cfg.MCDraws)
-	}
+// runSweep evaluates every method on every (count, scenario) pair:
+// sz.scenarios per count (sz.scenariosAtMax at the largest), scenario s
+// of count c seeded seed + 1000c + s.
+func runSweep(sz sizes, seed int64, tel *telemetry.Set) ([]sweepPoint, error) {
 	maxCount := 0
-	for _, c := range cfg.ClientCounts {
-		if c > maxCount {
-			maxCount = c
-		}
+	for _, c := range sz.counts {
+		maxCount = max(maxCount, c)
 	}
-	points := make([]SweepPoint, len(cfg.ClientCounts))
+	points := make([]sweepPoint, len(sz.counts))
 	type job struct {
 		point, slot int
 		clients     int
 		seed        int64
 	}
 	var jobs []job
-	for pi, c := range cfg.ClientCounts {
-		n := cfg.ScenariosPerCount
-		if c == maxCount && cfg.ScenariosAtMaxCount > 0 {
-			n = cfg.ScenariosAtMaxCount
+	for pi, c := range sz.counts {
+		n := sz.scenarios
+		if c == maxCount {
+			n = sz.scenariosAtMax
 		}
-		points[pi] = SweepPoint{Clients: c, Stats: make([]ScenarioStats, n)}
+		points[pi] = sweepPoint{Clients: c, Stats: make([]scenarioStats, n)}
 		for s := 0; s < n; s++ {
 			jobs = append(jobs, job{
 				point:   pi,
 				slot:    s,
 				clients: c,
-				seed:    cfg.BaseSeed + int64(c)*1000 + int64(s),
+				seed:    seed + int64(c)*1000 + int64(s),
 			})
 		}
 	}
@@ -136,10 +90,10 @@ func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
 	// own (point, slot) cell and every job runs even when another fails,
 	// so the sweep's output — including which error is reported, the
 	// lowest-indexed one — does not depend on the worker count.
-	err := parallel.ForErr(parallel.Options{Workers: cfg.Workers, Tel: cfg.Telemetry, Phase: "sweep"},
+	err := parallel.ForErr(parallel.Options{Workers: sz.workers, Tel: tel, Phase: "sweep"},
 		len(jobs), func(_, idx int) error {
 			jb := jobs[idx]
-			st, err := runScenario(cfg, jb.clients, jb.seed)
+			st, err := runScenario(sz, tel, jb.clients, jb.seed)
 			if err != nil {
 				return fmt.Errorf("experiment: clients=%d seed=%d: %w", jb.clients, jb.seed, err)
 			}
@@ -153,42 +107,40 @@ func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
 }
 
 // runScenario measures every method on one random scenario.
-func runScenario(cfg SweepConfig, clients int, seed int64) (ScenarioStats, error) {
+func runScenario(sz sizes, tel *telemetry.Set, clients int, seed int64) (scenarioStats, error) {
 	scen, err := generate(clients, seed)
 	if err != nil {
-		return ScenarioStats{}, err
+		return scenarioStats{}, err
 	}
-	solver, err := core.NewSolver(scen, solverConfig(cfg.Telemetry))
+	solver, err := core.NewSolver(scen, solverConfig(tel))
 	if err != nil {
-		return ScenarioStats{}, err
+		return scenarioStats{}, err
 	}
-	proposed, stats, err := solver.Solve()
+	proposed, _, err := solver.Solve()
 	if err != nil {
-		return ScenarioStats{}, err
+		return scenarioStats{}, err
 	}
 	ps, err := baseline.SolveModifiedPS(scen, baseline.DefaultPSConfig())
 	if err != nil {
-		return ScenarioStats{}, err
+		return scenarioStats{}, err
 	}
 	mcCfg := baseline.MCConfig{
-		Draws:           cfg.MCDraws,
+		Draws:           sz.draws,
 		Seed:            seed,
-		MaxSearchPasses: cfg.MCPasses,
-		Telemetry:       cfg.Telemetry,
+		MaxSearchPasses: sz.passes,
+		Telemetry:       tel,
 	}
 	env, err := baseline.RunMonteCarlo(scen, mcCfg)
 	if err != nil {
-		return ScenarioStats{}, err
+		return scenarioStats{}, err
 	}
-	st := ScenarioStats{
-		Seed:         seed,
-		Proposed:     proposed.Profit(),
-		ProposedInit: stats.InitialProfit,
-		PS:           ps.Profit(),
-		MCBestOpt:    env.BestOptimized,
-		MCWorstOpt:   env.WorstOptimized,
-		MCBestInit:   env.BestInitial,
-		MCWorstInit:  env.WorstInitial,
+	st := scenarioStats{
+		Proposed:    proposed.Profit(),
+		PS:          ps.Profit(),
+		MCBestOpt:   env.BestOptimized,
+		MCWorstOpt:  env.WorstOptimized,
+		MCBestInit:  env.BestInitial,
+		MCWorstInit: env.WorstInitial,
 	}
 	st.Best = math.Max(st.Proposed, math.Max(st.PS, st.MCBestOpt))
 	return st, nil

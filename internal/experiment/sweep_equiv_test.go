@@ -5,20 +5,14 @@ import (
 	"testing"
 )
 
-// TestSweepWorkerEquivalence: RunSweep's scenario fan-out must produce
+// TestSweepWorkerEquivalence: runSweep's scenario fan-out must produce
 // byte-for-byte identical points at any worker count — each job writes
 // its own (point, slot) cell and all per-job randomness is seeded from
 // the job itself. Run under -race in CI.
 func TestSweepWorkerEquivalence(t *testing.T) {
-	run := func(workers int) []SweepPoint {
-		cfg := DefaultSweepConfig()
-		cfg.ClientCounts = []int{8, 15}
-		cfg.ScenariosPerCount = 3
-		cfg.ScenariosAtMaxCount = 2
-		cfg.MCDraws = 10
-		cfg.MCPasses = 2
-		cfg.Workers = workers
-		points, err := RunSweep(cfg)
+	run := func(workers int) []sweepPoint {
+		sz := sizes{counts: []int{8, 15}, scenarios: 3, scenariosAtMax: 2, draws: 10, passes: 2, workers: workers}
+		points, err := runSweep(sz, 1, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

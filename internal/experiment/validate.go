@@ -11,64 +11,46 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ValidationConfig drives the analytic-vs-simulation validation (an
-// extension: the paper trusts the M/M/1 GPS model; we measure it).
-type ValidationConfig struct {
-	Clients int
-	Seed    int64
-	// Horizon is the simulated time span (sim.Config.Horizon).
-	Horizon   float64
-	Telemetry *telemetry.Set
+// validationResult compares the analytical model against discrete-event
+// measurement (an extension: the paper trusts the M/M/1 GPS model; we
+// measure it).
+type validationResult struct {
+	Clients           int
+	MeasuredClients   int // clients with enough completions to compare
+	MeanAbsRelRespErr float64
+	MaxAbsRelRespErr  float64
+	AnalyticProfit    float64
+	SimulatedProfit   float64
+	ProfitRelErr      float64
+	MeanAbsUtilErr    float64
+	CompletedRequests int
 }
 
-// DefaultValidationConfig validates a mid-size scenario.
-func DefaultValidationConfig() ValidationConfig {
-	return ValidationConfig{
-		Clients: 50,
-		Seed:    1,
-		Horizon: 20000,
-	}
-}
-
-// ValidationResult compares the analytical model against discrete-event
-// measurement.
-type ValidationResult struct {
-	Clients            int
-	MeasuredClients    int // clients with enough completions to compare
-	MeanAbsRelRespErr  float64
-	MaxAbsRelRespErr   float64
-	AnalyticProfit     float64
-	SimulatedProfit    float64
-	ProfitRelErr       float64
-	MeanAbsUtilErr     float64
-	CompletedRequests  int
-	UnstablePredicated int // clients the model flagged as saturated
-}
-
-// RunValidation solves a scenario and simulates the resulting allocation.
-func RunValidation(cfg ValidationConfig) (ValidationResult, error) {
-	scen, err := generate(cfg.Clients, cfg.Seed)
+// runValidation solves a scenario of sz.clients and simulates the
+// resulting allocation for sz.horizon.
+func runValidation(sz sizes, seed int64, tel *telemetry.Set) (validationResult, error) {
+	scen, err := generate(sz.clients, seed)
 	if err != nil {
-		return ValidationResult{}, err
+		return validationResult{}, err
 	}
-	solver, err := core.NewSolver(scen, solverConfig(cfg.Telemetry))
+	solver, err := core.NewSolver(scen, solverConfig(tel))
 	if err != nil {
-		return ValidationResult{}, err
+		return validationResult{}, err
 	}
 	a, _, err := solver.Solve()
 	if err != nil {
-		return ValidationResult{}, err
+		return validationResult{}, err
 	}
 	simCfg := sim.DefaultConfig()
-	simCfg.Horizon = cfg.Horizon
-	simCfg.Telemetry = cfg.Telemetry
+	simCfg.Horizon = sz.horizon
+	simCfg.Telemetry = tel
 	res, err := sim.Simulate(a, simCfg)
 	if err != nil {
-		return ValidationResult{}, err
+		return validationResult{}, err
 	}
 
-	out := ValidationResult{
-		Clients:         cfg.Clients,
+	out := validationResult{
+		Clients:         sz.clients,
 		AnalyticProfit:  res.AnalyticValue,
 		SimulatedProfit: res.Profit,
 	}
@@ -104,8 +86,12 @@ func RunValidation(cfg ValidationConfig) (ValidationResult, error) {
 	return out, nil
 }
 
-// ValidationTable renders the validation result as text.
-func ValidationTable(v ValidationResult) string {
+// renderValidation renders the validation result as text.
+func renderValidation(r *Runner, sz sizes) (string, error) {
+	v, err := runValidation(sz, r.seed, r.tel)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Model validation: analytic M/M/1 GPS model vs discrete-event simulation\n")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -118,5 +104,5 @@ func ValidationTable(v ValidationResult) string {
 	fmt.Fprintf(w, "profit rel err\t%.3f\n", v.ProfitRelErr)
 	fmt.Fprintf(w, "mean |utilization err|\t%.4f\n", v.MeanAbsUtilErr)
 	w.Flush()
-	return b.String()
+	return b.String(), nil
 }
