@@ -226,22 +226,25 @@ func runSolve(args []string) error {
 }
 
 // printAttribution reports where the profit came from, phase by phase:
-// the greedy initial solution, then each local-search phase's delta.
+// the greedy initial solution, then each local-search phase's delta and
+// time, and what the candidate index and the reassignment passes counted.
 func printAttribution(stats cloudalloc.SolveStats) {
 	at, tm := stats.Attribution, stats.Timings
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "phase\tprofit Δ\ttime\n")
 	fmt.Fprintf(w, "greedy initial\t%+.2f\t%s\n", at.Initial, tm.Greedy)
-	fmt.Fprintf(w, "share adjust\t%+.2f\t\n", at.ShareAdjust)
-	fmt.Fprintf(w, "dispersion adjust\t%+.2f\t\n", at.DispersionAdjust)
-	fmt.Fprintf(w, "server turn-on\t%+.2f\t\n", at.TurnOn)
-	fmt.Fprintf(w, "server turn-off\t%+.2f\t%s (sweeps)\n", at.TurnOff, tm.Sweep)
+	fmt.Fprintf(w, "share adjust\t%+.2f\t%s\n", at.ShareAdjust, tm.ShareAdjust)
+	fmt.Fprintf(w, "dispersion adjust\t%+.2f\t%s\n", at.DispersionAdjust, tm.DispersionAdjust)
+	fmt.Fprintf(w, "server turn-on\t%+.2f\t%s\n", at.TurnOn, tm.TurnOn)
+	fmt.Fprintf(w, "server turn-off\t%+.2f\t%s\n", at.TurnOff, tm.TurnOff)
 	fmt.Fprintf(w, "reassignment\t%+.2f\t%s\n", at.Reassign, tm.Reassign)
 	if at.Reconcile != 0 || tm.Reconcile != 0 {
 		fmt.Fprintf(w, "reconciliation\t%+.2f\t%s\n", at.Reconcile, tm.Reconcile)
 	}
 	fmt.Fprintf(w, "final\t%.2f\t(residual %+.2g)\n", at.Final, at.Residual())
 	w.Flush()
+	fmt.Printf("clusters evaluated %d, pruned %d; clients scored %d, skipped %d\n",
+		stats.IndexEvaluated, stats.IndexPruned, stats.ReassignScored, stats.ReassignSkipped)
 }
 
 func printBreakdown(a *cloudalloc.Allocation) {

@@ -706,3 +706,58 @@ func TestDocsArtefactsIndexed(t *testing.T) {
 		t.Errorf("Index rows %v run `experiments -run %s`, which is no experiment.Artefacts entry", ids, name)
 	}
 }
+
+// TestDocsMetricFamilies: every metric family the non-test code names
+// with a literal — the first argument of a Counter, Gauge or Histogram
+// call, or of telemetry.Name — is listed in DESIGN.md §8's family table.
+func TestDocsMetricFamilies(t *testing.T) {
+	d := readDoc(t, "DESIGN.md")
+	_, sec, ok := strings.Cut(d.prose, "\n## 8. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §8")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	listed := map[string]bool{}
+	for _, m := range spanRe.FindAllStringSubmatch(sec, -1) {
+		for _, name := range expandFamily(m[1]) {
+			listed[name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			switch name := sel.Sel.Name; {
+			case name == "Counter", name == "Gauge", name == "Histogram":
+			case name == "Name" && pkg != nil && pkg.Name == "telemetry":
+			default:
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if family, _ := strconv.Unquote(lit.Value); !listed[family] {
+					t.Errorf("%s: metric family %s is not in DESIGN.md §8's table", fset.Position(lit.Pos()), family)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -76,9 +76,6 @@ func NewLocalAgent(scen *model.Scenario, k model.ClusterID, cfg core.Config) (*L
 	if int(k) < 0 || int(k) >= scen.Cloud.NumClusters() {
 		return nil, fmt.Errorf("cluster: unknown cluster %d", k)
 	}
-	// Agents are single-cluster sequential workers; the manager provides
-	// the parallelism.
-	cfg.Parallel = false
 	solver, err := core.NewSolver(scen, cfg)
 	if err != nil {
 		return nil, err
@@ -130,20 +127,8 @@ func (ag *LocalAgent) Improve(ctx context.Context) (ImproveStats, error) {
 	sp, ctx := ag.tel.StartCtx(ctx, "agent.improve")
 	sp.Attr("cluster", int(ag.k))
 	defer sp.End()
-	scen := ag.solver.Scenario()
-	for _, j := range scen.Cloud.ClusterServers(ag.k) {
-		ag.solver.AdjustResourceShares(ag.a, j)
-	}
-	for i := range scen.Clients {
-		id := model.ClientID(i)
-		if ag.a.ClusterOf(id) == int(ag.k) {
-			ag.solver.AdjustDispersionRates(ag.a, id)
-		}
-	}
-	st := ImproveStats{
-		Activations:   ag.solver.TurnOnServers(ag.a, ag.k),
-		Deactivations: ag.solver.TurnOffServers(ag.a, ag.k),
-	}
+	var st ImproveStats
+	st.Activations, st.Deactivations = ag.solver.SweepCluster(ag.a, ag.k)
 	p, err := ag.Profit(ctx)
 	if err != nil {
 		return st, err

@@ -49,7 +49,8 @@ func (at Attribution) Residual() float64 {
 // PhaseTimings reports where a solve's wall-clock time went. Sweep (and
 // Reassign in sharded mode) sum the busy time of the sweep's parts: wall
 // time for the single-part default, more than the elapsed wall clock when
-// Config.Parallel or shards run parts concurrently.
+// Config.Parallel or shards run parts concurrently; so do the phase and
+// stage times that split them.
 type PhaseTimings struct {
 	// Greedy covers the initial-solution construction (all starts, or
 	// the warm-start replay plus re-placements).
@@ -62,16 +63,58 @@ type PhaseTimings struct {
 	// Reconcile covers the sharded solve's serial cross-shard
 	// reconciliation passes (zero when not sharded).
 	Reconcile time.Duration `json:"reconcile"`
+	// ShareAdjust .. TurnOff split Sweep by phase.
+	ShareAdjust      time.Duration `json:"share_adjust"`
+	DispersionAdjust time.Duration `json:"dispersion_adjust"`
+	TurnOn           time.Duration `json:"turn_on"`
+	TurnOff          time.Duration `json:"turn_off"`
+	// ReassignScore, ReassignCommit and ReassignRescore split the
+	// reassignment passes (Reassign plus Reconcile) by stage: candidate
+	// scoring, the commit loop, and rescoring after a commit dirtied a
+	// candidate's clusters.
+	ReassignScore   time.Duration `json:"reassign_score"`
+	ReassignCommit  time.Duration `json:"reassign_commit"`
+	ReassignRescore time.Duration `json:"reassign_rescore"`
 }
 
-// sweepDeltas carries one cluster sweep's per-phase profit deltas.
-type sweepDeltas struct {
-	share, disp, turnOn, turnOff float64
-}
+// add folds o's counts, rounds, phase deltas and times into st; the
+// profits, Unplaced and Elapsed stay st's own.
+func (st *Stats) add(o *Stats) {
+	st.LocalSearchIters += o.LocalSearchIters
+	st.Activations += o.Activations
+	st.Deactivations += o.Deactivations
+	st.Reassignments += o.Reassignments
+	st.ShareMoves += o.ShareMoves
+	st.ShareAccepts += o.ShareAccepts
+	st.DispersionMoves += o.DispersionMoves
+	st.DispersionAccepts += o.DispersionAccepts
+	st.ReassignScored += o.ReassignScored
+	st.ReassignSkipped += o.ReassignSkipped
+	st.ReassignRescores += o.ReassignRescores
+	st.CommitFailures += o.CommitFailures
+	st.RestoreFailures += o.RestoreFailures
+	st.IndexEvaluated += o.IndexEvaluated
+	st.IndexPruned += o.IndexPruned
+	st.RoundDurations = append(st.RoundDurations, o.RoundDurations...)
 
-func (d *sweepDeltas) add(o sweepDeltas) {
-	d.share += o.share
-	d.disp += o.disp
-	d.turnOn += o.turnOn
-	d.turnOff += o.turnOff
+	at, oa := &st.Attribution, &o.Attribution
+	at.ShareAdjust += oa.ShareAdjust
+	at.DispersionAdjust += oa.DispersionAdjust
+	at.TurnOn += oa.TurnOn
+	at.TurnOff += oa.TurnOff
+	at.Reassign += oa.Reassign
+	at.Reconcile += oa.Reconcile
+
+	tm, ot := &st.Timings, &o.Timings
+	tm.Greedy += ot.Greedy
+	tm.Sweep += ot.Sweep
+	tm.Reassign += ot.Reassign
+	tm.Reconcile += ot.Reconcile
+	tm.ShareAdjust += ot.ShareAdjust
+	tm.DispersionAdjust += ot.DispersionAdjust
+	tm.TurnOn += ot.TurnOn
+	tm.TurnOff += ot.TurnOff
+	tm.ReassignScore += ot.ReassignScore
+	tm.ReassignCommit += ot.ReassignCommit
+	tm.ReassignRescore += ot.ReassignRescore
 }

@@ -16,12 +16,23 @@ import (
 // reproduce the final profit up to ledger-style float regrouping (the
 // deltas are plain differences of Kahan-compensated cluster sums, so
 // the residual is bounded by the same drift tolerance the ledger uses).
-// Every solve — cold, sharded or warm — also reports its wall clock and
-// the time its initial solution took.
+// Every solve — cold, sharded or warm — also reports its wall clock, the
+// time its initial solution took and one duration per round, and its
+// phase and stage times fit inside the sweep and pass times they split.
 func checkAttribution(t *testing.T, st Stats) {
 	t.Helper()
 	if st.Elapsed <= 0 || st.Timings.Greedy <= 0 {
 		t.Fatalf("solve timing not recorded: elapsed %v, greedy %v", st.Elapsed, st.Timings.Greedy)
+	}
+	if len(st.RoundDurations) != st.LocalSearchIters {
+		t.Fatalf("%d round durations for %d rounds", len(st.RoundDurations), st.LocalSearchIters)
+	}
+	tm := st.Timings
+	if phases := tm.ShareAdjust + tm.DispersionAdjust + tm.TurnOn + tm.TurnOff; phases > tm.Sweep {
+		t.Fatalf("sweep phases take %v, more than the sweeps' %v", phases, tm.Sweep)
+	}
+	if stages := tm.ReassignScore + tm.ReassignCommit + tm.ReassignRescore; stages > tm.Reassign+tm.Reconcile {
+		t.Fatalf("reassignment stages take %v, more than the passes' %v", stages, tm.Reassign+tm.Reconcile)
 	}
 	at := st.Attribution
 	if at.Initial != st.InitialProfit || at.Final != st.FinalProfit {
@@ -83,9 +94,96 @@ func TestAttributionIdentity(t *testing.T) {
 	})
 }
 
+// checkPublished asserts that a telemetry set holds exactly the Stats of
+// the solves published to it: every counter equals the summed Stats count,
+// every phase histogram holds one sample per solve whose phase ran and
+// sums to the Stats time, the round histogram holds every round, each
+// profit-delta gauge sums the attribution, and the unplaced gauge is the
+// last solve's.
+func checkPublished(t *testing.T, tel *telemetry.Set, solves ...Stats) {
+	t.Helper()
+	var sum Stats
+	for i := range solves {
+		sum.add(&solves[i])
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	counters := map[string]int{
+		"solver_solves_total":                                                   len(solves),
+		"solver_local_search_rounds_total":                                      sum.LocalSearchIters,
+		"solver_activations_total":                                              sum.Activations,
+		"solver_deactivations_total":                                            sum.Deactivations,
+		"solver_reassignments_total":                                            sum.Reassignments,
+		"solver_reassign_scored_total":                                          sum.ReassignScored,
+		"solver_reassign_dirty_skipped_total":                                   sum.ReassignSkipped,
+		"solver_reassign_rescores_total":                                        sum.ReassignRescores,
+		"solver_reassign_commit_failures_total":                                 sum.CommitFailures,
+		"solver_reassign_restore_failures_total":                                sum.RestoreFailures,
+		"solver_index_evaluated_total":                                          sum.IndexEvaluated,
+		"solver_index_pruned_total":                                             sum.IndexPruned,
+		telemetry.Name("solver_moves_total", "phase", phaseShare):               sum.ShareMoves,
+		telemetry.Name("solver_moves_accepted_total", "phase", phaseShare):      sum.ShareAccepts,
+		telemetry.Name("solver_moves_total", "phase", phaseDispersion):          sum.DispersionMoves,
+		telemetry.Name("solver_moves_accepted_total", "phase", phaseDispersion): sum.DispersionAccepts,
+	}
+	for name, want := range counters {
+		if got := tel.Counter(name).Value(); got != int64(want) {
+			t.Errorf("%s = %d, Stats say %d", name, got, want)
+		}
+	}
+	round := tel.Histogram("solver_round_seconds", telemetry.DurationBuckets)
+	var roundSum float64
+	for _, d := range sum.RoundDurations {
+		roundSum += d.Seconds()
+	}
+	if round.Count() != int64(len(sum.RoundDurations)) || !near(round.Sum(), roundSum) {
+		t.Errorf("solver_round_seconds has %d samples summing to %vs, Stats say %d rounds, %vs",
+			round.Count(), round.Sum(), len(sum.RoundDurations), roundSum)
+	}
+	phaseTime := map[string]func(*Stats) time.Duration{
+		phaseGreedy:          func(st *Stats) time.Duration { return st.Timings.Greedy },
+		phaseShare:           func(st *Stats) time.Duration { return st.Timings.ShareAdjust },
+		phaseDispersion:      func(st *Stats) time.Duration { return st.Timings.DispersionAdjust },
+		phaseTurnOn:          func(st *Stats) time.Duration { return st.Timings.TurnOn },
+		phaseTurnOff:         func(st *Stats) time.Duration { return st.Timings.TurnOff },
+		phaseReassign:        func(st *Stats) time.Duration { return st.Timings.Reassign },
+		phaseReconcile:       func(st *Stats) time.Duration { return st.Timings.Reconcile },
+		phaseReassignScore:   func(st *Stats) time.Duration { return st.Timings.ReassignScore },
+		phaseReassignCommit:  func(st *Stats) time.Duration { return st.Timings.ReassignCommit },
+		phaseReassignRescore: func(st *Stats) time.Duration { return st.Timings.ReassignRescore },
+	}
+	for phase, of := range phaseTime {
+		var samples int64
+		var secs float64
+		for i := range solves {
+			if d := of(&solves[i]); d > 0 {
+				samples++
+				secs += d.Seconds()
+			}
+		}
+		h := tel.Histogram(telemetry.Name("solver_phase_seconds", "phase", phase), telemetry.DurationBuckets)
+		if h.Count() != samples || !near(h.Sum(), secs) {
+			t.Errorf("solver_phase_seconds{phase=%s} has %d samples summing to %vs, Stats say %d solves, %vs",
+				phase, h.Count(), h.Sum(), samples, secs)
+		}
+	}
+	at := sum.Attribution
+	for phase, want := range map[string]float64{
+		phaseShare: at.ShareAdjust, phaseDispersion: at.DispersionAdjust, phaseTurnOn: at.TurnOn,
+		phaseTurnOff: at.TurnOff, phaseReassign: at.Reassign, phaseReconcile: at.Reconcile,
+	} {
+		if got := tel.Gauge(telemetry.Name("solver_profit_delta_total", "phase", phase)).Value(); !near(got, want) {
+			t.Errorf("solver_profit_delta_total{phase=%s} = %v, Stats say %v", phase, got, want)
+		}
+	}
+	if got, want := tel.Gauge("solver_unplaced_clients").Value(), solves[len(solves)-1].Unplaced; got != float64(want) {
+		t.Errorf("solver_unplaced_clients = %v, the last solve's Stats say %d", got, want)
+	}
+}
+
 // TestAttributionWithTelemetry pins that enabling the tracer and flight
 // recorder does not change the attribution (the deltas are computed the
-// same way with telemetry on and off).
+// same way with telemetry on and off), and that a cold and a warm solve
+// on one set publish exactly their Stats.
 func TestAttributionWithTelemetry(t *testing.T) {
 	scen := smallScenario(t, 40, 22)
 	off := newTestSolver(t, scen, nil)
@@ -110,13 +208,10 @@ func TestAttributionWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAttribution(t, stWarm)
-	if got := tel.Counter("solver_solves_total").Value(); got != 2 {
-		t.Errorf("solver_solves_total = %d after a cold and a warm solve, want 2", got)
+	if stOn.ShareMoves == 0 || stOn.ReassignScored == 0 {
+		t.Fatalf("the cold solve counted no share moves (%d) or scored clients (%d)", stOn.ShareMoves, stOn.ReassignScored)
 	}
-	greedy := tel.Histogram(telemetry.Name("solver_phase_seconds", "phase", phaseGreedy), telemetry.DurationBuckets)
-	if got := greedy.Count(); got != 2 {
-		t.Errorf("solver_phase_seconds{phase=greedy} has %d samples, want 2", got)
-	}
+	checkPublished(t, tel, stOn, stWarm)
 	var greedySpans int
 	for _, sp := range tel.Tracer.Snapshot() {
 		if sp.Name == "solver.greedy" {
@@ -126,50 +221,28 @@ func TestAttributionWithTelemetry(t *testing.T) {
 	if greedySpans != 2 {
 		t.Errorf("%d solver.greedy spans, want 2", greedySpans)
 	}
-	if got := tel.Gauge("solver_unplaced_clients").Value(); got != float64(stWarm.Unplaced) {
-		t.Errorf("solver_unplaced_clients = %v, want the warm solve's %d", got, stWarm.Unplaced)
-	}
 }
 
-// TestShardedTelemetryMatchesStats pins a sharded solve's phase metrics
-// to its Stats: the shards' scoped passes report as reassign, the
-// whole-cloud pass as reconcile, and the move counter sees both.
+// TestShardedTelemetryMatchesStats pins a sharded, index-pruned solve's
+// metrics to its Stats: the shards' scoped passes report as reassign,
+// the whole-cloud pass as reconcile, and every counter sees both.
 func TestShardedTelemetryMatchesStats(t *testing.T) {
-	const shards = 3
 	scen := shardScenario(t, 150, 6, 2)
 	tel := telemetry.New(nil)
 	s := newTestSolver(t, scen, func(c *Config) {
-		c.Shards = shards
+		c.Shards = 3
+		c.CandidateClusters = 1
 		c.Telemetry = tel
 	})
 	_, st, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tel.Counter("solver_reassignments_total").Value(); got != int64(st.Reassignments) {
-		t.Errorf("solver_reassignments_total = %d, Stats.Reassignments = %d", got, st.Reassignments)
+	checkAttribution(t, st)
+	if st.Timings.Reconcile <= 0 || st.IndexPruned == 0 {
+		t.Fatalf("the sharded solve reconciled for %v and pruned %d clusters", st.Timings.Reconcile, st.IndexPruned)
 	}
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
-	for _, c := range []struct {
-		phase  string
-		delta  float64
-		dur    time.Duration
-		passes int
-	}{
-		{phaseReassign, st.Attribution.Reassign, st.Timings.Reassign, st.LocalSearchIters * shards},
-		{phaseReconcile, st.Attribution.Reconcile, st.Timings.Reconcile, st.LocalSearchIters},
-	} {
-		if got := tel.Gauge(telemetry.Name("solver_profit_delta_total", "phase", c.phase)).Value(); !near(got, c.delta) {
-			t.Errorf("solver_profit_delta_total{phase=%s} = %v, Stats says %v", c.phase, got, c.delta)
-		}
-		h := tel.Histogram(telemetry.Name("solver_phase_seconds", "phase", c.phase), telemetry.DurationBuckets)
-		if got := h.Count(); got != int64(c.passes) {
-			t.Errorf("solver_phase_seconds{phase=%s} has %d samples, want %d", c.phase, got, c.passes)
-		}
-		if got := h.Sum(); got < c.dur.Seconds()*(1-1e-9) {
-			t.Errorf("solver_phase_seconds{phase=%s} sums to %vs, below Stats' %v", c.phase, got, c.dur)
-		}
-	}
+	checkPublished(t, tel, st)
 }
 
 // TestAttributionIdentity10k is the acceptance-scale check (CI scale

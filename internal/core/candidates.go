@@ -39,7 +39,7 @@ type greedyEval struct {
 // buffers, the Assign_Distribute scratches (one per pricing worker: the
 // scope's size when Config.Parallel prices clusters concurrently, else
 // one), the trace context stamped onto flight-recorder events, and the
-// index hit/prune counts the owner folds into telemetry when the pass
+// index hit/prune counts the owner folds into its Stats when the pass
 // ends.
 type greedyState struct {
 	ix     *alloc.Index
@@ -50,8 +50,8 @@ type greedyState struct {
 	dist   []distScratch
 	ref    telemetry.TraceRef
 
-	evaluated int64
-	pruned    int64
+	evaluated int
+	pruned    int
 }
 
 // newGreedyState builds the candidate-generation state for one greedy
@@ -86,18 +86,10 @@ func (gs *greedyState) clusterAt(idx int) model.ClusterID {
 	return model.ClusterID(idx)
 }
 
-// flushTelemetry folds the pass's index counters into the solver metrics.
-func (gs *greedyState) flushTelemetry(tel *solverTel) {
-	if tel == nil {
-		return
-	}
-	if gs.evaluated > 0 {
-		tel.indexEvaluated.Add(gs.evaluated)
-	}
-	if gs.pruned > 0 {
-		tel.indexPruned.Add(gs.pruned)
-	}
-	gs.evaluated, gs.pruned = 0, 0
+// fold adds the pass's index counts to st.
+func (gs *greedyState) fold(st *Stats) {
+	st.IndexEvaluated += gs.evaluated
+	st.IndexPruned += gs.pruned
 }
 
 // placeBest assigns client i to its most profitable cluster within gs's
@@ -108,26 +100,6 @@ func (s *Solver) placeBest(a *alloc.Allocation, i model.ClientID, gs *greedyStat
 		return s.placeBestIndexed(a, i, gs)
 	}
 	return s.placeBestFull(a, i, gs)
-}
-
-// flightSampled returns the flight recorder when client i falls into its
-// deterministic sample; nil otherwise (and always when telemetry is off),
-// so hot-path callers skip building the event entirely.
-func (s *Solver) flightSampled(i model.ClientID) *telemetry.Flight {
-	f := s.tel.flightRec()
-	if f == nil || !f.SampleClient(int64(i)) {
-		return nil
-	}
-	return f
-}
-
-// flightRecord logs an event unconditionally — for rare outcomes
-// (commit/restore failures) that must never be sampled away. Inert when
-// telemetry is off.
-func (s *Solver) flightRecord(e telemetry.Event) {
-	if f := s.tel.flightRec(); f != nil {
-		f.Record(e)
-	}
 }
 
 // bestEval returns the position of the live eval with the highest
@@ -226,7 +198,7 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 
 	evals := gs.evals[:0]
 	bestEst := math.Inf(-1)
-	var evaluated int64
+	var evaluated int
 	var boundPruned bool
 	var prunedBound float64
 	for _, c := range gs.cands {
@@ -255,7 +227,7 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 		}
 	}
 	gs.evaluated += evaluated
-	gs.pruned += int64(gs.scope) - evaluated
+	gs.pruned += gs.scope - evaluated
 	if boundPruned {
 		// Bound-vs-exact at the prune decision: the best bound left
 		// unevaluated against the exact estimate that beat it.
@@ -284,8 +256,8 @@ func (s *Solver) placeBestIndexed(a *alloc.Allocation, i model.ClientID, gs *gre
 // damage at the cost of O(scope) exact evaluations per rejected client
 // — in the sharded solve the scope is one shard's clusters, keeping the
 // fallback cheap.
-func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyState, evaluated int64, reason string) error {
-	pruned := int64(gs.scope) - evaluated
+func (s *Solver) escalateFull(a *alloc.Allocation, i model.ClientID, gs *greedyState, evaluated int, reason string) error {
+	pruned := gs.scope - evaluated
 	if pruned <= 0 {
 		// Nothing was pruned; the rejection is exact.
 		if f := s.flightSampled(i); f != nil {

@@ -108,7 +108,7 @@ func TestScoreClientIndexedEquiv(t *testing.T) {
 					}
 				}
 			}
-			if rx.evaluated+rx.pruned != int64(numK) {
+			if rx.evaluated+rx.pruned != numK {
 				t.Fatalf("client %d: evaluated %d + pruned %d != %d clusters",
 					i, rx.evaluated, rx.pruned, numK)
 			}
@@ -165,6 +165,7 @@ func TestPrunedSolveWorkerEquiv(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAssignments(t, scen, a1, aN, "pruned solve")
+	sameCounts(t, "pruned solve", st1, stN)
 	if !ulpEqual(st1.FinalProfit, stN.FinalProfit) {
 		t.Fatalf("final profit %v vs %v", st1.FinalProfit, stN.FinalProfit)
 	}

@@ -80,10 +80,11 @@ type Config struct {
 	// every client in the cluster the initial solution chose.
 	DisableReassign bool
 
-	// Telemetry, when non-nil, instruments the solver: per-phase spans
-	// and timing histograms, move-acceptance counters and profit-delta
-	// gauges (DESIGN.md §8). Nil (the default) disables all of it; the
-	// disabled path costs only nil checks.
+	// Telemetry, when non-nil, instruments the solver: per-phase spans,
+	// flight-recorder events, debug logs, and the solver metrics, which
+	// each solve publishes from its Stats when it ends (DESIGN.md §8).
+	// Nil (the default) disables all of it; the disabled path costs only
+	// nil checks.
 	Telemetry *telemetry.Set
 }
 

@@ -9,10 +9,11 @@ import (
 // determinism contract — same seed, any worker count, bit-identical
 // solve. Each start draws from its own seed-split stream and the winner
 // is reduced under (profit desc, start index asc), so W=1 and W=8 must
-// agree on every profit and every placement. Run under -race in CI.
+// agree on every profit, every placement and every Stats count. Run
+// under -race in CI.
 func TestSolveMultiStartWorkerEquivalence(t *testing.T) {
 	scen := smallScenario(t, 40, 3)
-	solveWith := func(workers int) (float64, float64, any) {
+	solveWith := func(workers int) (Stats, any) {
 		s := newTestSolver(t, scen, func(c *Config) {
 			c.NumInitSolutions = 6
 			c.Workers = workers
@@ -24,18 +25,19 @@ func TestSolveMultiStartWorkerEquivalence(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return stats.InitialProfit, stats.FinalProfit, a.Snapshot()
+		return stats, a.Snapshot()
 	}
 
-	refInit, refFinal, refSnap := solveWith(1)
+	ref, refSnap := solveWith(1)
 	for _, workers := range []int{4, 8} {
-		init, final, snap := solveWith(workers)
-		if init != refInit {
-			t.Errorf("workers=%d: InitialProfit %v != W=1's %v", workers, init, refInit)
+		st, snap := solveWith(workers)
+		if st.InitialProfit != ref.InitialProfit {
+			t.Errorf("workers=%d: InitialProfit %v != W=1's %v", workers, st.InitialProfit, ref.InitialProfit)
 		}
-		if final != refFinal {
-			t.Errorf("workers=%d: FinalProfit %v != W=1's %v", workers, final, refFinal)
+		if st.FinalProfit != ref.FinalProfit {
+			t.Errorf("workers=%d: FinalProfit %v != W=1's %v", workers, st.FinalProfit, ref.FinalProfit)
 		}
+		sameCounts(t, "multi-start solve", ref, st)
 		if !reflect.DeepEqual(snap, refSnap) {
 			t.Errorf("workers=%d: placements differ from W=1", workers)
 		}

@@ -24,15 +24,11 @@ import (
 // scoring for all clients in parallel against the frozen allocation, then
 // a serial commit loop in descending-gain order. Its flight-recorder
 // events carry the trace context of the span in ctx, linking each
-// commit/restore failure to the round it happened in.
+// commit/restore failure to the round it happened in. What the pass
+// counts is published to Config.Telemetry.
 func (s *Solver) ReassignmentPassCtx(ctx context.Context, a *alloc.Allocation) int {
-	return s.reassignmentPass(ctx, a, false)
-}
-
-// debugf emits a debug log line through the telemetry set's logger; inert
-// when telemetry is disabled.
-func (s *Solver) debugf(msg string, args ...any) {
-	if s.tel != nil {
-		s.tel.set.Logger().Debug(msg, args...)
-	}
+	var st Stats
+	moves := s.reassignmentPass(ctx, a, false, &st)
+	publish(s.cfg.Telemetry, &st)
+	return moves
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
@@ -24,6 +25,20 @@ func ulpEqual(a, b float64) bool {
 
 // sameAssignments fails the test unless the two allocations place every
 // client identically — same cluster, bit-identical portions.
+// sameCounts fails unless two solves' Stats agree on every count (the
+// profits, attribution and times are compared, or not, by the caller).
+func sameCounts(t *testing.T, label string, x, y Stats) {
+	t.Helper()
+	strip := func(st Stats) Stats {
+		st.InitialProfit, st.FinalProfit, st.Elapsed = 0, 0, 0
+		st.Attribution, st.Timings, st.RoundDurations = Attribution{}, PhaseTimings{}, nil
+		return st
+	}
+	if x, y := strip(x), strip(y); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: Stats counts differ:\n%+v\n%+v", label, x, y)
+	}
+}
+
 func sameAssignments(t *testing.T, scen *model.Scenario, x, y *alloc.Allocation, label string) {
 	t.Helper()
 	for i := range scen.Clients {
@@ -128,6 +143,7 @@ func TestSolveWorkerEquivalencePaperSized(t *testing.T) {
 	if st1.Reassignments != stN.Reassignments {
 		t.Fatalf("Reassignments: %d sequential vs %d parallel", st1.Reassignments, stN.Reassignments)
 	}
+	sameCounts(t, "solve", st1, stN)
 	sameAssignments(t, scen, a1, aN, "solve")
 	if !ulpEqual(st1.FinalProfit, stN.FinalProfit) {
 		t.Fatalf("final profit %v vs %v", st1.FinalProfit, stN.FinalProfit)

@@ -76,13 +76,13 @@ func (m *clientMark) stale(a *alloc.Allocation, i model.ClientID, sumVer uint64)
 }
 
 // scoreResult is one client's scoring outcome, plus the index's
-// evaluated/pruned tallies (folded into telemetry serially by the pass).
+// evaluated/pruned tallies (folded into Stats serially by the pass).
 type scoreResult struct {
 	cand      reassignCand
 	hasCand   bool
 	mark      clientMark
-	evaluated int64
-	pruned    int64
+	evaluated int
+	pruned    int
 }
 
 // reassignScratch is one scoring worker's reusable working memory.
@@ -128,24 +128,24 @@ func (s *Solver) storeReassignState(st *reassignState) {
 	s.reassignMu.Unlock()
 }
 
-// reassignmentPass is the pass behind ReassignmentPassCtx. reconcile
-// marks the sharded solve's serial cross-shard reconciliation: successful
-// moves are then logged (sampled) to the flight recorder as
-// reconcile_move events.
-func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reconcile bool) int {
+// reassignmentPass is the pass behind ReassignmentPassCtx; what it counts
+// is added to st. reconcile marks the sharded solve's serial cross-shard
+// reconciliation: successful moves are then logged (sampled) to the
+// flight recorder as reconcile_move events.
+func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reconcile bool, st *Stats) int {
 	n := s.scen.NumClients()
-	st := s.takeReassignState(a, n)
-	defer s.storeReassignState(st)
+	rs := s.takeReassignState(a, n)
+	defer s.storeReassignState(rs)
 
 	// Candidate index: built once per allocation, refreshed lazily here
 	// (serial — the scoring workers only read it).
 	var ix *alloc.Index
 	if k := s.cfg.CandidateClusters; k > 0 && k < s.scen.Cloud.NumClusters() {
-		if st.ix == nil || st.ix.Allocation() != a {
-			st.ix = alloc.NewIndex(a)
+		if rs.ix == nil || rs.ix.Allocation() != a {
+			rs.ix = alloc.NewIndex(a)
 		}
-		st.ix.Refresh()
-		ix = st.ix
+		rs.ix.Refresh()
+		ix = rs.ix
 	}
 
 	outGain := math.Inf(-1)
@@ -157,32 +157,28 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 	// candidate clusters are untouched since their last scoring keep
 	// their decision.
 	sumVer := a.ClusterVersionSum()
-	toScore := st.toScore[:0]
+	toScore := rs.toScore[:0]
 	for ci := 0; ci < n; ci++ {
 		if s.scen.Clients[ci].PredictedRate == 0 {
 			continue // absent client: never scored, never re-admitted
 		}
-		if st.marks[ci].stale(a, model.ClientID(ci), sumVer) {
+		if rs.marks[ci].stale(a, model.ClientID(ci), sumVer) {
 			toScore = append(toScore, model.ClientID(ci))
 		}
 	}
-	st.toScore = toScore
-	skipped := n - len(toScore)
+	rs.toScore = toScore
 
 	// Stage 1: score all stale clients against the frozen allocation.
-	var t0 time.Time
-	if s.tel != nil {
-		t0 = time.Now()
+	t0 := time.Now()
+	if cap(rs.results) < len(toScore) {
+		rs.results = make([]scoreResult, len(toScore))
 	}
-	if cap(st.results) < len(toScore) {
-		st.results = make([]scoreResult, len(toScore))
-	}
-	results := st.results[:len(toScore)]
+	results := rs.results[:len(toScore)]
 	// Worker 0 borrows the pass's cached scratch; the others get their own.
 	workers := parallel.Bound(s.cfg.Workers, len(toScore))
 	extra := make([]reassignScratch, workers-1)
 	parallel.For(parallel.Options{Workers: workers}, len(toScore), func(w, idx int) {
-		ws := &st.scratch
+		ws := &rs.scratch
 		if w > 0 {
 			ws = &extra[w-1]
 		}
@@ -191,26 +187,23 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 
 	// Fold the results serially in client order: deterministic marks and
 	// a deterministic initial heap regardless of worker interleaving.
-	heap := st.heap[:0]
-	var ixEvaluated, ixPruned int64
+	heap := rs.heap[:0]
 	for idx, i := range toScore {
 		r := &results[idx]
-		st.marks[i] = r.mark
-		ixEvaluated += r.evaluated
-		ixPruned += r.pruned
+		rs.marks[i] = r.mark
+		st.IndexEvaluated += r.evaluated
+		st.IndexPruned += r.pruned
 		if r.hasCand {
 			heap = candPush(heap, r.cand)
 		}
 	}
-	if s.tel != nil {
-		s.tel.reassignScoreDur.ObserveSince(t0)
-		s.tel.reassignScored.Add(int64(len(toScore)))
-		s.tel.reassignSkipped.Add(int64(skipped))
-	}
+	st.ReassignScored += len(toScore)
+	st.ReassignSkipped += n - len(toScore)
+	st.Timings.ReassignScore += time.Since(t0)
 
 	// Stage 2: serial commit loop in descending-delta order.
-	moves := s.commitCandidates(ctx, a, heap, outGain, &st.scratch, ix, nil, st.marks, reconcile, ixEvaluated, ixPruned)
-	st.heap = heap[:0]
+	moves := s.commitCandidates(ctx, a, heap, outGain, &rs.scratch, ix, nil, rs.marks, reconcile, st)
+	rs.heap = heap[:0]
 	return moves
 }
 
@@ -218,30 +211,25 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 // descending-delta order and apply each through a Txn, revalidating the
 // exact delta against the live allocation; a candidate priced against a
 // cluster that an earlier commit dirtied is rescored and re-enters the
-// queue. Returns the number of committed moves.
+// queue. Returns the number of committed moves; the stage's counts and
+// its commit/rescore time split are added to st.
 //
 // A nil scope is the whole-cloud pass: transactions and index refreshes
-// span the cloud, marks (the cross-pass skip marks) follow every rescore
-// and commit, and the commit/rescore split is timed. A non-nil scope is
-// one shard's clusters: transactions, index refreshes and rescoring stay
-// inside it, so concurrent shards never read or settle each other's
-// ledgers; marks is nil there. ixEvaluated and ixPruned are the scoring
-// stage's index tallies, reported together with this stage's own.
+// span the cloud, and marks (the cross-pass skip marks) follow every
+// rescore and commit. A non-nil scope is one shard's clusters:
+// transactions, index refreshes and rescoring stay inside it, so
+// concurrent shards never read or settle each other's ledgers; marks is
+// nil there.
 func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap []reassignCand,
 	outGain float64, ws *reassignScratch, ix *alloc.Index, scope []model.ClusterID,
-	marks []clientMark, reconcile bool, ixEvaluated, ixPruned int64) int {
+	marks []clientMark, reconcile bool, st *Stats) int {
 	ref := telemetry.RefFromContext(ctx)
-	timed := s.tel != nil && scope == nil
-	var tCommit time.Time
-	if timed {
-		tCommit = time.Now()
-	}
+	tCommit := time.Now()
 	var moves int
-	var rescores, commitFails, restoreFails int64
 	var rescoreDur time.Duration
 	rollback := func(txn *alloc.Txn, c *reassignCand) {
 		if err := txn.Rollback(); err != nil {
-			restoreFails++
+			st.RestoreFailures++
 			s.flightRecord(telemetry.Event{Kind: telemetry.EventRestoreFail,
 				Client: int64(c.client), Cluster: int64(c.fromK), Trace: ref})
 			s.debugf("reassign: rollback failed", "client", c.client, "err", err)
@@ -255,10 +243,7 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 			(c.toK >= 0 && a.ClusterVersion(model.ClusterID(c.toK)) != c.toVer) {
 			// An earlier commit dirtied a cluster this candidate was
 			// priced against: rescore against the live allocation.
-			var tr time.Time
-			if timed {
-				tr = time.Now()
-			}
+			tr := time.Now()
 			if ix != nil && scope == nil {
 				ix.Refresh() // lazy: only the committed-to clusters recompute
 			} else if ix != nil {
@@ -268,12 +253,10 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 			if marks != nil {
 				marks[c.client] = r.mark
 			}
-			ixEvaluated += r.evaluated
-			ixPruned += r.pruned
-			rescores++
-			if timed {
-				rescoreDur += time.Since(tr)
-			}
+			st.IndexEvaluated += r.evaluated
+			st.IndexPruned += r.pruned
+			st.ReassignRescores++
+			rescoreDur += time.Since(tr)
 			if r.hasCand {
 				heap = candPush(heap, r.cand)
 			}
@@ -302,7 +285,7 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 				// The scored candidate does not fit the live allocation
 				// after all (borderline DP estimate). Restore and drop it —
 				// rescoring the unchanged state would reproduce it.
-				commitFails++
+				st.CommitFailures++
 				s.flightRecord(telemetry.Event{Kind: telemetry.EventCommitFail,
 					Client: int64(c.client), Cluster: int64(c.toK),
 					Delta: finiteOr0(c.delta), Trace: ref})
@@ -331,27 +314,8 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 			rollback(txn, &c)
 		}
 	}
-	if s.tel != nil {
-		if timed {
-			s.tel.reassignCommitDur.Observe(max(0, time.Since(tCommit)-rescoreDur).Seconds())
-			if rescoreDur > 0 {
-				s.tel.reassignRescoreDur.Observe(rescoreDur.Seconds())
-			}
-			s.tel.reassignRescores.Add(rescores)
-		}
-		if commitFails > 0 {
-			s.tel.reassignCommitFails.Add(commitFails)
-		}
-		if restoreFails > 0 {
-			s.tel.reassignRestoreFails.Add(restoreFails)
-		}
-		if ixEvaluated > 0 {
-			s.tel.indexEvaluated.Add(ixEvaluated)
-		}
-		if ixPruned > 0 {
-			s.tel.indexPruned.Add(ixPruned)
-		}
-	}
+	st.Timings.ReassignCommit += max(0, time.Since(tCommit)-rescoreDur)
+	st.Timings.ReassignRescore += rescoreDur
 	return moves
 }
 
@@ -388,7 +352,7 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 
 	bestGain := math.Inf(-1)
 	bestK := -1
-	var evaluated int64
+	var evaluated int
 	evalCluster := func(k model.ClusterID) {
 		evaluated++
 		_, portions, err := s.assignDistribute(&view, i, k, noServer, &ws.dist)
@@ -447,7 +411,7 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	default:
 		mark.bestVer = a.ClusterVersionSum()
 	}
-	res := scoreResult{mark: mark, evaluated: evaluated, pruned: int64(scope) - evaluated}
+	res := scoreResult{mark: mark, evaluated: evaluated, pruned: scope - evaluated}
 
 	// "Which action" is decided here on scored gains; "apply" is the
 	// commit loop's, revalidated against the live ledger.

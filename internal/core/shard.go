@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
@@ -96,16 +97,14 @@ func (p *shardPlan) rebuildOwners(a *alloc.Allocation) {
 // multi-start diversification buys little once the cloud is sliced, and
 // at shard scale one pass is the budget. Per-shard spans are indexed by
 // shard (StartCtxAt): the same span tree at any worker count.
-func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan) (*alloc.Allocation, error) {
+func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan, st *Stats) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
-	if s.tel != nil {
-		a.Instrument(s.tel.set)
-	}
+	a.Instrument(s.cfg.Telemetry)
 	plan.rebuildOwners(a)
 	numShards := len(plan.clusters)
 	gss := make([]*greedyState, numShards)
 	err := parallel.ForErr(s.fanOpts(ctx, "shard"), numShards, func(_, sh int) error {
-		ssp, sctx := s.tel.startCtxAt(ctx, "solver.shard_greedy", sh)
+		ssp, sctx := s.cfg.Telemetry.StartCtxAt(ctx, "solver.shard_greedy", sh)
 		defer ssp.End()
 		ssp.Attr("shard", sh)
 		gs := s.newGreedyState(a, plan.clusters[sh])
@@ -126,7 +125,7 @@ func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan) (*alloc.All
 		return nil, err
 	}
 	for _, gs := range gss {
-		gs.flushTelemetry(s.tel)
+		gs.fold(st)
 	}
 	return a, nil
 }
@@ -146,8 +145,8 @@ func (s *Solver) clustersProfit(a *alloc.Allocation, clusters []model.ClusterID)
 // through commitCandidates scoped to those clusters. It runs inside a
 // shard goroutine, so everything it reads or writes — exclusion views,
 // candidate index, transactions, version counters — stays within the
-// shard's clusters.
-func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, clients []model.ClientID, clusters []model.ClusterID) int {
+// shard's clusters. What the pass counts is added to st.
+func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, clients []model.ClientID, clusters []model.ClusterID, st *Stats) int {
 	outGain := math.Inf(-1)
 	if s.cfg.AdmissionControl {
 		outGain = 0
@@ -158,16 +157,18 @@ func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, client
 		ix.RefreshClusters(clusters)
 	}
 
+	t0 := time.Now()
 	var ws reassignScratch
 	var heap []reassignCand
-	var ixEvaluated, ixPruned int64
 	for _, i := range clients {
 		r := s.scoreClient(a, i, outGain, &ws, ix, clusters)
-		ixEvaluated += r.evaluated
-		ixPruned += r.pruned
+		st.IndexEvaluated += r.evaluated
+		st.IndexPruned += r.pruned
 		if r.hasCand {
 			heap = candPush(heap, r.cand)
 		}
 	}
-	return s.commitCandidates(ctx, a, heap, outGain, &ws, ix, clusters, nil, false, ixEvaluated, ixPruned)
+	st.ReassignScored += len(clients)
+	st.Timings.ReassignScore += time.Since(t0)
+	return s.commitCandidates(ctx, a, heap, outGain, &ws, ix, clusters, nil, false, st)
 }

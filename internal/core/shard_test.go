@@ -22,10 +22,11 @@ func shardScenario(t *testing.T, clients, clusters int, seed int64) *model.Scena
 
 // TestShardedSolveWorkerEquiv: the sharded solve must be bit-identical at
 // any worker count — shard membership, per-shard orders and the serial
-// reconciliation are all deterministic. Under -race this also proves the
-// shards' cluster ownership is disjoint.
+// reconciliation are all deterministic, and so is every Stats count.
+// Under -race this also proves the shards' cluster ownership is disjoint.
 func TestShardedSolveWorkerEquiv(t *testing.T) {
-	for _, shards := range []int{2, 3, 7} {
+	for _, tc := range []struct{ shards, workers int }{{2, 8}, {3, 4}, {3, 8}, {7, 8}} {
+		shards := tc.shards
 		scen := shardScenario(t, 90, 6, int64(40+shards))
 		mutate := func(workers int) func(*Config) {
 			return func(c *Config) {
@@ -34,7 +35,7 @@ func TestShardedSolveWorkerEquiv(t *testing.T) {
 			}
 		}
 		s1 := newTestSolver(t, scen, mutate(1))
-		sN := newTestSolver(t, scen, mutate(8))
+		sN := newTestSolver(t, scen, mutate(tc.workers))
 		a1, st1, err := s1.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -43,6 +44,7 @@ func TestShardedSolveWorkerEquiv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameCounts(t, "sharded solve", st1, stN)
 		sameAssignments(t, scen, a1, aN, "sharded solve")
 		if !ulpEqual(st1.FinalProfit, stN.FinalProfit) {
 			t.Fatalf("shards=%d: final profit %v vs %v", shards, st1.FinalProfit, stN.FinalProfit)
@@ -111,6 +113,7 @@ func TestShardedPrunedSolveEquiv(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAssignments(t, scen, a1, aN, "sharded pruned solve")
+	sameCounts(t, "sharded pruned solve", st1, stN)
 	if !ulpEqual(st1.FinalProfit, stN.FinalProfit) {
 		t.Fatalf("final profit %v vs %v", st1.FinalProfit, stN.FinalProfit)
 	}

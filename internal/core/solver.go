@@ -22,7 +22,6 @@ type Solver struct {
 	scen   *model.Scenario
 	cfg    Config
 	prices shadowPrices
-	tel    *solverTel // nil when telemetry is disabled
 
 	// reassignSt caches the pipelined reassignment pass's cross-round
 	// skip marks between calls (reassign_pipeline.go). The mutex makes
@@ -37,7 +36,8 @@ type Solver struct {
 	distFree []*distScratch
 }
 
-// Stats reports what the solver did.
+// Stats reports what the solver did. It is the solver's only record:
+// the solver_* metrics are published from it (telemetry.go).
 type Stats struct {
 	InitialProfit    float64
 	FinalProfit      float64
@@ -47,6 +47,22 @@ type Stats struct {
 	Reassignments    int
 	Unplaced         int
 	Elapsed          time.Duration
+	// Moves tried and accepted by the two adjust phases: one share move
+	// per server swept, one dispersion move per member client.
+	ShareMoves, ShareAccepts           int
+	DispersionMoves, DispersionAccepts int
+	// Clients the reassignment passes scored, skipped under the
+	// clean-cluster rule and rescored after an earlier commit dirtied
+	// their clusters; scored candidates the allocation then rejected
+	// (CommitFailures) and rollbacks that failed, leaving the client
+	// unserved (RestoreFailures).
+	ReassignScored, ReassignSkipped, ReassignRescores int
+	CommitFailures, RestoreFailures                   int
+	// Candidate clusters priced exactly and skipped by the candidate
+	// index, in greedy placement and reassignment scoring.
+	IndexEvaluated, IndexPruned int
+	// RoundDurations is each local-search round's wall time.
+	RoundDurations []time.Duration
 	// Attribution splits the profit between the initial solution and the
 	// local-search phases (attribution.go). Always populated — the deltas
 	// come from the allocation's O(touched) per-cluster ledger reads, so
@@ -69,11 +85,11 @@ func NewSolver(scen *model.Scenario, cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	publish(cfg.Telemetry, &Stats{}) // register the solver families
 	return &Solver{
 		scen:   scen,
 		cfg:    cfg,
 		prices: calibratePrices(scen, cfg.ShadowPriceScale),
-		tel:    newSolverTel(cfg.Telemetry),
 	}, nil
 }
 
@@ -103,8 +119,8 @@ func (s *Solver) SolveCtx(ctx context.Context) (*alloc.Allocation, Stats, error)
 		// Sharded mode (shard.go): shards build and sweep independently on
 		// the fan-out pool; the reassignment pass reconciles them each round.
 		plan := s.planShards(s.cfg.Shards)
-		return s.run(ctx, "solver.solve_sharded", plan, func(ctx context.Context, _ *telemetry.Span) (*alloc.Allocation, error) {
-			return s.shardedGreedy(ctx, plan)
+		return s.run(ctx, "solver.solve_sharded", plan, func(ctx context.Context, _ *telemetry.Span, st *Stats) (*alloc.Allocation, error) {
+			return s.shardedGreedy(ctx, plan, st)
 		})
 	}
 	return s.run(ctx, "solver.solve", nil, s.multiStart)
@@ -116,14 +132,16 @@ func (s *Solver) SolveCtx(ctx context.Context) (*alloc.Allocation, Stats, error)
 // report. Cold, warm and sharded solves differ only in the builder they
 // hand in (multiStart, replay, shardedGreedy — each runs under the
 // solver.greedy span it is given) and in the partition the round loop
-// sweeps (plan's shards, or nil for the whole cloud).
+// sweeps (plan's shards, or nil for the whole cloud). The builder adds
+// what it counts to the Stats it is handed; the finished Stats is
+// published to Config.Telemetry.
 func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
-	initial func(context.Context, *telemetry.Span) (*alloc.Allocation, error)) (*alloc.Allocation, Stats, error) {
+	initial func(context.Context, *telemetry.Span, *Stats) (*alloc.Allocation, error)) (*alloc.Allocation, Stats, error) {
 	start := time.Now()
-	sp, ctx := s.tel.startCtx(ctx, spanName)
+	tel := s.cfg.Telemetry
+	sp, ctx := tel.StartCtx(ctx, spanName)
 	defer sp.End()
-	if s.tel != nil {
-		s.tel.solves.Inc()
+	if tel != nil {
 		sp.Attr("clients", s.scen.NumClients())
 		sp.Attr("clusters", s.scen.Cloud.NumClusters())
 		if plan != nil {
@@ -131,16 +149,16 @@ func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
 		}
 	}
 
-	gsp, gctx := s.tel.startCtx(ctx, "solver.greedy")
-	a, err := initial(gctx, &gsp)
+	var stats Stats
+	gsp, gctx := tel.StartCtx(ctx, "solver.greedy")
+	a, err := initial(gctx, &gsp, &stats)
 	if err != nil {
 		gsp.End()
 		return nil, Stats{}, err
 	}
-	stats := Stats{InitialProfit: a.Profit()}
+	stats.InitialProfit = a.Profit()
 	stats.Timings.Greedy = time.Since(start)
-	if s.tel != nil {
-		s.tel.greedyDur.Observe(stats.Timings.Greedy.Seconds())
+	if tel != nil {
 		gsp.Attr("initial_profit", stats.InitialProfit)
 	}
 	gsp.End()
@@ -151,8 +169,8 @@ func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
 	stats.Attribution.Final = stats.FinalProfit
 	stats.Unplaced = s.scen.NumClients() - a.NumAssigned()
 	stats.Elapsed = time.Since(start)
-	if s.tel != nil {
-		s.tel.unplacedClients.Set(float64(stats.Unplaced))
+	publish(tel, &stats)
+	if tel != nil {
 		sp.Attr("final_profit", stats.FinalProfit)
 		sp.Attr("rounds", stats.LocalSearchIters)
 	}
@@ -162,17 +180,14 @@ func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
 // fanOpts configures a fan-out on the solver's bounded worker pool
 // (Config.Workers), recorded as phase when telemetry is attached.
 func (s *Solver) fanOpts(ctx context.Context, phase string) parallel.Options {
-	o := parallel.Options{Workers: s.cfg.Workers, Phase: phase, Ctx: ctx}
-	if s.tel != nil {
-		o.Tel = s.tel.set
-	}
-	return o
+	return parallel.Options{Workers: s.cfg.Workers, Phase: phase, Ctx: ctx, Tel: s.cfg.Telemetry}
 }
 
 // multiStart is the cold solve's initial-solution builder: it runs the
 // NumInitSolutions greedy starts on the fan-out engine and returns the
-// winner under (profit desc, start index asc).
-func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span) (*alloc.Allocation, error) {
+// winner under (profit desc, start index asc). Each worker tallies its
+// starts' index counts apart; they fold into st once the fan-out ends.
+func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span, st *Stats) (*alloc.Allocation, error) {
 	n := s.cfg.NumInitSolutions
 	gsp.Attr("starts", n)
 	workers := parallel.Bound(s.cfg.Workers, n)
@@ -185,18 +200,17 @@ func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span) (*alloc.Al
 	}
 	curs := make([]*alloc.Allocation, workers)
 	bests := make([]workerBest, workers)
+	tallies := make([]Stats, workers)
 	ref := telemetry.RefFromContext(ctx)
 	err := parallel.ForErr(s.fanOpts(ctx, "multistart"), n, func(w, iter int) error {
 		a := curs[w]
 		if a == nil {
 			a = alloc.New(s.scen)
-			if s.tel != nil {
-				a.Instrument(s.tel.set)
-			}
+			a.Instrument(s.cfg.Telemetry)
 		} else {
 			a.Reset()
 		}
-		if err := s.buildInitial(a, parallel.Rand(s.cfg.Seed, uint64(iter)), ref); err != nil {
+		if err := s.buildInitial(a, parallel.Rand(s.cfg.Seed, uint64(iter)), ref, &tallies[w]); err != nil {
 			curs[w] = a
 			return err
 		}
@@ -211,6 +225,9 @@ func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span) (*alloc.Al
 	})
 	if err != nil {
 		return nil, err
+	}
+	for w := range tallies {
+		st.add(&tallies[w])
 	}
 	var best *alloc.Allocation
 	var bestProfit float64
@@ -233,15 +250,16 @@ func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span) (*alloc.Al
 // InitialSolution builds one greedy solution: clients in random order,
 // each placed on the cluster whose Assign_Distribute promises the highest
 // approximate profit. Clients that fit nowhere stay unassigned (the paper
-// assumes a feasible instance; we degrade gracefully).
+// assumes a feasible instance; we degrade gracefully). What it counts is
+// published to Config.Telemetry.
 func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
-	if s.tel != nil {
-		a.Instrument(s.tel.set)
-	}
-	if err := s.buildInitial(a, rng, telemetry.TraceRef{}); err != nil {
+	a.Instrument(s.cfg.Telemetry)
+	var st Stats
+	if err := s.buildInitial(a, rng, telemetry.TraceRef{}, &st); err != nil {
 		return nil, err
 	}
+	publish(s.cfg.Telemetry, &st)
 	return a, nil
 }
 
@@ -249,8 +267,9 @@ func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 // allocation. Candidate generation goes through a per-pass greedyState
 // (candidates.go): the exact full scan, or index-backed when
 // Config.CandidateClusters enables top-k pruning. ref stamps the pass's
-// flight-recorder events with the enclosing span's trace context.
-func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry.TraceRef) error {
+// flight-recorder events with the enclosing span's trace context; the
+// pass's index counts are added to st.
+func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry.TraceRef, st *Stats) error {
 	gs := s.newGreedyState(a, nil)
 	gs.ref = ref
 	order := rng.Perm(s.scen.NumClients())
@@ -263,21 +282,23 @@ func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry
 			return err
 		}
 	}
-	gs.flushTelemetry(s.tel)
+	gs.fold(st)
 	return nil
 }
 
 // ImproveLocalCtx runs the local-search phases until the profit is steady
-// or the iteration budget is exhausted. It mutates a in place and records
-// activity in stats (which may be nil): the per-phase profit deltas and
-// timings accumulate into stats.Attribution and stats.Timings
-// (Initial/Final stay zero; the solves set them). Round and reassignment
-// spans parent into the span carried by ctx.
+// or the iteration budget is exhausted. It mutates a in place and adds
+// what it did to stats (which may be nil): counts, rounds, per-phase
+// profit deltas and timings (Initial/Final stay as they are; the solves
+// set them). Round and reassignment spans parent into the span carried by
+// ctx, and what this call did is published to Config.Telemetry.
 func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats *Stats) {
-	if stats == nil {
-		stats = &Stats{}
+	var st Stats
+	s.improve(ctx, a, &st, nil)
+	publish(s.cfg.Telemetry, &st)
+	if stats != nil {
+		stats.add(&st)
 	}
-	s.improve(ctx, a, stats, nil)
 }
 
 // steadyTolerance is the relative profit gain of one round below which
@@ -291,23 +312,21 @@ const steadyTolerance = 1e-4
 // reconciliation, booked to Reconcile (and the reconcile phase metrics)
 // and logged as reconcile_move.
 func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan) {
+	tel := s.cfg.Telemetry
 	parts := s.sweepPartition(plan)
 	prev := a.Profit()
 	for iter := 0; iter < s.cfg.MaxLocalSearchIters; iter++ {
-		stats.LocalSearchIters = iter + 1
-		rsp, rctx := s.tel.startCtx(ctx, "solver.round")
-		var t0 time.Time
-		if s.tel != nil {
-			t0 = time.Now()
-			s.tel.rounds.Inc()
+		stats.LocalSearchIters++
+		t0 := time.Now()
+		rsp, rctx := tel.StartCtx(ctx, "solver.round")
+		if tel != nil {
 			rsp.Attr("round", iter+1)
 		}
 		s.sweepParts(rctx, a, stats, plan, parts)
 		if !s.cfg.DisableReassign {
 			tr := time.Now()
 			before := a.Profit()
-			moved := s.reassignmentPass(rctx, a, plan != nil)
-			stats.Reassignments += moved
+			stats.Reassignments += s.reassignmentPass(rctx, a, plan != nil, stats)
 			delta := a.Profit() - before
 			if plan != nil {
 				stats.Attribution.Reconcile += delta
@@ -316,20 +335,10 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 				stats.Attribution.Reassign += delta
 				stats.Timings.Reassign += time.Since(tr)
 			}
-			if s.tel != nil {
-				s.tel.reassignments.Add(int64(moved))
-				if plan != nil {
-					s.tel.reconcileDur.ObserveSince(tr)
-					s.tel.reconcileDelta.Add(delta)
-				} else {
-					s.tel.reassignDur.ObserveSince(tr)
-					s.tel.reassignDelta.Add(delta)
-				}
-			}
 		}
 		p := a.Profit()
-		if s.tel != nil {
-			s.tel.roundDur.ObserveSince(t0)
+		stats.RoundDurations = append(stats.RoundDurations, time.Since(t0))
+		if tel != nil {
 			rsp.Attr("profit", p)
 			rsp.Attr("delta", p-prev)
 		}
@@ -362,14 +371,6 @@ func (s *Solver) sweepPartition(plan *shardPlan) [][]model.ClusterID {
 	return parts
 }
 
-// partResult is one sweep part's report, folded serially into Stats.
-type partResult struct {
-	acts, deacts, moves   int
-	deltas                sweepDeltas
-	reassign              float64
-	sweepDur, reassignDur time.Duration
-}
-
 // sweepParts runs one sweep of the per-cluster phases, one
 // parallel.For task per part: shards on the bounded Config.Workers pool,
 // Config.Parallel's per-cluster parts on a goroutine each, the single
@@ -377,8 +378,8 @@ type partResult struct {
 // cluster (constraint (6) pins a client to one) and membership is
 // snapshotted up front, so parts touch disjoint state. A shard also runs
 // its scoped reassignment pass, under a span indexed by shard (StartCtxAt)
-// so the span tree is identical at any worker count. Results fold
-// serially in part order.
+// so the span tree is identical at any worker count. Each part counts
+// into its own Stats; they fold serially in part order.
 func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan, parts [][]model.ClusterID) {
 	members := s.clusterMembers(a)
 	opts := parallel.Options{Workers: len(parts)}
@@ -386,123 +387,87 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 		plan.rebuildOwners(a)
 		opts = s.fanOpts(ctx, "shard")
 	}
-	results := make([]partResult, len(parts))
+	results := make([]Stats, len(parts))
 	parallel.For(opts, len(parts), func(_, p int) {
 		r := &results[p]
 		var psp telemetry.Span
 		pctx := ctx
 		if plan != nil {
-			psp, pctx = s.tel.startCtxAt(ctx, "solver.shard_sweep", p)
+			psp, pctx = s.cfg.Telemetry.StartCtxAt(ctx, "solver.shard_sweep", p)
 			psp.Attr("shard", p)
 		}
 		scr := s.borrowDist()
 		defer s.returnDist(scr)
 		tSweep := time.Now()
 		for _, kid := range parts[p] {
-			acts, deacts, d := s.sweepCluster(a, kid, members[kid], scr)
-			r.acts += acts
-			r.deacts += deacts
-			r.deltas.add(d)
+			s.sweepCluster(a, kid, members[kid], scr, r)
 		}
-		r.sweepDur = time.Since(tSweep)
+		r.Timings.Sweep = time.Since(tSweep)
 		if plan != nil && !s.cfg.DisableReassign {
 			tr := time.Now()
 			// Profit reads stay within the shard's own clusters, so they
 			// are safe inside the shard goroutine.
 			before := s.clustersProfit(a, parts[p])
-			r.moves = s.reassignScoped(pctx, a, plan.owner[p], parts[p])
-			r.reassign = s.clustersProfit(a, parts[p]) - before
-			r.reassignDur = time.Since(tr)
+			r.Reassignments = s.reassignScoped(pctx, a, plan.owner[p], parts[p], r)
+			r.Attribution.Reassign = s.clustersProfit(a, parts[p]) - before
+			r.Timings.Reassign = time.Since(tr)
 		}
 		psp.End()
 	})
 	for p := range results {
-		r := &results[p]
-		stats.Activations += r.acts
-		stats.Deactivations += r.deacts
-		stats.Reassignments += r.moves
-		stats.Attribution.ShareAdjust += r.deltas.share
-		stats.Attribution.DispersionAdjust += r.deltas.disp
-		stats.Attribution.TurnOn += r.deltas.turnOn
-		stats.Attribution.TurnOff += r.deltas.turnOff
-		stats.Attribution.Reassign += r.reassign
-		stats.Timings.Sweep += r.sweepDur
-		stats.Timings.Reassign += r.reassignDur
-		if s.tel != nil && plan != nil && !s.cfg.DisableReassign {
-			s.tel.reassignDur.Observe(r.reassignDur.Seconds())
-			s.tel.reassignments.Add(int64(r.moves))
-			s.tel.reassignDelta.Add(r.reassign)
-		}
+		stats.add(&results[p])
 	}
 }
 
+// SweepCluster runs the four per-cluster local-search phases once on
+// cluster k — the sweep each solve round runs on every cluster — and
+// returns the number of servers it activated and deactivated.
+func (s *Solver) SweepCluster(a *alloc.Allocation, k model.ClusterID) (activations, deactivations int) {
+	scr := s.borrowDist()
+	defer s.returnDist(scr)
+	var st Stats
+	s.sweepCluster(a, k, s.membersOf(a, k), scr, &st)
+	return st.Activations, st.Deactivations
+}
+
 // sweepCluster runs the four per-cluster local-search phases on one
-// cluster and returns the activation/deactivation counts plus each
-// phase's profit delta, read through the allocation's O(touched)
-// per-cluster ledger. Every mutation (and every profit read) is confined
-// to the cluster, so callers may run sweeps on distinct clusters
-// concurrently (sweepParts), each with its own scr (TurnOFF's
-// Assign_Distribute scratch). When telemetry is attached the sweep also
-// records per-phase timing, move-acceptance counters and cumulative
-// delta gauges — same moves either way.
-func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID, scr *distScratch) (acts, deacts int, d sweepDeltas) {
-	tel := s.tel
-	var t0 time.Time
-	if tel != nil {
-		t0 = time.Now()
+// cluster and adds to st each phase's moves, time and profit delta, read
+// through the allocation's O(touched) per-cluster ledger. Every mutation
+// (and every profit read) is confined to the cluster, so callers may run
+// sweeps on distinct clusters concurrently (sweepParts), each with its
+// own scr (TurnOFF's Assign_Distribute scratch) and st.
+func (s *Solver) sweepCluster(a *alloc.Allocation, kid model.ClusterID, members []model.ClientID, scr *distScratch, st *Stats) {
+	t, before := time.Now(), a.ClusterProfit(kid)
+	// lap books the time and profit change since the previous lap to one
+	// phase.
+	lap := func(dur *time.Duration, delta *float64) {
+		now, p := time.Now(), a.ClusterProfit(kid)
+		*dur += now.Sub(t)
+		*delta += p - before
+		t, before = now, p
 	}
-	before := a.ClusterProfit(kid)
-	var accepted int64
 	servers := s.scen.Cloud.ClusterServers(kid)
 	for _, j := range servers {
 		if s.AdjustResourceShares(a, j) {
-			accepted++
+			st.ShareAccepts++
 		}
 	}
-	d.share = a.ClusterProfit(kid) - before
-	if tel != nil {
-		tel.shareDur.ObserveSince(t0)
-		tel.shareMoves.Add(int64(len(servers)))
-		tel.shareAccepts.Add(accepted)
-		tel.shareDelta.Add(d.share)
-		t0 = time.Now()
-	}
+	st.ShareMoves += len(servers)
+	lap(&st.Timings.ShareAdjust, &st.Attribution.ShareAdjust)
 
-	before = a.ClusterProfit(kid)
-	accepted = 0
 	for _, id := range members {
 		if s.AdjustDispersionRates(a, id) {
-			accepted++
+			st.DispersionAccepts++
 		}
 	}
-	d.disp = a.ClusterProfit(kid) - before
-	if tel != nil {
-		tel.dispersionDur.ObserveSince(t0)
-		tel.dispMoves.Add(int64(len(members)))
-		tel.dispAccepts.Add(accepted)
-		tel.dispDelta.Add(d.disp)
-		t0 = time.Now()
-	}
+	st.DispersionMoves += len(members)
+	lap(&st.Timings.DispersionAdjust, &st.Attribution.DispersionAdjust)
 
-	before = a.ClusterProfit(kid)
-	acts = s.turnOnServers(a, kid, members)
-	d.turnOn = a.ClusterProfit(kid) - before
-	if tel != nil {
-		tel.turnOnDur.ObserveSince(t0)
-		tel.activations.Add(int64(acts))
-		tel.turnOnDelta.Add(d.turnOn)
-		t0 = time.Now()
-	}
+	st.Activations += s.turnOnServers(a, kid, members)
+	lap(&st.Timings.TurnOn, &st.Attribution.TurnOn)
 
-	before = a.ClusterProfit(kid)
-	deacts = s.turnOffServers(a, kid, scr)
-	d.turnOff = a.ClusterProfit(kid) - before
-	if tel != nil {
-		tel.turnOffDur.ObserveSince(t0)
-		tel.deactivations.Add(int64(deacts))
-		tel.turnOffDelta.Add(d.turnOff)
-	}
-	return acts, deacts, d
+	st.Deactivations += s.turnOffServers(a, kid, scr)
+	lap(&st.Timings.TurnOff, &st.Attribution.TurnOff)
 }
 
 // clusterMembers snapshots the assigned clients of every cluster.

@@ -33,19 +33,18 @@ func (s *Solver) SolveFromCtx(ctx context.Context, prev *alloc.Allocation) (*all
 			prevScen.Cloud.NumServers(), s.scen.Cloud.NumServers(),
 			prevScen.NumClients(), s.scen.NumClients())
 	}
-	return s.run(ctx, "solver.solve_from", nil, func(ctx context.Context, gsp *telemetry.Span) (*alloc.Allocation, error) {
-		return s.replay(ctx, gsp, prev)
+	return s.run(ctx, "solver.solve_from", nil, func(ctx context.Context, gsp *telemetry.Span, st *Stats) (*alloc.Allocation, error) {
+		return s.replay(ctx, gsp, prev, st)
 	})
 }
 
 // replay is the warm solve's initial-solution builder: prev's placements
 // carried over where they still fit, the rest re-placed greedily. gsp
-// records how many clients had to be re-placed.
-func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Allocation) (*alloc.Allocation, error) {
+// records how many clients had to be re-placed; the re-placements' index
+// counts are added to st.
+func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Allocation, st *Stats) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
-	if s.tel != nil {
-		a.Instrument(s.tel.set)
-	}
+	a.Instrument(s.cfg.Telemetry)
 	var displaced []model.ClientID
 	for i := 0; i < s.scen.NumClients(); i++ {
 		id := model.ClientID(i)
@@ -75,7 +74,7 @@ func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Al
 		}
 		replaced++
 	}
-	gs.flushTelemetry(s.tel)
+	gs.fold(st)
 	gsp.Attr("replaced", replaced)
 	return a, nil
 }

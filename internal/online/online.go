@@ -212,13 +212,9 @@ type Service struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 
-	// Always-on counters (the telemetry handles below are nil without a
-	// Set; the benchmark needs the tallies regardless).
-	nDecisions atomic.Int64
-	nAdmits    atomic.Int64
-	nRejects   atomic.Int64
-	nCommits   atomic.Int64
-
+	// The event counters are always on: the Set's online_*_total handles
+	// (shared by every service counting into that Set), or private ones
+	// when telemetry is off. The other handles are nil without a Set.
 	decisions *telemetry.Counter
 	admits    *telemetry.Counter
 	rejects   *telemetry.Counter
@@ -280,11 +276,16 @@ func New(scen *model.Scenario, cfg Config) (*Service, error) {
 			s.maxCommCap[k] = 1
 		}
 	}
+	s.decisions = cfg.Telemetry.Counter("online_decisions_total")
+	s.admits = cfg.Telemetry.Counter("online_admits_total")
+	s.rejects = cfg.Telemetry.Counter("online_rejects_total")
+	s.commits = cfg.Telemetry.Counter("online_commits_total")
+	for _, c := range []**telemetry.Counter{&s.decisions, &s.admits, &s.rejects, &s.commits} {
+		if *c == nil {
+			*c = new(telemetry.Counter) // telemetry off: a private count
+		}
+	}
 	if tel := cfg.Telemetry; tel != nil {
-		s.decisions = tel.Counter("online_decisions_total")
-		s.admits = tel.Counter("online_admits_total")
-		s.rejects = tel.Counter("online_rejects_total")
-		s.commits = tel.Counter("online_commits_total")
 		s.decideDur = tel.Histogram("online_decide_seconds", telemetry.MicroBuckets)
 		s.commitDur = tel.Histogram("online_commit_seconds", telemetry.DurationBuckets)
 		s.grossRate = tel.Gauge("online_gross_pending_rate")
@@ -345,7 +346,6 @@ func (s *Service) Decide(ev Event) Decision {
 	if s.decideDur != nil {
 		t0 = time.Now()
 	}
-	s.nDecisions.Add(1)
 	s.decisions.Inc()
 	var d Decision
 	switch {
@@ -417,14 +417,12 @@ func (s *Service) decideOffer(i model.ClientID, rate float64) Decision {
 		d.Committed = committed
 		return d
 	}
-	s.nAdmits.Add(1)
 	s.admits.Inc()
 	return Decision{Admitted: true, Cluster: model.ClusterID(bestK), Bound: bestBound, Committed: committed}
 }
 
 // reject counts a rejected event and returns its decision.
 func (s *Service) reject() Decision {
-	s.nRejects.Add(1)
 	s.rejects.Inc()
 	return Decision{Cluster: model.ClusterID(alloc.Unassigned)}
 }
@@ -539,7 +537,6 @@ func (s *Service) commit(solver *core.Solver) {
 		addFloat(&s.acc[k].gross, -seen[k].gross)
 		s.grossRate.Add(-seen[k].gross)
 	}
-	s.nCommits.Add(1)
 	s.commits.Inc()
 	if s.commitDur != nil {
 		s.commitDur.ObserveSince(t0)
@@ -584,18 +581,20 @@ func (s *Service) Profit() float64 {
 	return s.snap.Load().a.Profit()
 }
 
-// Decisions returns the number of events processed.
-func (s *Service) Decisions() int64 { return s.nDecisions.Load() }
+// Decisions returns the number of events processed. It and the three
+// counts below read the online_*_total counters: with a Telemetry set,
+// they count every service that shares it.
+func (s *Service) Decisions() int64 { return s.decisions.Value() }
 
 // Admits returns the number of admitted offers (arrivals and rate
 // changes).
-func (s *Service) Admits() int64 { return s.nAdmits.Load() }
+func (s *Service) Admits() int64 { return s.admits.Value() }
 
 // Rejects returns the number of rejected offers.
-func (s *Service) Rejects() int64 { return s.nRejects.Load() }
+func (s *Service) Rejects() int64 { return s.rejects.Value() }
 
 // Commits returns the number of completed commits (Flush included).
-func (s *Service) Commits() int64 { return s.nCommits.Load() }
+func (s *Service) Commits() int64 { return s.commits.Value() }
 
 // Scenario returns the service's owned scenario. Rates reflect the last
 // commit; callers must hold no expectations across commits.

@@ -75,6 +75,15 @@ func (s *Set) StartCtx(ctx context.Context, name string) (Span, context.Context)
 	return s.Tracer.StartCtx(ctx, name)
 }
 
+// StartCtxAt is StartCtx with an explicit child index
+// (Tracer.StartCtxAt), for fan-out sites.
+func (s *Set) StartCtxAt(ctx context.Context, name string, index int) (Span, context.Context) {
+	if s == nil {
+		return Span{}, ctx
+	}
+	return s.Tracer.StartCtxAt(ctx, name, index)
+}
+
 // FlightRecorder returns the set's flight recorder (nil when disabled);
 // a nil *Flight is itself a valid no-op recorder.
 func (s *Set) FlightRecorder() *Flight {
