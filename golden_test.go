@@ -1,0 +1,214 @@
+package cloudalloc
+
+import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"os"
+	"testing"
+
+	"repro/internal/alloc"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/online"
+	"repro/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current solver")
+
+const goldenPath = "testdata/golden.json"
+
+// goldenEntry is one solve's outcome: the profit's bit pattern, the
+// number of placed clients, and an FNV-64a hash of every client's
+// cluster and portions.
+type goldenEntry struct {
+	ProfitBits string `json:"profit_bits"`
+	Placed     int    `json:"placed"`
+	Hash       string `json:"hash"`
+}
+
+func goldenOf(a *alloc.Allocation) goldenEntry {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i := 0; i < a.Scenario().NumClients(); i++ {
+		id := model.ClientID(i)
+		put(uint64(int64(a.ClusterOf(id))))
+		ps := a.Portions(id)
+		put(uint64(len(ps)))
+		for _, p := range ps {
+			put(uint64(p.Server))
+			put(math.Float64bits(p.Alpha))
+			put(math.Float64bits(p.ProcShare))
+			put(math.Float64bits(p.CommShare))
+		}
+	}
+	return goldenEntry{
+		ProfitBits: fmt.Sprintf("%016x", math.Float64bits(a.Profit())),
+		Placed:     a.NumAssigned(),
+		Hash:       fmt.Sprintf("%016x", h.Sum64()),
+	}
+}
+
+// goldenPaths are the solve paths the golden file pins. Each runs one
+// instance at a worker setting; the test requires the same outcome at
+// Workers 1 and 4.
+var goldenPaths = []struct {
+	name string
+	run  func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation
+}{
+	{"exact", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+		return goldenSolve(t, scen, func(c *core.Config) { c.Workers = workers })
+	}},
+	{"topk", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+		return goldenSolve(t, scen, func(c *core.Config) { c.Workers, c.CandidateClusters = workers, 2 })
+	}},
+	{"sharded", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+		return goldenSolve(t, scen, func(c *core.Config) { c.Workers, c.Shards = workers, 2 })
+	}},
+	{"warm", func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation {
+		cfg := core.DefaultConfig()
+		cfg.Workers = workers
+		prev := goldenSolve(t, scen, func(c *core.Config) { *c = cfg })
+		// Every client's rates drift by a seeded factor in [0.9, 1.1].
+		drifted := model.CloneScenario(scen)
+		rng := rand.New(rand.NewSource(seed))
+		for i := range drifted.Clients {
+			f := 0.9 + 0.2*rng.Float64()
+			drifted.Clients[i].ArrivalRate *= f
+			drifted.Clients[i].PredictedRate *= f
+		}
+		s, err := core.NewSolver(drifted, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := s.SolveFromCtx(context.Background(), prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}},
+	{"online", func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation {
+		cfg := online.DefaultConfig()
+		cfg.Solver.Workers = workers
+		svc, err := online.New(scen, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		cc := online.DefaultChurnConfig()
+		cc.Events = 4 * scen.NumClients()
+		cc.Seed = seed
+		churn := online.NewChurn(scen, cc)
+		for ev, ok := churn.Next(); ok; ev, ok = churn.Next() {
+			svc.Decide(ev)
+		}
+		return svc.Flush()
+	}},
+	{"distributed", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+		ccfg := core.DefaultConfig()
+		ccfg.Workers = workers
+		agents := make([]cluster.Agent, scen.Cloud.NumClusters())
+		for k := range agents {
+			ag, err := cluster.NewLocalAgent(scen, model.ClusterID(k), ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[k] = ag
+		}
+		mcfg := cluster.DefaultManagerConfig()
+		mcfg.MaxInFlight = workers
+		mgr, err := cluster.NewManager(scen, agents, mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		a, _, err := mgr.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}},
+}
+
+func goldenSolve(t *testing.T, scen *model.Scenario, mutate func(*core.Config)) *alloc.Allocation {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	mutate(&cfg)
+	s, err := core.NewSolver(scen, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestGoldenBehaviour pins what every solve path produces on the
+// paper-shaped workload.DefaultConfig() instances (N = 50 and 200,
+// seeds 1 and 2) to testdata/golden.json: a change that claims to keep
+// behaviour must leave the file byte-identical. Run with -update to
+// rewrite it after a deliberate behaviour change.
+func TestGoldenBehaviour(t *testing.T) {
+	got := map[string]goldenEntry{}
+	for _, n := range []int{50, 200} {
+		for _, seed := range []int64{1, 2} {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumClients = n
+			wcfg.Seed = seed
+			scen, err := workload.Generate(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range goldenPaths {
+				key := fmt.Sprintf("%s/N=%d/seed=%d", p.name, n, seed)
+				e1 := goldenOf(p.run(t, scen, seed, 1))
+				if e4 := goldenOf(p.run(t, scen, seed, 4)); e4 != e1 {
+					t.Errorf("%s: Workers 1 gives %+v, Workers 4 gives %+v", key, e1, e4)
+				}
+				got[key] = e1
+			}
+		}
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if string(want) == string(data) {
+		return
+	}
+	var wantMap map[string]goldenEntry
+	if err := json.Unmarshal(want, &wantMap); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	for key, e := range got {
+		if w, ok := wantMap[key]; !ok || w != e {
+			t.Errorf("%s: got %+v, golden %+v", key, e, w)
+		}
+	}
+	if len(wantMap) != len(got) {
+		t.Errorf("%s holds %d entries, the test produces %d", goldenPath, len(wantMap), len(got))
+	}
+}
