@@ -124,21 +124,11 @@ func (a *Allocation) Assigned(i model.ClientID) bool { return a.clusterOf[i] != 
 // placement state is exactly as it was.
 func (a *Allocation) ClusterVersion(k model.ClusterID) uint64 { return a.clusterVer[k] }
 
-// ClusterVersionSum folds all cluster versions into one value; a change
-// anywhere in the cloud changes the sum (up to the astronomically
-// unlikely exact cancellation of a bump against a rollback restore).
-func (a *Allocation) ClusterVersionSum() uint64 {
-	var sum uint64
-	for _, v := range a.clusterVer {
-		sum += v
-	}
-	return sum
-}
-
-// ClusterVersionSumOf folds the version counters of a subset of clusters
-// — the scoped twin of ClusterVersionSum. Shard-scoped reassignment
-// passes use it so a "did anything I can see change?" check never reads
-// the counters of clusters another shard is mutating concurrently.
+// ClusterVersionSumOf folds the version counters of clusters ks into one
+// value; a change in any of them changes the sum (up to the
+// astronomically unlikely exact cancellation of a bump against a rollback
+// restore). It reads no other cluster's counter, so a shard's "did
+// anything I can see change?" check never races another shard's writes.
 func (a *Allocation) ClusterVersionSumOf(ks []model.ClusterID) uint64 {
 	var sum uint64
 	for _, k := range ks {

@@ -338,7 +338,7 @@ func TestClusterTxnDeltaExact(t *testing.T) {
 	}
 	before := a.RecomputeBreakdown().Profit
 
-	txn := a.BeginCluster(0)
+	txn := a.BeginClusters(0)
 	txn.Capture(1)
 	a.Unassign(1)
 	after := a.RecomputeBreakdown().Profit

@@ -189,8 +189,9 @@ func TestClusterVersionTracking(t *testing.T) {
 
 	// A rolled-back transaction must not register as a change.
 	before := a.ClusterVersion(0)
-	sum := a.ClusterVersionSum()
-	txn := a.BeginCluster(0)
+	all := []model.ClusterID{0, 1}
+	sum := a.ClusterVersionSumOf(all)
+	txn := a.BeginClusters(0)
 	txn.Capture(0)
 	a.Unassign(0)
 	if err := a.Assign(0, 0, fullPortion(1)); err != nil {
@@ -202,7 +203,7 @@ func TestClusterVersionTracking(t *testing.T) {
 	if a.ClusterVersion(0) != before {
 		t.Fatalf("rollback left cluster 0 at version %d, want %d", a.ClusterVersion(0), before)
 	}
-	if a.ClusterVersionSum() != sum {
+	if a.ClusterVersionSumOf(all) != sum {
 		t.Fatal("rollback changed the version sum")
 	}
 	if a.ClusterOf(0) != 0 {
@@ -223,7 +224,7 @@ func TestClusterVersionTracking(t *testing.T) {
 
 	// Clones carry the counters.
 	c := a.Clone()
-	if c.ClusterVersion(0) != a.ClusterVersion(0) || c.ClusterVersionSum() != a.ClusterVersionSum() {
+	if c.ClusterVersion(0) != a.ClusterVersion(0) || c.ClusterVersionSumOf(all) != a.ClusterVersionSumOf(all) {
 		t.Fatal("clone dropped version counters")
 	}
 }

@@ -125,9 +125,6 @@ func NewIndex(a *Allocation) *Index {
 	return ix
 }
 
-// Allocation returns the allocation the index summarizes.
-func (ix *Index) Allocation() *Allocation { return ix.a }
-
 // Refresh brings every cluster's aggregates up to date with the
 // allocation, recomputing only clusters whose version counter moved.
 func (ix *Index) Refresh() {

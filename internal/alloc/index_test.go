@@ -149,7 +149,7 @@ func TestIndexRefreshSkipsCleanClusters(t *testing.T) {
 
 	// A rolled-back transaction restores the version counter, so the next
 	// refresh must treat the cluster as clean.
-	txn := a.BeginCluster(0)
+	txn := a.BeginClusters(0)
 	txn.Capture(1)
 	if err := a.Assign(1, 0, fullPortion(1)); err != nil {
 		t.Fatal(err)
@@ -223,8 +223,8 @@ func TestTopKOrderAndSubset(t *testing.T) {
 	}
 }
 
-// TestClusterVersionSumOf checks the scoped version fold against the
-// whole-cloud one.
+// TestClusterVersionSumOf checks the version fold against the counters it
+// folds.
 func TestClusterVersionSumOf(t *testing.T) {
 	scen := testScenario(t)
 	a := New(scen)
@@ -232,7 +232,7 @@ func TestClusterVersionSumOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := []model.ClusterID{0, 1}
-	if got, want := a.ClusterVersionSumOf(all), a.ClusterVersionSum(); got != want {
+	if got, want := a.ClusterVersionSumOf(all), a.ClusterVersion(0)+a.ClusterVersion(1); got != want {
 		t.Fatalf("ClusterVersionSumOf(all) = %d, want %d", got, want)
 	}
 	only0 := a.ClusterVersionSumOf([]model.ClusterID{0})

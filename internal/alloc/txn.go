@@ -14,16 +14,16 @@ import (
 // consistent on both paths because restoration replays through the same
 // Assign/Unassign mutation hooks.
 //
-// A transaction scoped to one cluster (BeginCluster) reads and writes
-// only that cluster's ledger, so per-cluster goroutines may each run
-// their own transaction concurrently — the replacement for the solver's
-// previous ad-hoc undo log plus clone-and-full-recompute profit helpers.
+// A transaction scoped to clusters (BeginClusters) reads and writes only
+// their ledgers, so per-cluster goroutines may each run their own
+// transaction concurrently — the replacement for the solver's previous
+// ad-hoc undo log plus clone-and-full-recompute profit helpers.
 type Txn struct {
 	a *Allocation
 	// clusters is the transaction's scope: nil for the whole cloud, the
-	// touched clusters otherwise (BeginCluster scopes one, BeginClusters
-	// several — the sharded reassignment commit scopes a move's source
-	// and target so it never settles another shard's ledgers).
+	// touched clusters otherwise (a sweep phase scopes its own cluster,
+	// a shard's reassignment commit a move's source and target so it
+	// never settles another shard's ledgers).
 	clusters []model.ClusterID
 	base     float64
 	entries  []txnEntry
@@ -53,14 +53,6 @@ func (a *Allocation) Begin() *Txn {
 		seen:    make(map[model.ClientID]struct{}),
 		verSnap: append([]uint64(nil), a.clusterVer...),
 	}
-}
-
-// BeginCluster opens a transaction scoped to cluster k: Delta measures
-// the change in that cluster's profit contribution, and the transaction
-// touches no other cluster's ledger. Mutations inside the transaction
-// must stay within cluster k.
-func (a *Allocation) BeginCluster(k model.ClusterID) *Txn {
-	return a.BeginClusters(k)
 }
 
 // BeginClusters opens a transaction scoped to several clusters: Delta

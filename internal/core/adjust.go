@@ -54,7 +54,7 @@ func (s *Solver) AdjustResourceShares(a *alloc.Allocation, j model.ServerID) boo
 	// A share change on server j re-prices every client with a portion on
 	// j; the transaction's captures and the ledger's dirty-marking track
 	// exactly that set, so Delta is O(touched).
-	txn := a.BeginCluster(srv.Cluster)
+	txn := a.BeginClusters(srv.Cluster)
 	ok := true
 	for n, i := range ids {
 		txn.Capture(i)
@@ -145,7 +145,7 @@ func (s *Solver) AdjustDispersionRates(a *alloc.Allocation, i model.ClientID) bo
 	// The move changes only client i's revenue and the costs of the
 	// servers it touches; the cluster-scoped transaction measures exactly
 	// that delta from the ledger.
-	txn := a.BeginCluster(k)
+	txn := a.BeginClusters(k)
 	txn.Capture(i)
 	a.Unassign(i)
 	if err := a.Assign(i, k, next); err != nil {

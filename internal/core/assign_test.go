@@ -12,6 +12,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/model"
 	"repro/internal/opt"
+	"repro/internal/telemetry"
 )
 
 // halfLoaded returns a solver and an allocation holding a greedy solution
@@ -22,7 +23,7 @@ func halfLoaded(t *testing.T, n int, seed int64) (*Solver, *alloc.Allocation) {
 	scen := smallScenario(t, n, seed)
 	s := newTestSolver(t, scen, nil)
 	a := alloc.New(scen)
-	gs := s.newGreedyState(a, nil)
+	gs := s.newGreedyState(a, s.all, telemetry.TraceRef{})
 	for i := 0; i < n; i += 2 {
 		if err := s.placeBest(a, model.ClientID(i), gs); err != nil && !errors.Is(err, ErrCannotPlace) {
 			t.Fatalf("client %d: %v", i, err)

@@ -77,8 +77,8 @@ func TestScoreClientIndexedEquiv(t *testing.T) {
 		var sawPruning bool
 		for ci := 0; ci < scen.NumClients(); ci++ {
 			i := model.ClientID(ci)
-			rf := full.scoreClient(a, i, outGain, &wsFull, nil, nil)
-			rx := atK.scoreClient(a, i, outGain, &wsIx, ix, nil)
+			rf := full.scoreClient(a, i, outGain, &wsFull, nil, full.all)
+			rx := atK.scoreClient(a, i, outGain, &wsIx, ix, atK.all)
 
 			if rf.hasCand != rx.hasCand {
 				t.Fatalf("admission=%v client %d: full hasCand=%v, indexed k=K hasCand=%v",
@@ -118,7 +118,7 @@ func TestScoreClientIndexedEquiv(t *testing.T) {
 
 			// k < K: one-sided guarantees only — a pruned candidate implies
 			// a full candidate at least as good.
-			rp := pruned.scoreClient(a, i, outGain, &wsPruned, ix, nil)
+			rp := pruned.scoreClient(a, i, outGain, &wsPruned, ix, pruned.all)
 			if rp.hasCand {
 				if !rf.hasCand {
 					t.Fatalf("admission=%v client %d: pruned found a candidate the full scan did not",

@@ -67,7 +67,7 @@ type moveCandidate struct {
 // single-client move onto j0 and commits only if the exact cluster
 // profit improved; otherwise the ledger rolls back with the moves.
 func (s *Solver) tryActivate(a *alloc.Allocation, k model.ClusterID, j0 model.ServerID, members []model.ClientID) bool {
-	txn := a.BeginCluster(k)
+	txn := a.BeginClusters(k)
 	maxMoves := 2 * s.cfg.AlphaGranularity
 	for move := 0; move < maxMoves; move++ {
 		best := s.bestMoveOnto(a, k, j0, members)
@@ -295,7 +295,7 @@ func (s *Solver) serverUtility(a *alloc.Allocation, j model.ServerID) float64 {
 // tryDeactivate drains server j inside a cluster-scoped transaction and
 // commits if the exact cluster profit improved.
 func (s *Solver) tryDeactivate(a *alloc.Allocation, k model.ClusterID, j model.ServerID, scr *distScratch) bool {
-	txn := a.BeginCluster(k)
+	txn := a.BeginClusters(k)
 	ok := true
 	for _, i := range a.ClientsOn(j) {
 		txn.Capture(i)

@@ -28,7 +28,7 @@ import (
 // counts is published to Config.Telemetry.
 func (s *Solver) ReassignmentPassCtx(ctx context.Context, a *alloc.Allocation) int {
 	var st Stats
-	moves := s.reassignmentPass(ctx, a, false, &st)
+	moves := s.reassignCloud(ctx, a, false, &st)
 	publish(s.cfg.Telemetry, &st)
 	return moves
 }

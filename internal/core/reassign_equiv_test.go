@@ -206,3 +206,44 @@ func TestReassignmentPassDirtySkip(t *testing.T) {
 		t.Fatal("perturbed cluster did not trigger rescoring")
 	}
 }
+
+// TestReassignSkippedCountsCleanClusterSkips: ReassignSkipped counts only
+// the clients the clean-cluster rule skipped. A fresh solver holds no
+// marks, so its first pass skips nothing (absent clients are neither
+// scored nor skipped); a pass repeated after one that moved nothing
+// skips every present client.
+func TestReassignSkippedCountsCleanClusterSkips(t *testing.T) {
+	scen := absentScenario(t)
+	present := 0
+	for i := range scen.Clients {
+		if scen.Clients[i].PredictedRate > 0 {
+			present++
+		}
+	}
+	a, _, err := newTestSolver(t, scen, nil).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := telemetry.New(nil)
+	s := newTestSolver(t, scen, func(c *Config) { c.Telemetry = set })
+	scored := set.Counter("solver_reassign_scored_total")
+	skipped := set.Counter("solver_reassign_dirty_skipped_total")
+	pass := func() (moves int, nScored, nSkipped int64) {
+		scored0, skipped0 := scored.Value(), skipped.Value()
+		moves = s.ReassignmentPassCtx(context.Background(), a)
+		return moves, scored.Value() - scored0, skipped.Value() - skipped0
+	}
+	moves, nScored, nSkipped := pass()
+	if nScored != int64(present) || nSkipped != 0 {
+		t.Fatalf("fresh solver's first pass: scored %d, skipped %d; want %d, 0", nScored, nSkipped, present)
+	}
+	for i := 0; i < 5 && moves > 0; i++ {
+		moves, _, _ = pass()
+	}
+	if moves != 0 {
+		t.Fatalf("allocation still moving after repeated passes (%d moves)", moves)
+	}
+	if _, nScored, nSkipped = pass(); nScored != 0 || nSkipped != int64(present) {
+		t.Fatalf("pass after a still one: scored %d, skipped %d; want 0, %d", nScored, nSkipped, present)
+	}
+}

@@ -55,8 +55,9 @@ type clientMark struct {
 	best   int32 // best candidate cluster found (-1 when none was feasible)
 	curVer uint64
 	// bestVer is ClusterVersion(best) when best >= 0; when no cluster
-	// could host the client it is the ClusterVersionSum instead — any
-	// change anywhere may have opened capacity, so everything counts.
+	// could host the client it is the version sum over the pass's scope
+	// instead — any change there may have opened capacity, so every
+	// cluster in scope counts.
 	bestVer uint64
 }
 
@@ -93,58 +94,64 @@ type reassignScratch struct {
 	cands []alloc.Candidate
 }
 
-// reassignState carries the cross-pass skip marks plus recycled pass
-// buffers. It is bound to one allocation; a pass over a different
-// allocation starts fresh.
+// reassignState carries one pass's recycled buffers and candidate index
+// and, for the whole cloud, the cross-pass skip marks. The whole cloud's
+// state is cached on the solver and bound to one allocation (a pass over
+// a different allocation starts fresh); a shard's pass starts from an
+// empty state, with no marks.
 type reassignState struct {
 	a       *alloc.Allocation
 	marks   []clientMark
 	toScore []model.ClientID
 	results []scoreResult
 	heap    []reassignCand
-	scratch reassignScratch // serial-path and commit-loop scratch
+	scratch reassignScratch // worker-0 and commit-loop scratch
 	// ix is the candidate index when Config.CandidateClusters enables
 	// top-k pruning; refreshed serially before the parallel scoring stage
 	// and before each commit-loop rescore.
 	ix *alloc.Index
 }
 
-// takeReassignState checks the solver's cached state out (concurrent
-// passes on different allocations each get their own).
-func (s *Solver) takeReassignState(a *alloc.Allocation, n int) *reassignState {
+// reassignCloud is the whole-cloud pass behind ReassignmentPassCtx and
+// the round loop: every client over every cluster, with the solver's
+// cached skip marks and Config.Workers scoring workers. The state is
+// checked out for the pass, so concurrent passes on different
+// allocations each get their own.
+func (s *Solver) reassignCloud(ctx context.Context, a *alloc.Allocation, reconcile bool, st *Stats) int {
 	s.reassignMu.Lock()
-	st := s.reassignSt
+	rs := s.reassignSt
 	s.reassignSt = nil
 	s.reassignMu.Unlock()
-	if st == nil || st.a != a || len(st.marks) != n {
-		st = &reassignState{a: a, marks: make([]clientMark, n)}
+	if rs == nil || rs.a != a {
+		rs = &reassignState{a: a, marks: make([]clientMark, len(s.clients))}
 	}
-	return st
+	defer func() {
+		s.reassignMu.Lock()
+		s.reassignSt = rs
+		s.reassignMu.Unlock()
+	}()
+	return s.reassignmentPass(ctx, a, rs, s.clients, s.all, s.cfg.Workers, reconcile, st)
 }
 
-func (s *Solver) storeReassignState(st *reassignState) {
-	s.reassignMu.Lock()
-	s.reassignSt = st
-	s.reassignMu.Unlock()
-}
-
-// reassignmentPass is the pass behind ReassignmentPassCtx; what it counts
-// is added to st. reconcile marks the sharded solve's serial cross-shard
-// reconciliation: successful moves are then logged (sampled) to the
-// flight recorder as reconcile_move events.
-func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reconcile bool, st *Stats) int {
-	n := s.scen.NumClients()
-	rs := s.takeReassignState(a, n)
-	defer s.storeReassignState(rs)
-
-	// Candidate index: built once per allocation, refreshed lazily here
+// reassignmentPass scores clients against the clusters in scope and
+// commits the improving moves: the whole cloud's pass (reassignCloud) and
+// each shard's own pass in the sharded round loop. Absent (zero-rate)
+// clients are neither scored nor re-admitted. When rs holds skip marks a
+// client whose own and best candidate clusters are untouched since its
+// last scoring keeps its decision. workers bounds the scoring fan-out;
+// reconcile marks the sharded solve's serial cross-shard reconciliation,
+// whose moves are logged (sampled) to the flight recorder as
+// reconcile_move events. What the pass counts is added to st.
+func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, rs *reassignState,
+	clients []model.ClientID, scope []model.ClusterID, workers int, reconcile bool, st *Stats) int {
+	// Candidate index: built once per state, refreshed lazily here
 	// (serial — the scoring workers only read it).
 	var ix *alloc.Index
-	if k := s.cfg.CandidateClusters; k > 0 && k < s.scen.Cloud.NumClusters() {
-		if rs.ix == nil || rs.ix.Allocation() != a {
+	if k := s.cfg.CandidateClusters; k > 0 && k < len(scope) {
+		if rs.ix == nil {
 			rs.ix = alloc.NewIndex(a)
 		}
-		rs.ix.Refresh()
+		rs.ix.RefreshClusters(scope)
 		ix = rs.ix
 	}
 
@@ -153,17 +160,18 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 		outGain = 0
 	}
 
-	// Stage 0: the cross-pass skip rule — clients whose own and best
-	// candidate clusters are untouched since their last scoring keep
-	// their decision.
-	sumVer := a.ClusterVersionSum()
+	// Stage 0: absent clients drop out, and with marks the cross-pass skip
+	// rule keeps the decision of every client whose own and best
+	// candidate clusters are untouched since its last scoring.
+	sumVer := a.ClusterVersionSumOf(scope)
 	toScore := rs.toScore[:0]
-	for ci := 0; ci < n; ci++ {
-		if s.scen.Clients[ci].PredictedRate == 0 {
-			continue // absent client: never scored, never re-admitted
-		}
-		if rs.marks[ci].stale(a, model.ClientID(ci), sumVer) {
-			toScore = append(toScore, model.ClientID(ci))
+	var absent int
+	for _, i := range clients {
+		switch {
+		case s.scen.Clients[i].PredictedRate == 0:
+			absent++
+		case rs.marks == nil || rs.marks[i].stale(a, i, sumVer):
+			toScore = append(toScore, i)
 		}
 	}
 	rs.toScore = toScore
@@ -175,14 +183,14 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 	}
 	results := rs.results[:len(toScore)]
 	// Worker 0 borrows the pass's cached scratch; the others get their own.
-	workers := parallel.Bound(s.cfg.Workers, len(toScore))
+	workers = parallel.Bound(workers, len(toScore))
 	extra := make([]reassignScratch, workers-1)
 	parallel.For(parallel.Options{Workers: workers}, len(toScore), func(w, idx int) {
 		ws := &rs.scratch
 		if w > 0 {
 			ws = &extra[w-1]
 		}
-		results[idx] = s.scoreClient(a, toScore[idx], outGain, ws, ix, nil)
+		results[idx] = s.scoreClient(a, toScore[idx], outGain, ws, ix, scope)
 	})
 
 	// Fold the results serially in client order: deterministic marks and
@@ -190,7 +198,9 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 	heap := rs.heap[:0]
 	for idx, i := range toScore {
 		r := &results[idx]
-		rs.marks[i] = r.mark
+		if rs.marks != nil {
+			rs.marks[i] = r.mark
+		}
 		st.IndexEvaluated += r.evaluated
 		st.IndexPruned += r.pruned
 		if r.hasCand {
@@ -198,11 +208,11 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 		}
 	}
 	st.ReassignScored += len(toScore)
-	st.ReassignSkipped += n - len(toScore)
+	st.ReassignSkipped += len(clients) - absent - len(toScore)
 	st.Timings.ReassignScore += time.Since(t0)
 
 	// Stage 2: serial commit loop in descending-delta order.
-	moves := s.commitCandidates(ctx, a, heap, outGain, &rs.scratch, ix, nil, rs.marks, reconcile, st)
+	moves := s.commitCandidates(ctx, a, rs, heap, outGain, ix, scope, reconcile, st)
 	rs.heap = heap[:0]
 	return moves
 }
@@ -214,15 +224,13 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, reco
 // queue. Returns the number of committed moves; the stage's counts and
 // its commit/rescore time split are added to st.
 //
-// A nil scope is the whole-cloud pass: transactions and index refreshes
-// span the cloud, and marks (the cross-pass skip marks) follow every
-// rescore and commit. A non-nil scope is one shard's clusters:
-// transactions, index refreshes and rescoring stay inside it, so
-// concurrent shards never read or settle each other's ledgers; marks is
-// nil there.
-func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap []reassignCand,
-	outGain float64, ws *reassignScratch, ix *alloc.Index, scope []model.ClusterID,
-	marks []clientMark, reconcile bool, st *Stats) int {
+// Index refreshes and rescoring stay inside the scope, and rs's skip
+// marks, when it has them, follow every rescore and commit. A shard's
+// transactions cover exactly the clusters a move touches, so concurrent
+// shards never read or settle each other's ledgers.
+func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, rs *reassignState,
+	heap []reassignCand, outGain float64, ix *alloc.Index, scope []model.ClusterID,
+	reconcile bool, st *Stats) int {
 	ref := telemetry.RefFromContext(ctx)
 	tCommit := time.Now()
 	var moves int
@@ -244,14 +252,12 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 			// An earlier commit dirtied a cluster this candidate was
 			// priced against: rescore against the live allocation.
 			tr := time.Now()
-			if ix != nil && scope == nil {
-				ix.Refresh() // lazy: only the committed-to clusters recompute
-			} else if ix != nil {
-				ix.RefreshClusters(scope)
+			if ix != nil {
+				ix.RefreshClusters(scope) // lazy: only the committed-to clusters recompute
 			}
-			r := s.scoreClient(a, c.client, outGain, ws, ix, scope)
-			if marks != nil {
-				marks[c.client] = r.mark
+			r := s.scoreClient(a, c.client, outGain, &rs.scratch, ix, scope)
+			if rs.marks != nil {
+				rs.marks[c.client] = r.mark
 			}
 			st.IndexEvaluated += r.evaluated
 			st.IndexPruned += r.pruned
@@ -263,11 +269,13 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 			continue
 		}
 
-		// A scoped transaction covers exactly the clusters the move
-		// touches, so no other shard's ledger is read or settled.
+		// The whole cloud's transaction measures the cloud's profit change;
+		// a shard's covers exactly the clusters the move touches, so no
+		// other shard's ledger is read or settled (a shard never spans
+		// the cloud: the plan has at least two).
 		var txn *alloc.Txn
 		switch {
-		case scope == nil:
+		case len(scope) == len(s.all):
 			txn = a.Begin()
 		case c.fromK >= 0 && c.toK >= 0 && c.fromK != c.toK:
 			txn = a.BeginClusters(model.ClusterID(c.fromK), model.ClusterID(c.toK))
@@ -305,10 +313,10 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 						Delta: delta, Trace: ref})
 				}
 			}
-			if marks != nil {
+			if rs.marks != nil {
 				// The commit changed the clusters this client's own decision
 				// depended on; make sure the next pass rescores it.
-				marks[c.client] = clientMark{}
+				rs.marks[c.client] = clientMark{}
 			}
 		} else {
 			rollback(txn, &c)
@@ -326,20 +334,16 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, heap
 // evict when staying put earns less than leaving it out. The mark records
 // what the decision depended on.
 //
-// With a nil ix every cluster in scope is evaluated exactly (the seed
-// behaviour). With an index, the client's own cluster is always evaluated
-// exactly (the index bound is not sound for it) and the remaining
-// clusters come from TopK in bound-descending order, stopping once no
-// bound can clear the acceptance threshold max(bestGain, prevGain+1e-9,
-// outGain) — every pruned cluster provably cannot change the action.
-// subset restricts the scope (nil = whole cloud); the sharded solve
-// passes its own clusters so no cross-shard state is read.
+// The candidates are the clusters in scope (the whole cloud, or a shard's
+// own clusters so no cross-shard state is read). With a nil ix each is
+// evaluated exactly (the seed behaviour). With an index, the client's own
+// cluster is always evaluated exactly (the index bound is not sound for
+// it) and the remaining clusters come from TopK within the scope in
+// bound-descending order, stopping once no bound can clear the acceptance
+// threshold max(bestGain, prevGain+1e-9, outGain) — every pruned cluster
+// provably cannot change the action.
 func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain float64,
-	ws *reassignScratch, ix *alloc.Index, subset []model.ClusterID) scoreResult {
-	scope := s.scen.Cloud.NumClusters()
-	if subset != nil {
-		scope = len(subset)
-	}
+	ws *reassignScratch, ix *alloc.Index, scope []model.ClusterID) scoreResult {
 	view := a.Excluding(i)
 	prevK := a.ClusterOf(i)
 
@@ -365,20 +369,15 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 			ws.best = append(ws.best[:0], portions...)
 		}
 	}
-	switch {
-	case ix == nil && subset == nil:
-		for k := 0; k < scope; k++ {
-			evalCluster(model.ClusterID(k))
-		}
-	case ix == nil:
-		for _, k := range subset {
+	if ix == nil {
+		for _, k := range scope {
 			evalCluster(k)
 		}
-	default:
+	} else {
 		if prevK != alloc.Unassigned {
 			evalCluster(model.ClusterID(prevK))
 		}
-		ws.cands = ix.TopK(i, s.cfg.CandidateClusters, subset, ws.cands)
+		ws.cands = ix.TopK(i, s.cfg.CandidateClusters, scope, ws.cands)
 		for _, c := range ws.cands {
 			if int(c.Cluster) == prevK {
 				continue
@@ -403,15 +402,12 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	if prevK != alloc.Unassigned {
 		mark.curVer = a.ClusterVersion(model.ClusterID(prevK))
 	}
-	switch {
-	case bestK >= 0:
+	if bestK >= 0 {
 		mark.bestVer = a.ClusterVersion(model.ClusterID(bestK))
-	case subset != nil:
-		mark.bestVer = a.ClusterVersionSumOf(subset)
-	default:
-		mark.bestVer = a.ClusterVersionSum()
+	} else {
+		mark.bestVer = a.ClusterVersionSumOf(scope)
 	}
-	res := scoreResult{mark: mark, evaluated: evaluated, pruned: scope - evaluated}
+	res := scoreResult{mark: mark, evaluated: evaluated, pruned: len(scope) - evaluated}
 
 	// "Which action" is decided here on scored gains; "apply" is the
 	// commit loop's, revalidated against the live ledger.

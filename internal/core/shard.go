@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"math"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/model"
@@ -95,37 +92,29 @@ func (p *shardPlan) rebuildOwners(a *alloc.Allocation) {
 // shard places its routed clients on its own clusters in a seed-split
 // random order, on the fan-out pool. One greedy start per shard: the
 // multi-start diversification buys little once the cloud is sliced, and
-// at shard scale one pass is the budget. Per-shard spans are indexed by
-// shard (StartCtxAt): the same span tree at any worker count.
+// at shard scale one pass is the budget. A client that fits only on
+// another shard stays unplaced until the reconciliation pass picks it
+// up. Per-shard spans are indexed by shard (StartCtxAt): the same span
+// tree at any worker count. Each shard counts into its own Stats; they
+// fold into st in shard order.
 func (s *Solver) shardedGreedy(ctx context.Context, plan *shardPlan, st *Stats) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
 	a.Instrument(s.cfg.Telemetry)
 	plan.rebuildOwners(a)
-	numShards := len(plan.clusters)
-	gss := make([]*greedyState, numShards)
-	err := parallel.ForErr(s.fanOpts(ctx, "shard"), numShards, func(_, sh int) error {
+	tallies := make([]Stats, len(plan.clusters))
+	err := parallel.ForErr(s.fanOpts(ctx, "shard"), len(plan.clusters), func(_, sh int) error {
 		ssp, sctx := s.cfg.Telemetry.StartCtxAt(ctx, "solver.shard_greedy", sh)
 		defer ssp.End()
 		ssp.Attr("shard", sh)
-		gs := s.newGreedyState(a, plan.clusters[sh])
-		gs.ref = telemetry.RefFromContext(sctx)
-		gss[sh] = gs
-		rng := parallel.Rand(s.cfg.Seed, uint64(sh))
-		clients := plan.owner[sh]
-		for _, idx := range rng.Perm(len(clients)) {
-			// ErrCannotPlace is expected (the client may only fit on another
-			// shard; reconciliation will pick it up).
-			if err := s.placeBest(a, clients[idx], gs); err != nil && !errors.Is(err, ErrCannotPlace) {
-				return err
-			}
-		}
-		return nil
+		clients := shuffled(parallel.Rand(s.cfg.Seed, uint64(sh)), plan.owner[sh])
+		_, err := s.place(a, clients, plan.clusters[sh], telemetry.RefFromContext(sctx), &tallies[sh])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, gs := range gss {
-		gs.fold(st)
+	for sh := range tallies {
+		st.add(&tallies[sh])
 	}
 	return a, nil
 }
@@ -138,37 +127,4 @@ func (s *Solver) clustersProfit(a *alloc.Allocation, clusters []model.ClusterID)
 		p += a.ClusterProfit(k)
 	}
 	return p
-}
-
-// reassignScoped is the shard-local reassignment pass: score the shard's
-// clients against the shard's clusters only, then commit improving moves
-// through commitCandidates scoped to those clusters. It runs inside a
-// shard goroutine, so everything it reads or writes — exclusion views,
-// candidate index, transactions, version counters — stays within the
-// shard's clusters. What the pass counts is added to st.
-func (s *Solver) reassignScoped(ctx context.Context, a *alloc.Allocation, clients []model.ClientID, clusters []model.ClusterID, st *Stats) int {
-	outGain := math.Inf(-1)
-	if s.cfg.AdmissionControl {
-		outGain = 0
-	}
-	var ix *alloc.Index
-	if k := s.cfg.CandidateClusters; k > 0 && k < len(clusters) {
-		ix = alloc.NewIndex(a)
-		ix.RefreshClusters(clusters)
-	}
-
-	t0 := time.Now()
-	var ws reassignScratch
-	var heap []reassignCand
-	for _, i := range clients {
-		r := s.scoreClient(a, i, outGain, &ws, ix, clusters)
-		st.IndexEvaluated += r.evaluated
-		st.IndexPruned += r.pruned
-		if r.hasCand {
-			heap = candPush(heap, r.cand)
-		}
-	}
-	st.ReassignScored += len(clients)
-	st.Timings.ReassignScore += time.Since(t0)
-	return s.commitCandidates(ctx, a, heap, outGain, &ws, ix, clusters, nil, false, st)
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -156,5 +160,68 @@ func TestShardedSolveNoReassign(t *testing.T) {
 	}
 	if st.Reassignments != 0 {
 		t.Fatalf("DisableReassign but %d reassignments", st.Reassignments)
+	}
+}
+
+// absentScenario is a 60-client paper-shaped instance whose every 4th
+// client has zero rates (15 absent clients).
+func absentScenario(t *testing.T) *model.Scenario {
+	t.Helper()
+	scen := shardScenario(t, 60, 5, 1)
+	for i := 0; i < scen.NumClients(); i += 4 {
+		scen.Clients[i].ArrivalRate = 0
+		scen.Clients[i].PredictedRate = 0
+	}
+	return scen
+}
+
+// assertAbsentUnplaced fails the test if any zero-rate client holds a
+// placement.
+func assertAbsentUnplaced(t *testing.T, label string, scen *model.Scenario, a *alloc.Allocation) {
+	t.Helper()
+	var placed []int
+	for i := range scen.Clients {
+		if scen.Clients[i].PredictedRate == 0 && a.Assigned(model.ClientID(i)) {
+			placed = append(placed, i)
+		}
+	}
+	if len(placed) > 0 {
+		t.Errorf("%s: %d absent clients placed: %v", label, len(placed), placed)
+	}
+}
+
+// TestShardedSolveSkipsAbsentClients: a zero-rate client has nothing to
+// place, so the sharded greedy and the shards' reassignment passes leave
+// it out exactly as the unsharded solve does — even with admission
+// control off, where a placement costs nothing to accept.
+func TestShardedSolveSkipsAbsentClients(t *testing.T) {
+	scen := absentScenario(t)
+	for _, shards := range []int{0, 2, 3} {
+		s := newTestSolver(t, scen, func(c *Config) {
+			c.AdmissionControl = false
+			c.Shards = shards
+		})
+		label := fmt.Sprintf("shards=%d", shards)
+		if shards > 1 {
+			var st Stats
+			g, err := s.shardedGreedy(context.Background(), s.planShards(shards), &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAbsentUnplaced(t, label+" greedy", scen, g)
+		}
+		a, st, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAbsentUnplaced(t, label+" solve", scen, a)
+		if st.Unplaced < 15 {
+			t.Errorf("%s: Unplaced = %d, want at least the 15 absent clients", label, st.Unplaced)
+		}
+		// The unsharded solve already skipped absent clients; its outcome
+		// is pinned.
+		if bits := math.Float64bits(st.FinalProfit); shards == 0 && (bits != 0x40738668ec414dbb || a.NumAssigned() != 45) {
+			t.Errorf("unsharded solve moved: profit bits %016x, %d placed; want 40738668ec414dbb, 45", bits, a.NumAssigned())
+		}
 	}
 }

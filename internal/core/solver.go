@@ -22,6 +22,11 @@ type Solver struct {
 	scen   *model.Scenario
 	cfg    Config
 	prices shadowPrices
+	// all and clients list every cluster and every client in ID order:
+	// the scope and the client list of whole-cloud placement and
+	// reassignment (a shard passes its own). Never mutated.
+	all     []model.ClusterID
+	clients []model.ClientID
 
 	// reassignSt caches the pipelined reassignment pass's cross-round
 	// skip marks between calls (reassign_pipeline.go). The mutex makes
@@ -86,11 +91,20 @@ func NewSolver(scen *model.Scenario, cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	publish(cfg.Telemetry, &Stats{}) // register the solver families
-	return &Solver{
-		scen:   scen,
-		cfg:    cfg,
-		prices: calibratePrices(scen, cfg.ShadowPriceScale),
-	}, nil
+	s := &Solver{
+		scen:    scen,
+		cfg:     cfg,
+		prices:  calibratePrices(scen, cfg.ShadowPriceScale),
+		all:     make([]model.ClusterID, scen.Cloud.NumClusters()),
+		clients: make([]model.ClientID, scen.NumClients()),
+	}
+	for k := range s.all {
+		s.all[k] = model.ClusterID(k)
+	}
+	for i := range s.clients {
+		s.clients[i] = model.ClientID(i)
+	}
+	return s, nil
 }
 
 // Scenario returns the scenario the solver was built for.
@@ -210,7 +224,8 @@ func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span, st *Stats)
 		} else {
 			a.Reset()
 		}
-		if err := s.buildInitial(a, parallel.Rand(s.cfg.Seed, uint64(iter)), ref, &tallies[w]); err != nil {
+		rng := parallel.Rand(s.cfg.Seed, uint64(iter))
+		if _, err := s.place(a, shuffled(rng, s.clients), s.all, ref, &tallies[w]); err != nil {
 			curs[w] = a
 			return err
 		}
@@ -256,34 +271,11 @@ func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 	a := alloc.New(s.scen)
 	a.Instrument(s.cfg.Telemetry)
 	var st Stats
-	if err := s.buildInitial(a, rng, telemetry.TraceRef{}, &st); err != nil {
+	if _, err := s.place(a, shuffled(rng, s.clients), s.all, telemetry.TraceRef{}, &st); err != nil {
 		return nil, err
 	}
 	publish(s.cfg.Telemetry, &st)
 	return a, nil
-}
-
-// buildInitial runs one greedy pass into an empty (fresh or Reset)
-// allocation. Candidate generation goes through a per-pass greedyState
-// (candidates.go): the exact full scan, or index-backed when
-// Config.CandidateClusters enables top-k pruning. ref stamps the pass's
-// flight-recorder events with the enclosing span's trace context; the
-// pass's index counts are added to st.
-func (s *Solver) buildInitial(a *alloc.Allocation, rng *rand.Rand, ref telemetry.TraceRef, st *Stats) error {
-	gs := s.newGreedyState(a, nil)
-	gs.ref = ref
-	order := rng.Perm(s.scen.NumClients())
-	for _, ci := range order {
-		i := model.ClientID(ci)
-		if s.scen.Clients[i].PredictedRate == 0 {
-			continue // absent client (zero rate): nothing to place
-		}
-		if err := s.placeBest(a, i, gs); err != nil && !errors.Is(err, ErrCannotPlace) {
-			return err
-		}
-	}
-	gs.fold(st)
-	return nil
 }
 
 // ImproveLocalCtx runs the local-search phases until the profit is steady
@@ -326,7 +318,7 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 		if !s.cfg.DisableReassign {
 			tr := time.Now()
 			before := a.Profit()
-			stats.Reassignments += s.reassignmentPass(rctx, a, plan != nil, stats)
+			stats.Reassignments += s.reassignCloud(rctx, a, plan != nil, stats)
 			delta := a.Profit() - before
 			if plan != nil {
 				stats.Attribution.Reconcile += delta
@@ -357,16 +349,12 @@ func (s *Solver) sweepPartition(plan *shardPlan) [][]model.ClusterID {
 	if plan != nil {
 		return plan.clusters
 	}
-	all := make([]model.ClusterID, s.scen.Cloud.NumClusters())
-	for k := range all {
-		all[k] = model.ClusterID(k)
-	}
 	if !s.cfg.Parallel {
-		return [][]model.ClusterID{all}
+		return [][]model.ClusterID{s.all}
 	}
-	parts := make([][]model.ClusterID, len(all))
+	parts := make([][]model.ClusterID, len(s.all))
 	for k := range parts {
-		parts[k] = all[k : k+1]
+		parts[k] = s.all[k : k+1]
 	}
 	return parts
 }
@@ -377,9 +365,10 @@ func (s *Solver) sweepPartition(plan *shardPlan) [][]model.ClusterID {
 // default part inline. Every mutation a phase makes is confined to one
 // cluster (constraint (6) pins a client to one) and membership is
 // snapshotted up front, so parts touch disjoint state. A shard also runs
-// its scoped reassignment pass, under a span indexed by shard (StartCtxAt)
-// so the span tree is identical at any worker count. Each part counts
-// into its own Stats; they fold serially in part order.
+// the reassignment pass over its own clients and clusters (one scoring
+// worker, no skip marks), under a span indexed by shard (StartCtxAt) so
+// the span tree is identical at any worker count. Each part counts into
+// its own Stats; they fold serially in part order.
 func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan, parts [][]model.ClusterID) {
 	members := s.clusterMembers(a)
 	opts := parallel.Options{Workers: len(parts)}
@@ -408,7 +397,7 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 			// Profit reads stay within the shard's own clusters, so they
 			// are safe inside the shard goroutine.
 			before := s.clustersProfit(a, parts[p])
-			r.Reassignments = s.reassignScoped(pctx, a, plan.owner[p], parts[p], r)
+			r.Reassignments = s.reassignmentPass(pctx, a, new(reassignState), plan.owner[p], parts[p], 1, false, r)
 			r.Attribution.Reassign = s.clustersProfit(a, parts[p]) - before
 			r.Timings.Reassign = time.Since(tr)
 		}

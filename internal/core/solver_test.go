@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -284,7 +285,7 @@ func TestTxnRollbackRestoresFirstSnapshot(t *testing.T) {
 	scen := smallScenario(t, 5, 51)
 	s := newTestSolver(t, scen, nil)
 	a := alloc.New(scen)
-	if err := s.placeBest(a, 0, s.newGreedyState(a, nil)); err != nil {
+	if err := s.placeBest(a, 0, s.newGreedyState(a, s.all, telemetry.TraceRef{})); err != nil {
 		t.Fatal(err)
 	}
 	origK := a.ClusterOf(0)

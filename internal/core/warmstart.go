@@ -62,19 +62,10 @@ func (s *Solver) replay(ctx context.Context, gsp *telemetry.Span, prev *alloc.Al
 			displaced = append(displaced, id)
 		}
 	}
-	var replaced int
-	gs := s.newGreedyState(a, nil)
-	gs.ref = telemetry.RefFromContext(ctx)
-	for _, id := range displaced {
-		if err := s.placeBest(a, id, gs); err != nil {
-			if errors.Is(err, ErrCannotPlace) {
-				continue
-			}
-			return nil, err
-		}
-		replaced++
+	replaced, err := s.place(a, displaced, s.all, telemetry.RefFromContext(ctx), st)
+	if err != nil {
+		return nil, err
 	}
-	gs.fold(st)
 	gsp.Attr("replaced", replaced)
 	return a, nil
 }
