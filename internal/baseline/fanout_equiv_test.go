@@ -3,6 +3,8 @@ package baseline
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestMonteCarloWorkerEquivalence: every envelope field — including
@@ -44,6 +46,43 @@ func TestMonteCarloWorkerEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(env.Best.Snapshot(), ref.Best.Snapshot()) {
 			t.Errorf("workers=%d: Best placements differ from W=1", workers)
+		}
+	}
+}
+
+// TestMonteCarloCountsWorkerEquivalence: the reassignment counts the
+// draws publish are the same at W=1 and, twice, at W=4. Each worker runs
+// on its own solver, so no draw loses its skip marks to another worker's
+// pass.
+func TestMonteCarloCountsWorkerEquivalence(t *testing.T) {
+	scen := genScenario(t, 60, 3)
+	families := []string{
+		"solver_reassign_scored_total",
+		"solver_reassign_dirty_skipped_total",
+		"solver_reassign_rescores_total",
+	}
+	run := func(workers int) []int64 {
+		set := telemetry.New(nil)
+		cfg := DefaultMCConfig()
+		cfg.Draws = 40
+		cfg.Workers = workers
+		cfg.Telemetry = set
+		if _, err := RunMonteCarlo(scen, cfg); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		counts := make([]int64, len(families))
+		for f, name := range families {
+			counts[f] = set.Counter(name).Value()
+		}
+		return counts
+	}
+	ref := run(1)
+	if ref[0] == 0 {
+		t.Fatal("W=1 scored no client")
+	}
+	for rep := 0; rep < 2; rep++ {
+		if got := run(4); !reflect.DeepEqual(got, ref) {
+			t.Errorf("W=4 run %d: %v = %v, W=1 %v", rep+1, families, got, ref)
 		}
 	}
 }

@@ -65,20 +65,27 @@ type Envelope struct {
 // reassignment search, and reports the best/worst envelope (paper
 // Section VI, Figures 4 and 5).
 //
-// Draws fan out over a bounded worker pool; each worker recycles one
-// allocation arena across its draws (alloc.Reset) and keeps only its
+// Draws fan out over a bounded worker pool; each worker has its own
+// solver, so no two draws share its reassignment pass state, recycles
+// one allocation arena across its draws (alloc.Reset) and keeps only its
 // running best under (optimized profit desc, draw index asc). The
 // per-draw profits are folded into the envelope serially in draw order
-// afterwards, so the result is bit-identical for W=1 and W=N.
+// afterwards, so the result, and every count the solvers publish, is the
+// same for W=1 and W=N.
 func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 	if cfg.Draws <= 0 {
 		return Envelope{}, fmt.Errorf("baseline: Draws = %d", cfg.Draws)
 	}
 	scfg := core.DefaultConfig()
 	scfg.Telemetry = cfg.Telemetry
-	solver, err := core.NewSolver(scen, scfg)
-	if err != nil {
-		return Envelope{}, err
+	n := cfg.Draws
+	workers := parallel.Bound(cfg.Workers, n)
+	solvers := make([]*core.Solver, workers)
+	for w := range solvers {
+		var err error
+		if solvers[w], err = core.NewSolver(scen, scfg); err != nil {
+			return Envelope{}, err
+		}
 	}
 
 	type drawResult struct {
@@ -90,8 +97,6 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 		profit float64
 		index  int
 	}
-	n := cfg.Draws
-	workers := parallel.Bound(cfg.Workers, n)
 	results := make([]drawResult, n)
 	curs := make([]*alloc.Allocation, workers)
 	bests := make([]workerBest, workers)
@@ -103,6 +108,7 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 			} else {
 				a.Reset()
 			}
+			solver := solvers[w]
 			if err := randomAssign(solver, a, parallel.Rand(cfg.Seed, uint64(d))); err != nil {
 				results[d].err = err
 				curs[w] = a

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/alloc"
@@ -98,47 +97,12 @@ type ManagerStats struct {
 	Attribution ManagerAttribution
 }
 
-// mgrTel holds the manager's pre-resolved metric handles; nil disables.
-type mgrTel struct {
-	set           *telemetry.Set
-	solves        *telemetry.Counter
-	initDur       *telemetry.Histogram
-	roundDur      *telemetry.Histogram
-	clusterProfit []*telemetry.Gauge // one per cluster
-}
-
-func newMgrTel(set *telemetry.Set, numK int) *mgrTel {
-	if set == nil {
-		return nil
-	}
-	set.Metrics.Help("manager_cluster_profit", "per-cluster profit after the most recent improvement round")
-	t := &mgrTel{
-		set:      set,
-		solves:   set.Counter("manager_solves_total"),
-		initDur:  set.Histogram("manager_initial_pass_seconds", telemetry.DurationBuckets),
-		roundDur: set.Histogram("manager_round_seconds", telemetry.DurationBuckets),
-	}
-	for k := 0; k < numK; k++ {
-		t.clusterProfit = append(t.clusterProfit,
-			set.Gauge(telemetry.Name("manager_cluster_profit", "cluster", strconv.Itoa(k))))
-	}
-	return t
-}
-
-func (t *mgrTel) startCtx(ctx context.Context, name string) (telemetry.Span, context.Context) {
-	if t == nil {
-		return telemetry.Span{}, ctx
-	}
-	return t.set.StartCtx(ctx, name)
-}
-
 // Manager is the paper's central resource manager: it owns the client
 // list and coordinates one agent per cluster.
 type Manager struct {
 	scen   *model.Scenario
 	agents []Agent
 	cfg    ManagerConfig
-	tel    *mgrTel
 	// reassigner runs the central reassignment polish on the merged
 	// allocation. Its dirty-cluster marks carry across the passes of one
 	// Solve only: merge builds a fresh allocation every Solve, and the
@@ -178,11 +142,11 @@ func NewManager(scen *model.Scenario, agents []Agent, cfg ManagerConfig) (*Manag
 	if err != nil {
 		return nil, fmt.Errorf("cluster: central reassigner: %w", err)
 	}
+	publish(cfg.Telemetry, &ManagerStats{}, make([]float64, len(agents))) // register the manager families
 	return &Manager{
 		scen:       scen,
 		agents:     agents,
 		cfg:        cfg,
-		tel:        newMgrTel(cfg.Telemetry, scen.Cloud.NumClusters()),
 		reassigner: reassigner,
 	}, nil
 }
@@ -197,18 +161,18 @@ func (m *Manager) Solve() (*alloc.Allocation, ManagerStats, error) {
 // initial passes, improvement rounds, every RPC to every agent, and the
 // agents' own spans on the far side of the wire — records as one trace
 // tree rooted at the manager.solve span (or at the caller's span when
-// ctx already carries trace context).
+// ctx already carries trace context). A completed solve's ManagerStats
+// is published to ManagerConfig.Telemetry.
 func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats, error) {
 	start := time.Now()
+	tel := m.cfg.Telemetry
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	sp, ctx := m.tel.startCtx(ctx, "manager.solve")
+	sp, ctx := tel.StartCtx(ctx, "manager.solve")
+	defer sp.End()
 	sp.Attr("clients", m.scen.NumClients())
 	sp.Attr("clusters", len(m.agents))
-	if m.tel != nil {
-		m.tel.solves.Inc()
-	}
 
-	isp, ictx := m.tel.startCtx(ctx, "manager.initial_pass")
+	isp, ictx := tel.StartCtx(ctx, "manager.initial_pass")
 	var (
 		bestAssign map[model.ClientID]assignment
 		bestProfit float64
@@ -229,29 +193,25 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 		return nil, ManagerStats{}, err
 	}
 	stats := ManagerStats{InitialProfit: bestProfit, InitElapsed: time.Since(start)}
-	if m.tel != nil {
-		m.tel.initDur.Observe(stats.InitElapsed.Seconds())
-		isp.Attr("initial_profit", bestProfit)
-	}
+	isp.Attr("initial_profit", bestProfit)
 	isp.End()
 
+	// profits holds each cluster's profit after the latest round.
+	profits := make([]float64, len(m.agents))
 	prev := bestProfit
 	for round := 0; round < maxImproveRounds; round++ {
 		stats.ImproveRounds = round + 1
-		rsp, rctx := m.tel.startCtx(ctx, "manager.improve_round")
+		rsp, rctx := tel.StartCtx(ctx, "manager.improve_round")
 		t0 := time.Now()
-		total, err := m.improveRound(rctx, &stats)
+		total, err := m.improveRound(rctx, &stats, profits)
 		if err != nil {
+			rsp.End()
 			return nil, ManagerStats{}, err
 		}
-		roundDur := time.Since(t0)
-		stats.RoundDurations = append(stats.RoundDurations, roundDur)
-		if m.tel != nil {
-			m.tel.roundDur.Observe(roundDur.Seconds())
-			rsp.Attr("round", round+1)
-			rsp.Attr("profit", total)
-			rsp.Attr("delta", total-prev)
-		}
+		stats.RoundDurations = append(stats.RoundDurations, time.Since(t0))
+		rsp.Attr("round", round+1)
+		rsp.Attr("profit", total)
+		rsp.Attr("delta", total-prev)
 		rsp.End()
 		if total-prev <= improveTolerance*(1+abs(prev)) {
 			prev = total
@@ -270,9 +230,9 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 	// Central reassignment polish: the one local-search move only the
 	// manager can make — moving clients across clusters on the merged
 	// global state (paper Section V).
-	csp, cctx := m.tel.startCtx(ctx, "manager.central_reassign")
-	if m.cfg.Telemetry != nil {
-		merged.Instrument(m.cfg.Telemetry)
+	csp, cctx := tel.StartCtx(ctx, "manager.central_reassign")
+	if tel != nil {
+		merged.Instrument(tel)
 	}
 	for pass := 0; pass < maxReassignPasses; pass++ {
 		moved := m.reassigner.ReassignmentPassCtx(cctx, merged)
@@ -294,11 +254,9 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 	}
 	stats.Unplaced = m.scen.NumClients() - merged.NumAssigned()
 	stats.Elapsed = time.Since(start)
-	if m.tel != nil {
-		sp.Attr("final_profit", stats.FinalProfit)
-		sp.Attr("rounds", stats.ImproveRounds)
-	}
-	sp.End()
+	publish(tel, &stats, profits)
+	sp.Attr("final_profit", stats.FinalProfit)
+	sp.Attr("rounds", stats.ImproveRounds)
 	return merged, stats, nil
 }
 
@@ -424,9 +382,9 @@ func (m *Manager) load(ctx context.Context, assignments map[model.ClientID]assig
 	return errors.Join(errs...)
 }
 
-// improveRound runs one Improve on every agent (bounded fan-out) and
-// returns the total profit afterwards.
-func (m *Manager) improveRound(ctx context.Context, stats *ManagerStats) (float64, error) {
+// improveRound runs one Improve on every agent (bounded fan-out), writes
+// each cluster's profit afterwards into profits and returns their total.
+func (m *Manager) improveRound(ctx context.Context, stats *ManagerStats, profits []float64) (float64, error) {
 	results := make([]ImproveStats, len(m.agents))
 	errs := m.fanOut(ctx, func(k int) error {
 		var err error
@@ -439,11 +397,9 @@ func (m *Manager) improveRound(ctx context.Context, stats *ManagerStats) (float6
 	var total float64
 	for k, r := range results {
 		total += r.Profit
+		profits[k] = r.Profit
 		stats.Activations += r.Activations
 		stats.Deactivations += r.Deactivations
-		if m.tel != nil {
-			m.tel.clusterProfit[k].Set(r.Profit)
-		}
 	}
 	return total, nil
 }

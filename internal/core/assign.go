@@ -44,12 +44,12 @@ type candidate struct {
 	shareB []float64
 }
 
-// distScratch holds one Assign_Distribute evaluation's working memory.
-// Every caller owns one for as long as it keeps calling — the greedy
-// state (one per pricing worker), a sweep part, a reassignment scoring
-// worker — and the exported kernels borrow one from the solver's free
-// list. The portions assignDistribute returns alias the scratch: they are
-// valid until the scratch's next use (alloc.Allocation.Assign copies).
+// distScratch is the working memory of one task that runs the
+// Assign_Distribute kernel, plus the gain, best-portions and top-k buffers
+// a scoring worker or a top-k greedy pass adds. Only the Solver's pool
+// (borrowDist) makes one; a task holds it for its duration. The portions
+// assignDistribute returns alias the scratch: they are valid until the
+// scratch's next use (alloc.Allocation.Assign copies).
 type distScratch struct {
 	memo     map[candidateKey]int
 	cands    []candidate
@@ -57,13 +57,17 @@ type distScratch struct {
 	arena    []float64 // backing store for values/shareP/shareB rows
 	dp       opt.PortionScratch
 	portions []alloc.Portion
+
+	gain alloc.GainScratch
+	best []alloc.Portion
+	topK []alloc.Candidate
 }
 
 // noServer is assignDistribute's "exclude nothing".
 const noServer model.ServerID = -1
 
-// borrowDist checks a scratch out of the solver's free list (a fresh one
-// when every scratch is out); returnDist checks it back in.
+// borrowDist checks a scratch out of the solver's pool, making one when
+// every scratch is out; returnDist checks it back in.
 func (s *Solver) borrowDist() *distScratch {
 	s.distMu.Lock()
 	defer s.distMu.Unlock()
@@ -79,6 +83,23 @@ func (s *Solver) returnDist(scr *distScratch) {
 	s.distMu.Lock()
 	s.distFree = append(s.distFree, scr)
 	s.distMu.Unlock()
+}
+
+// borrowDists refills scrs (its backing array reused) with n scratches
+// from the pool; returnDists checks them all back in.
+func (s *Solver) borrowDists(scrs []*distScratch, n int) []*distScratch {
+	scrs = scrs[:0]
+	for range n {
+		scrs = append(scrs, s.borrowDist())
+	}
+	return scrs
+}
+
+func (s *Solver) returnDists(scrs []*distScratch) {
+	for i, scr := range scrs {
+		s.returnDist(scr)
+		scrs[i] = nil
+	}
 }
 
 // AssignDistribute evaluates the best placement of (unassigned) client i

@@ -39,17 +39,16 @@ type greedyEval struct {
 
 // greedyState carries one greedy pass's candidate-generation machinery:
 // the clusters in scope (every cluster for the whole cloud, its own for
-// a shard), the index (nil for the exact scan), recycled buffers, the
-// Assign_Distribute scratches (one per pricing worker: the scope's size
-// when Config.Parallel prices clusters concurrently, else one), the trace
-// context stamped onto flight-recorder events, and the index hit/prune
-// counts.
+// a shard), the index (nil for the exact scan), the recycled evals, the
+// scratches borrowed from the solver's pool (one per pricing worker: the
+// scope's size when Config.Parallel prices clusters concurrently, else
+// one; released by place), the trace context stamped onto flight-recorder
+// events, and the index hit/prune counts.
 type greedyState struct {
 	scope []model.ClusterID
 	ix    *alloc.Index
-	cands []alloc.Candidate
 	evals []greedyEval // cap len(scope): never grows mid-pass
-	dist  []distScratch
+	scr   []*distScratch
 	ref   telemetry.TraceRef
 
 	evaluated int
@@ -68,7 +67,7 @@ func (s *Solver) newGreedyState(a *alloc.Allocation, scope []model.ClusterID, re
 	gs := &greedyState{
 		scope: scope,
 		evals: make([]greedyEval, 0, len(scope)),
-		dist:  make([]distScratch, workers),
+		scr:   s.borrowDists(nil, workers),
 		ref:   ref,
 	}
 	if k := s.cfg.CandidateClusters; k > 0 && k < len(scope) {
@@ -85,6 +84,7 @@ func (s *Solver) newGreedyState(a *alloc.Allocation, scope []model.ClusterID, re
 func (s *Solver) place(a *alloc.Allocation, clients []model.ClientID, scope []model.ClusterID,
 	ref telemetry.TraceRef, st *Stats) (int, error) {
 	gs := s.newGreedyState(a, scope, ref)
+	defer s.returnDists(gs.scr)
 	var placed int
 	for _, i := range clients {
 		if s.scen.Clients[i].PredictedRate == 0 {
@@ -211,10 +211,10 @@ func (s *Solver) priceScope(a *alloc.Allocation, i model.ClientID, gs *greedySta
 	// cluster agent evaluates the client on its own goroutine, in its own
 	// scratch; the portions are copied into the eval-owned recycled slice
 	// before that scratch's next evaluation.
-	err := parallel.ForErr(parallel.Options{Workers: len(gs.dist)}, len(gs.scope), func(w, idx int) error {
+	err := parallel.ForErr(parallel.Options{Workers: len(gs.scr)}, len(gs.scope), func(w, idx int) error {
 		ev := &evals[idx]
 		ev.k, ev.bound, ev.ok = gs.scope[idx], 0, false
-		est, portions, err := s.assignDistribute(a, i, ev.k, noServer, &gs.dist[w])
+		est, portions, err := s.assignDistribute(a, i, ev.k, noServer, gs.scr[w])
 		if err != nil {
 			if errors.Is(err, ErrCannotPlace) {
 				return nil
@@ -234,13 +234,14 @@ func (s *Solver) priceScope(a *alloc.Allocation, i model.ClientID, gs *greedySta
 // bound order, stopping as soon as the next bound cannot beat the best
 // exact estimate seen. It also returns how many clusters it evaluated.
 func (s *Solver) priceTopK(a *alloc.Allocation, i model.ClientID, gs *greedyState) ([]greedyEval, int, error) {
+	scr := gs.scr[0]
 	gs.ix.RefreshClusters(gs.scope)
-	gs.cands = gs.ix.TopK(i, s.cfg.CandidateClusters, gs.scope, gs.cands)
+	scr.topK = gs.ix.TopK(i, s.cfg.CandidateClusters, gs.scope, scr.topK)
 
 	evals := gs.evals[:0]
 	bestEst := math.Inf(-1)
 	var evaluated int
-	for _, c := range gs.cands {
+	for _, c := range scr.topK {
 		if c.Bound <= bestEst {
 			// Candidates are bound-descending: nothing after this one can
 			// strictly beat the best exact estimate either. Bound-vs-exact
@@ -252,7 +253,7 @@ func (s *Solver) priceTopK(a *alloc.Allocation, i model.ClientID, gs *greedyStat
 			}
 			break
 		}
-		est, portions, err := s.assignDistribute(a, i, c.Cluster, noServer, &gs.dist[0])
+		est, portions, err := s.assignDistribute(a, i, c.Cluster, noServer, scr)
 		evaluated++
 		if err != nil {
 			if errors.Is(err, ErrCannotPlace) {
@@ -263,7 +264,7 @@ func (s *Solver) priceTopK(a *alloc.Allocation, i model.ClientID, gs *greedyStat
 		evals = evals[:len(evals)+1] // within cap: top-k yields fewer than the scope
 		ev := &evals[len(evals)-1]
 		ev.k, ev.est, ev.bound, ev.ok = c.Cluster, est, c.Bound, true
-		// The scratch-backed portions alias gs.dist; copy into the
+		// The scratch-backed portions alias scr; copy into the
 		// eval-owned recycled slice before the next evaluation.
 		ev.portions = append(ev.portions[:0], portions...)
 		if est > bestEst {

@@ -73,7 +73,7 @@ func TestScoreClientIndexedEquiv(t *testing.T) {
 			outGain = 0
 		}
 
-		var wsFull, wsIx, wsPruned reassignScratch
+		var wsFull, wsIx, wsPruned distScratch
 		var sawPruning bool
 		for ci := 0; ci < scen.NumClients(); ci++ {
 			i := model.ClientID(ci)

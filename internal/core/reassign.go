@@ -25,10 +25,14 @@ import (
 // a serial commit loop in descending-gain order. Its flight-recorder
 // events carry the trace context of the span in ctx, linking each
 // commit/restore failure to the round it happened in. What the pass
-// counts is published to Config.Telemetry.
+// counts is published to Config.Telemetry. Its skip marks carry over to
+// the next call on the same allocation.
 func (s *Solver) ReassignmentPassCtx(ctx context.Context, a *alloc.Allocation) int {
 	var st Stats
-	moves := s.reassignCloud(ctx, a, false, &st)
+	var moves int
+	s.exportedPass(a, func(rs *reassignState) {
+		moves = s.reassignmentPass(ctx, a, rs, s.clients, s.all, s.cfg.Workers, false, &st)
+	})
 	publish(s.cfg.Telemetry, &st)
 	return moves
 }

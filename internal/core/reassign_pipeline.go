@@ -86,56 +86,53 @@ type scoreResult struct {
 	pruned    int
 }
 
-// reassignScratch is one scoring worker's reusable working memory.
-type reassignScratch struct {
-	dist  distScratch
-	gain  alloc.GainScratch
-	best  []alloc.Portion
-	cands []alloc.Candidate
-}
-
-// reassignState carries one pass's recycled buffers and candidate index
-// and, for the whole cloud, the cross-pass skip marks. The whole cloud's
-// state is cached on the solver and bound to one allocation (a pass over
-// a different allocation starts fresh); a shard's pass starts from an
-// empty state, with no marks.
+// reassignState carries one pass scope's recycled buffers and candidate
+// index across its passes and, for the whole cloud, the cross-pass skip
+// marks. Solver.run keeps one for the whole cloud per solve and one per
+// shard in the shard plan; the exported entry points keep theirs in the
+// solver's pass slot, bound to one allocation (exportedPass).
 type reassignState struct {
 	a       *alloc.Allocation
 	marks   []clientMark
 	toScore []model.ClientID
 	results []scoreResult
 	heap    []reassignCand
-	scratch reassignScratch // worker-0 and commit-loop scratch
+	// scorers are the scoring workers' scratches, borrowed for one pass;
+	// scorer 0 also serves the commit loop's rescoring.
+	scorers []*distScratch
 	// ix is the candidate index when Config.CandidateClusters enables
 	// top-k pruning; refreshed serially before the parallel scoring stage
 	// and before each commit-loop rescore.
 	ix *alloc.Index
 }
 
-// reassignCloud is the whole-cloud pass behind ReassignmentPassCtx and
-// the round loop: every client over every cluster, with the solver's
-// cached skip marks and Config.Workers scoring workers. The state is
-// checked out for the pass, so concurrent passes on different
-// allocations each get their own.
-func (s *Solver) reassignCloud(ctx context.Context, a *alloc.Allocation, reconcile bool, st *Stats) int {
-	s.reassignMu.Lock()
-	rs := s.reassignSt
-	s.reassignSt = nil
-	s.reassignMu.Unlock()
+// newCloudPass is a whole-cloud pass state for allocation a, with
+// empty skip marks.
+func (s *Solver) newCloudPass(a *alloc.Allocation) *reassignState {
+	return &reassignState{a: a, marks: make([]clientMark, len(s.clients))}
+}
+
+// exportedPass runs fn on the exported pass slot's state for allocation
+// a: the previous call's, skip marks included, when that call ran on a;
+// a fresh one otherwise. Concurrent calls each get their own.
+func (s *Solver) exportedPass(a *alloc.Allocation, fn func(*reassignState)) {
+	s.passMu.Lock()
+	rs := s.pass
+	s.pass = nil
+	s.passMu.Unlock()
 	if rs == nil || rs.a != a {
-		rs = &reassignState{a: a, marks: make([]clientMark, len(s.clients))}
+		rs = s.newCloudPass(a)
 	}
-	defer func() {
-		s.reassignMu.Lock()
-		s.reassignSt = rs
-		s.reassignMu.Unlock()
-	}()
-	return s.reassignmentPass(ctx, a, rs, s.clients, s.all, s.cfg.Workers, reconcile, st)
+	fn(rs)
+	s.passMu.Lock()
+	s.pass = rs
+	s.passMu.Unlock()
 }
 
 // reassignmentPass scores clients against the clusters in scope and
-// commits the improving moves: the whole cloud's pass (reassignCloud) and
-// each shard's own pass in the sharded round loop. Absent (zero-rate)
+// commits the improving moves: the whole cloud's pass (every client over
+// every cluster, Config.Workers scoring workers) and each shard's own
+// pass in the sharded round loop. Absent (zero-rate)
 // clients are neither scored nor re-admitted. When rs holds skip marks a
 // client whose own and best candidate clusters are untouched since its
 // last scoring keeps its decision. workers bounds the scoring fan-out;
@@ -182,15 +179,11 @@ func (s *Solver) reassignmentPass(ctx context.Context, a *alloc.Allocation, rs *
 		rs.results = make([]scoreResult, len(toScore))
 	}
 	results := rs.results[:len(toScore)]
-	// Worker 0 borrows the pass's cached scratch; the others get their own.
-	workers = parallel.Bound(workers, len(toScore))
-	extra := make([]reassignScratch, workers-1)
-	parallel.For(parallel.Options{Workers: workers}, len(toScore), func(w, idx int) {
-		ws := &rs.scratch
-		if w > 0 {
-			ws = &extra[w-1]
-		}
-		results[idx] = s.scoreClient(a, toScore[idx], outGain, ws, ix, scope)
+	scorers := s.borrowDists(rs.scorers, parallel.Bound(workers, len(toScore)))
+	rs.scorers = scorers
+	defer s.returnDists(scorers)
+	parallel.For(parallel.Options{Workers: len(scorers)}, len(toScore), func(w, idx int) {
+		results[idx] = s.scoreClient(a, toScore[idx], outGain, scorers[w], ix, scope)
 	})
 
 	// Fold the results serially in client order: deterministic marks and
@@ -255,7 +248,7 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, rs *
 			if ix != nil {
 				ix.RefreshClusters(scope) // lazy: only the committed-to clusters recompute
 			}
-			r := s.scoreClient(a, c.client, outGain, &rs.scratch, ix, scope)
+			r := s.scoreClient(a, c.client, outGain, rs.scorers[0], ix, scope)
 			if rs.marks != nil {
 				rs.marks[c.client] = r.mark
 			}
@@ -343,7 +336,7 @@ func (s *Solver) commitCandidates(ctx context.Context, a *alloc.Allocation, rs *
 // threshold max(bestGain, prevGain+1e-9, outGain) — every pruned cluster
 // provably cannot change the action.
 func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain float64,
-	ws *reassignScratch, ix *alloc.Index, scope []model.ClusterID) scoreResult {
+	ws *distScratch, ix *alloc.Index, scope []model.ClusterID) scoreResult {
 	view := a.Excluding(i)
 	prevK := a.ClusterOf(i)
 
@@ -359,7 +352,7 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 	var evaluated int
 	evalCluster := func(k model.ClusterID) {
 		evaluated++
-		_, portions, err := s.assignDistribute(&view, i, k, noServer, &ws.dist)
+		_, portions, err := s.assignDistribute(&view, i, k, noServer, ws)
 		if err != nil {
 			return
 		}
@@ -377,8 +370,8 @@ func (s *Solver) scoreClient(a *alloc.Allocation, i model.ClientID, outGain floa
 		if prevK != alloc.Unassigned {
 			evalCluster(model.ClusterID(prevK))
 		}
-		ws.cands = ix.TopK(i, s.cfg.CandidateClusters, scope, ws.cands)
-		for _, c := range ws.cands {
+		ws.topK = ix.TopK(i, s.cfg.CandidateClusters, scope, ws.topK)
+		for _, c := range ws.topK {
 			if int(c.Cluster) == prevK {
 				continue
 			}

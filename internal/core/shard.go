@@ -35,6 +35,9 @@ type shardPlan struct {
 	byTopKey []int               // client -> statically routed shard
 	owner    [][]model.ClientID  // shard -> currently owned clients (rebuilt per round)
 	shardOf  []int               // cluster -> shard
+	// passes is each shard's reassignment pass state (no skip marks),
+	// kept for the whole solve so its index and buffers are built once.
+	passes []reassignState
 }
 
 // planShards partitions the clusters contiguously and routes the
@@ -57,6 +60,7 @@ func (s *Solver) planShards(numShards int) *shardPlan {
 		byTopKey: make([]int, s.scen.NumClients()),
 		owner:    make([][]model.ClientID, numShards),
 		shardOf:  make([]int, numK),
+		passes:   make([]reassignState, numShards),
 	}
 	for sh := 0; sh < numShards; sh++ {
 		lo, hi := sh*numK/numShards, (sh+1)*numK/numShards

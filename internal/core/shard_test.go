@@ -225,3 +225,41 @@ func TestShardedSolveSkipsAbsentClients(t *testing.T) {
 		}
 	}
 }
+
+// TestShardPassStateReused: over three rounds a sharded solve keeps each
+// shard's reassignment pass state, candidate index included, instead of
+// building it again every round. The shards' passes keep no skip marks.
+func TestShardPassStateReused(t *testing.T) {
+	s := newTestSolver(t, shardScenario(t, 120, 6, 9), func(c *Config) {
+		c.Shards = 2
+		c.CandidateClusters = 1
+	})
+	ctx := context.Background()
+	plan := s.planShards(2)
+	var st Stats
+	a, err := s.shardedGreedy(ctx, plan, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud := s.newCloudPass(a)
+	type state struct {
+		rs *reassignState
+		ix *alloc.Index
+	}
+	var first []state
+	for round := 1; round <= 3; round++ {
+		s.sweepParts(ctx, a, &st, plan, plan.clusters)
+		s.reassignmentPass(ctx, a, cloud, s.clients, s.all, s.cfg.Workers, true, &st)
+		for p := range plan.passes {
+			cur := state{&plan.passes[p], plan.passes[p].ix}
+			switch {
+			case cur.ix == nil || cur.rs.marks != nil:
+				t.Fatalf("round %d shard %d: index %p, marks %v", round, p, cur.ix, cur.rs.marks != nil)
+			case round == 1:
+				first = append(first, cur)
+			case cur != first[p]:
+				t.Errorf("round %d shard %d: state %+v, round 1 had %+v", round, p, cur, first[p])
+			}
+		}
+	}
+}

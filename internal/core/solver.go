@@ -16,8 +16,9 @@ import (
 
 // Solver runs the Resource_Alloc heuristic on one scenario. A Solver is
 // safe for concurrent use as long as each goroutine works on its own
-// allocation; it must not be copied (it guards internal pass state with
-// a mutex).
+// allocation: a solve keeps its own pass state, and the solver's only
+// mutable fields are the two mutex-guarded ones below. It must not be
+// copied.
 type Solver struct {
 	scen   *model.Scenario
 	cfg    Config
@@ -28,17 +29,15 @@ type Solver struct {
 	all     []model.ClusterID
 	clients []model.ClientID
 
-	// reassignSt caches the pipelined reassignment pass's cross-round
-	// skip marks between calls (reassign_pipeline.go). The mutex makes
-	// check-out/check-in safe when callers run passes concurrently on
-	// different allocations.
-	reassignMu sync.Mutex
-	reassignSt *reassignState
-
-	// distFree is the free list of Assign_Distribute scratches behind the
-	// exported kernels and the sweep parts (assign.go: borrowDist).
+	// distFree is the pool every Assign_Distribute scratch comes from
+	// (assign.go: borrowDist), serving each task that runs the kernel.
 	distMu   sync.Mutex
 	distFree []*distScratch
+	// pass is the exported pass slot (exportedPass): the skip marks that
+	// ReassignmentPassCtx and ImproveLocalCtx carry from one call to the
+	// next on the same allocation. Solves keep their own pass state.
+	passMu sync.Mutex
+	pass   *reassignState
 }
 
 // Stats reports what the solver did. It is the solver's only record:
@@ -177,7 +176,7 @@ func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
 	}
 	gsp.End()
 
-	s.improve(ctx, a, &stats, plan)
+	s.improve(ctx, a, &stats, plan, s.newCloudPass(a))
 	stats.FinalProfit = a.Profit()
 	stats.Attribution.Initial = stats.InitialProfit
 	stats.Attribution.Final = stats.FinalProfit
@@ -286,7 +285,7 @@ func (s *Solver) InitialSolution(rng *rand.Rand) (*alloc.Allocation, error) {
 // ctx, and what this call did is published to Config.Telemetry.
 func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats *Stats) {
 	var st Stats
-	s.improve(ctx, a, &st, nil)
+	s.exportedPass(a, func(rs *reassignState) { s.improve(ctx, a, &st, nil, rs) })
 	publish(s.cfg.Telemetry, &st)
 	if stats != nil {
 		stats.add(&st)
@@ -299,11 +298,11 @@ const steadyTolerance = 1e-4
 
 // improve is the round loop of every solve: sweep the partition (plan's
 // shards, or the whole cloud when plan is nil), then run the whole-cloud
-// reassignment pass — a central-manager move, the only place clients
-// cross clusters and shards. With a plan that pass is the serial boundary
-// reconciliation, booked to Reconcile (and the reconcile phase metrics)
-// and logged as reconcile_move.
-func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan) {
+// reassignment pass on cloud's state — a central-manager move, the only
+// place clients cross clusters and shards. With a plan that pass is the
+// serial boundary reconciliation, booked to Reconcile (and the reconcile
+// phase metrics) and logged as reconcile_move.
+func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan, cloud *reassignState) {
 	tel := s.cfg.Telemetry
 	parts := s.sweepPartition(plan)
 	prev := a.Profit()
@@ -318,7 +317,7 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 		if !s.cfg.DisableReassign {
 			tr := time.Now()
 			before := a.Profit()
-			stats.Reassignments += s.reassignCloud(rctx, a, plan != nil, stats)
+			stats.Reassignments += s.reassignmentPass(rctx, a, cloud, s.clients, s.all, s.cfg.Workers, plan != nil, stats)
 			delta := a.Profit() - before
 			if plan != nil {
 				stats.Attribution.Reconcile += delta
@@ -367,8 +366,9 @@ func (s *Solver) sweepPartition(plan *shardPlan) [][]model.ClusterID {
 // snapshotted up front, so parts touch disjoint state. A shard also runs
 // the reassignment pass over its own clients and clusters (one scoring
 // worker, no skip marks), under a span indexed by shard (StartCtxAt) so
-// the span tree is identical at any worker count. Each part counts into
-// its own Stats; they fold serially in part order.
+// the span tree is identical at any worker count, on the shard's own pass
+// state, kept in the plan for the whole solve. Each part counts into its
+// own Stats; they fold serially in part order.
 func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Stats, plan *shardPlan, parts [][]model.ClusterID) {
 	members := s.clusterMembers(a)
 	opts := parallel.Options{Workers: len(parts)}
@@ -397,7 +397,7 @@ func (s *Solver) sweepParts(ctx context.Context, a *alloc.Allocation, stats *Sta
 			// Profit reads stay within the shard's own clusters, so they
 			// are safe inside the shard goroutine.
 			before := s.clustersProfit(a, parts[p])
-			r.Reassignments = s.reassignmentPass(pctx, a, new(reassignState), plan.owner[p], parts[p], 1, false, r)
+			r.Reassignments = s.reassignmentPass(pctx, a, &plan.passes[p], plan.owner[p], parts[p], 1, false, r)
 			r.Attribution.Reassign = s.clustersProfit(a, parts[p]) - before
 			r.Timings.Reassign = time.Since(tr)
 		}

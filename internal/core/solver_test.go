@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/alloc"
@@ -197,6 +200,49 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 	}
 	if err := a2.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSolvesShareSolver: two solves running at once on one
+// Solver report the profit bits and Stats counts of a solve run alone.
+// A solve keeps its own pass state and shares only the scratch pool.
+// Under -race this also guards the pool.
+func TestConcurrentSolvesShareSolver(t *testing.T) {
+	scen := smallScenario(t, 100, 4)
+	// counts drops the wall-clock fields, which differ run to run.
+	counts := func(st Stats) Stats {
+		st.Elapsed, st.RoundDurations, st.Timings = 0, nil, PhaseTimings{}
+		return st
+	}
+	for _, shards := range []int{0, 3} {
+		s := newTestSolver(t, scen, func(c *Config) {
+			c.Shards = shards
+			c.Workers = 2
+		})
+		_, want, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Stats, 2)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				_, got[g], errs[g] = s.SolveCtx(context.Background())
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			if math.Float64bits(got[g].FinalProfit) != math.Float64bits(want.FinalProfit) ||
+				!reflect.DeepEqual(counts(got[g]), counts(want)) {
+				t.Errorf("shards=%d solve %d: %+v, want %+v", shards, g, counts(got[g]), counts(want))
+			}
+		}
 	}
 }
 

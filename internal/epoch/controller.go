@@ -13,30 +13,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ctlTel holds the controller's pre-resolved metric handles; nil
-// disables instrumentation.
-type ctlTel struct {
-	set      *telemetry.Set
-	resolves *telemetry.Counter
-	skips    *telemetry.Counter
-	drift    *telemetry.Gauge
-	solveDur *telemetry.Histogram
-}
-
-func newCtlTel(set *telemetry.Set) *ctlTel {
-	if set == nil {
-		return nil
-	}
-	set.Metrics.Help("epoch_drift_max_rel", "largest relative per-client rate drift vs the standing decision, this epoch")
-	return &ctlTel{
-		set:      set,
-		resolves: set.Counter("epoch_resolves_total"),
-		skips:    set.Counter("epoch_skips_total"),
-		drift:    set.Gauge("epoch_drift_max_rel"),
-		solveDur: set.Histogram("epoch_solve_seconds", telemetry.DurationBuckets),
-	}
-}
-
 // Policy decides whether the drift since the last decision warrants a new
 // cloud-level allocation (paper Section III: "some small changes … can be
 // effectively tracked and responded to by proper reaction of request
@@ -171,7 +147,7 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 		return ControllerSummary{}, err
 	}
 
-	tel := newCtlTel(cfg.Telemetry)
+	publish(cfg.Telemetry, nil) // register the epoch families
 	scfg := core.DefaultConfig()
 	scfg.Telemetry = cfg.Telemetry
 
@@ -199,19 +175,15 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 		if current != nil {
 			step.Drift = maxRelDrift(lastDecision, forecast)
 		}
-		var sp telemetry.Span
-		ctx := context.Background()
-		if tel != nil {
-			// Root span per epoch: the solver's solve/solve_from spans
-			// below become its children, so one trace covers the whole
-			// step (drift check, solve, realization).
-			sp, ctx = tel.set.StartCtx(ctx, "epoch.step")
-			sp.Attr("epoch", e)
-			tel.drift.Set(step.Drift)
-		}
+		// Root span per epoch: the solver's solve/solve_from spans below
+		// become its children, so one trace covers the whole step (drift
+		// check, solve, realization).
+		sp, ctx := cfg.Telemetry.StartCtx(context.Background(), "epoch.step")
+		sp.Attr("epoch", e)
 		if current == nil || cfg.Policy.ShouldResolve(lastDecision, forecast) {
 			solver, err := core.NewSolver(cur, scfg)
 			if err != nil {
+				sp.End()
 				return ControllerSummary{}, err
 			}
 			start := time.Now()
@@ -222,6 +194,7 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 				a, _, err = solver.SolveCtx(ctx)
 			}
 			if err != nil {
+				sp.End()
 				return ControllerSummary{}, err
 			}
 			step.SolveTime = time.Since(start)
@@ -234,18 +207,11 @@ func RunController(scen *model.Scenario, tr Trace, cfg ControllerConfig) (Contro
 		step.RealizedProfit, step.SaturatedClients = realize(cur, current)
 		summary.TotalProfit += step.RealizedProfit
 		summary.Steps = append(summary.Steps, step)
-		if tel != nil {
-			if step.Resolved {
-				tel.resolves.Inc()
-				tel.solveDur.Observe(step.SolveTime.Seconds())
-			} else {
-				tel.skips.Inc()
-			}
-			sp.Attr("drift", step.Drift)
-			sp.Attr("resolved", step.Resolved)
-			sp.Attr("profit", step.RealizedProfit)
-			sp.End()
-		}
+		publish(cfg.Telemetry, &step)
+		sp.Attr("drift", step.Drift)
+		sp.Attr("resolved", step.Resolved)
+		sp.Attr("profit", step.RealizedProfit)
+		sp.End()
 		if cfg.Predictor != nil {
 			if err := cfg.Predictor.Observe(rates); err != nil {
 				return ControllerSummary{}, fmt.Errorf("epoch: predictor: %w", err)

@@ -56,8 +56,6 @@ type Churn struct {
 	base     []float64 // per-client current offered rate (last jitter draw)
 	present  []model.ClientID
 	absent   []model.ClientID
-	pos      []int // client → position in its current set
-	inPres   []bool
 	emitted  int
 	flashRem int
 }
@@ -70,12 +68,10 @@ type Churn struct {
 func NewChurn(scen *model.Scenario, cfg ChurnConfig) *Churn {
 	n := scen.NumClients()
 	c := &Churn{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(parallel.SplitSeed(cfg.Seed, 0xC0FFEE))),
-		nom:    make([]float64, n),
-		base:   make([]float64, n),
-		pos:    make([]int, n),
-		inPres: make([]bool, n),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(parallel.SplitSeed(cfg.Seed, 0xC0FFEE))),
+		nom:  make([]float64, n),
+		base: make([]float64, n),
 	}
 	var minRate, maxRate float64 = math.Inf(1), 0
 	for i := range scen.Clients {
@@ -92,12 +88,9 @@ func NewChurn(scen *model.Scenario, cfg ChurnConfig) *Churn {
 		id := model.ClientID(i)
 		if c.nom[i] > 0 {
 			c.base[i] = c.nom[i]
-			c.inPres[i] = true
-			c.pos[i] = len(c.present)
 			c.present = append(c.present, id)
 		} else {
 			c.nom[i] = minRate + c.rng.Float64()*(maxRate-minRate)
-			c.pos[i] = len(c.absent)
 			c.absent = append(c.absent, id)
 		}
 	}
@@ -128,7 +121,7 @@ func (c *Churn) Next() (Event, bool) {
 
 	if c.flashRem > 0 && len(c.absent) > 0 {
 		c.flashRem--
-		id := c.takeAbsent()
+		id := c.take(&c.absent)
 		c.nom[id] *= math.Max(c.cfg.FlashBoost, 1)
 		rate := c.jitter(c.nom[id])
 		c.putPresent(id, rate)
@@ -151,13 +144,13 @@ func (c *Churn) Next() (Event, bool) {
 	u := c.rng.Float64() * total
 	switch {
 	case u < wa:
-		id := c.takeAbsent()
+		id := c.take(&c.absent)
 		rate := c.jitter(c.nom[id])
 		c.putPresent(id, rate)
 		return Event{Kind: EventArrive, Client: id, Rate: rate}, true
 	case u < wa+wd:
-		id := c.takePresent()
-		c.putAbsent(id)
+		id := c.take(&c.present)
+		c.absent = append(c.absent, id)
 		return Event{Kind: EventDepart, Client: id}, true
 	default:
 		id := c.present[c.rng.Intn(len(c.present))]
@@ -180,37 +173,19 @@ func (c *Churn) jitter(base float64) float64 {
 	return base * math.Exp(c.rng.NormFloat64()*jitterSigma)
 }
 
-// takeAbsent removes and returns a uniformly random absent client.
-func (c *Churn) takeAbsent() model.ClientID {
-	idx := c.rng.Intn(len(c.absent))
-	id := c.absent[idx]
-	last := len(c.absent) - 1
-	c.absent[idx] = c.absent[last]
-	c.pos[c.absent[idx]] = idx
-	c.absent = c.absent[:last]
-	return id
-}
-
-// takePresent removes and returns a uniformly random present client.
-func (c *Churn) takePresent() model.ClientID {
-	idx := c.rng.Intn(len(c.present))
-	id := c.present[idx]
-	last := len(c.present) - 1
-	c.present[idx] = c.present[last]
-	c.pos[c.present[idx]] = idx
-	c.present = c.present[:last]
+// take removes and returns a uniformly random client of set (the
+// present or the absent clients).
+func (c *Churn) take(set *[]model.ClientID) model.ClientID {
+	ids := *set
+	idx := c.rng.Intn(len(ids))
+	id := ids[idx]
+	last := len(ids) - 1
+	ids[idx] = ids[last]
+	*set = ids[:last]
 	return id
 }
 
 func (c *Churn) putPresent(id model.ClientID, rate float64) {
 	c.base[id] = rate
-	c.inPres[id] = true
-	c.pos[id] = len(c.present)
 	c.present = append(c.present, id)
-}
-
-func (c *Churn) putAbsent(id model.ClientID) {
-	c.inPres[id] = false
-	c.pos[id] = len(c.absent)
-	c.absent = append(c.absent, id)
 }
