@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -26,20 +27,34 @@ const goldenPath = "testdata/golden.json"
 
 // goldenEntry is one solve's outcome: the profit's bit pattern, the
 // number of placed clients, and an FNV-64a hash of every client's
-// cluster and portions.
+// cluster and portions. The online path also hashes its decision
+// stream: every event's admission, advisory cluster, bound bits and
+// commit flag.
 type goldenEntry struct {
 	ProfitBits string `json:"profit_bits"`
 	Placed     int    `json:"placed"`
 	Hash       string `json:"hash"`
+	Decisions  string `json:"decisions,omitempty"`
 }
 
+// goldenHash is an FNV-64a hash fed little-endian 64-bit words.
+type goldenHash struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newGoldenHash() *goldenHash { return &goldenHash{h: fnv.New64a()} }
+
+func (g *goldenHash) put(v uint64) {
+	binary.LittleEndian.PutUint64(g.buf[:], v)
+	g.h.Write(g.buf[:])
+}
+
+func (g *goldenHash) String() string { return fmt.Sprintf("%016x", g.h.Sum64()) }
+
 func goldenOf(a *alloc.Allocation) goldenEntry {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	h := newGoldenHash()
+	put := h.put
 	for i := 0; i < a.Scenario().NumClients(); i++ {
 		id := model.ClientID(i)
 		put(uint64(int64(a.ClusterOf(id))))
@@ -55,8 +70,26 @@ func goldenOf(a *alloc.Allocation) goldenEntry {
 	return goldenEntry{
 		ProfitBits: fmt.Sprintf("%016x", math.Float64bits(a.Profit())),
 		Placed:     a.NumAssigned(),
-		Hash:       fmt.Sprintf("%016x", h.Sum64()),
+		Hash:       h.String(),
 	}
+}
+
+// goldenDecisions hashes a decision stream.
+func goldenDecisions(ds []online.Decision) string {
+	h := newGoldenHash()
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for _, d := range ds {
+		h.put(b(d.Admitted))
+		h.put(uint64(int64(d.Cluster)))
+		h.put(math.Float64bits(d.Bound))
+		h.put(b(d.Committed))
+	}
+	return h.String()
 }
 
 // goldenPaths are the solve paths the golden file pins. Each runs one
@@ -64,21 +97,28 @@ func goldenOf(a *alloc.Allocation) goldenEntry {
 // Workers 1 and 4.
 var goldenPaths = []struct {
 	name string
-	run  func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation
+	run  func(t *testing.T, scen *model.Scenario, seed int64, workers int) goldenEntry
 }{
-	{"exact", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+	{"exact", func(t *testing.T, scen *model.Scenario, _ int64, workers int) goldenEntry {
 		return goldenSolve(t, scen, func(c *core.Config) { c.Workers = workers })
 	}},
-	{"topk", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+	{"topk", func(t *testing.T, scen *model.Scenario, _ int64, workers int) goldenEntry {
 		return goldenSolve(t, scen, func(c *core.Config) { c.Workers, c.CandidateClusters = workers, 2 })
 	}},
-	{"sharded", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+	{"sharded", func(t *testing.T, scen *model.Scenario, _ int64, workers int) goldenEntry {
 		return goldenSolve(t, scen, func(c *core.Config) { c.Workers, c.Shards = workers, 2 })
 	}},
-	{"warm", func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation {
+	{"warm", func(t *testing.T, scen *model.Scenario, seed int64, workers int) goldenEntry {
 		cfg := core.DefaultConfig()
 		cfg.Workers = workers
-		prev := goldenSolve(t, scen, func(c *core.Config) { *c = cfg })
+		s, err := core.NewSolver(scen, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, _, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Every client's rates drift by a seeded factor in [0.9, 1.1].
 		drifted := model.CloneScenario(scen)
 		rng := rand.New(rand.NewSource(seed))
@@ -87,7 +127,7 @@ var goldenPaths = []struct {
 			drifted.Clients[i].ArrivalRate *= f
 			drifted.Clients[i].PredictedRate *= f
 		}
-		s, err := core.NewSolver(drifted, cfg)
+		s, err = core.NewSolver(drifted, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,9 +135,9 @@ var goldenPaths = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return goldenOf(a)
 	}},
-	{"online", func(t *testing.T, scen *model.Scenario, seed int64, workers int) *alloc.Allocation {
+	{"online", func(t *testing.T, scen *model.Scenario, seed int64, workers int) goldenEntry {
 		cfg := online.DefaultConfig()
 		cfg.Solver.Workers = workers
 		svc, err := online.New(scen, cfg)
@@ -109,12 +149,15 @@ var goldenPaths = []struct {
 		cc.Events = 4 * scen.NumClients()
 		cc.Seed = seed
 		churn := online.NewChurn(scen, cc)
+		var ds []online.Decision
 		for ev, ok := churn.Next(); ok; ev, ok = churn.Next() {
-			svc.Decide(ev)
+			ds = append(ds, svc.Decide(ev))
 		}
-		return svc.Flush()
+		e := goldenOf(svc.Flush())
+		e.Decisions = goldenDecisions(ds)
+		return e
 	}},
-	{"distributed", func(t *testing.T, scen *model.Scenario, _ int64, workers int) *alloc.Allocation {
+	{"distributed", func(t *testing.T, scen *model.Scenario, _ int64, workers int) goldenEntry {
 		ccfg := core.DefaultConfig()
 		ccfg.Workers = workers
 		agents := make([]cluster.Agent, scen.Cloud.NumClusters())
@@ -136,11 +179,11 @@ var goldenPaths = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return goldenOf(a)
 	}},
 }
 
-func goldenSolve(t *testing.T, scen *model.Scenario, mutate func(*core.Config)) *alloc.Allocation {
+func goldenSolve(t *testing.T, scen *model.Scenario, mutate func(*core.Config)) goldenEntry {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	mutate(&cfg)
@@ -152,7 +195,7 @@ func goldenSolve(t *testing.T, scen *model.Scenario, mutate func(*core.Config)) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return goldenOf(a)
 }
 
 // TestGoldenBehaviour pins what every solve path produces on the
@@ -173,8 +216,8 @@ func TestGoldenBehaviour(t *testing.T) {
 			}
 			for _, p := range goldenPaths {
 				key := fmt.Sprintf("%s/N=%d/seed=%d", p.name, n, seed)
-				e1 := goldenOf(p.run(t, scen, seed, 1))
-				if e4 := goldenOf(p.run(t, scen, seed, 4)); e4 != e1 {
+				e1 := p.run(t, scen, seed, 1)
+				if e4 := p.run(t, scen, seed, 4); e4 != e1 {
 					t.Errorf("%s: Workers 1 gives %+v, Workers 4 gives %+v", key, e1, e4)
 				}
 				got[key] = e1
