@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -245,5 +246,74 @@ func TestReassignSkippedCountsCleanClusterSkips(t *testing.T) {
 	}
 	if _, nScored, nSkipped = pass(); nScored != 0 || nSkipped != int64(present) {
 		t.Fatalf("pass after a still one: scored %d, skipped %d; want 0, %d", nScored, nSkipped, present)
+	}
+}
+
+// TestSolveRoundsSkipNothing: every round's sweeps touch every cluster
+// before the round's reassignment pass scores, so the clean-cluster rule
+// never fires inside a solve and the round loop runs without skip marks.
+// On the golden instances (N = 50 and 200, seeds 1 and 2) the cold,
+// top-k, sharded, warm and online-commit solves all report
+// ReassignSkipped 0. The
+// online-commit solve is a warm solve at online.DefaultConfig's solver
+// settings, with rates drifted and every fifth client absent.
+func TestSolveRoundsSkipNothing(t *testing.T) {
+	onlineCommit := func(c *Config) {
+		c.NumInitSolutions, c.MaxLocalSearchIters = 1, 1
+		c.CandidateClusters, c.Parallel = 2, true
+	}
+	paths := []struct {
+		name   string
+		mutate func(*Config)
+		absent bool
+	}{
+		{"cold", nil, false},
+		{"topk", func(c *Config) { c.CandidateClusters = 2 }, false},
+		{"online-commit", onlineCommit, true},
+		{"sharded", func(c *Config) { c.Shards = 2 }, false},
+	}
+	for _, n := range []int{50, 200} {
+		for _, seed := range []int64{1, 2} {
+			scen := smallScenario(t, n, seed)
+			for _, p := range paths {
+				label := fmt.Sprintf("%s/N=%d/seed=%d", p.name, n, seed)
+				s := newTestSolver(t, scen, func(c *Config) {
+					c.Workers = 2
+					if p.mutate != nil {
+						p.mutate(c)
+					}
+				})
+				prev, st, err := s.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.ReassignSkipped != 0 {
+					t.Errorf("%s cold: ReassignSkipped %d, want 0", label, st.ReassignSkipped)
+				}
+				// The warm solve re-solves drifted rates from prev.
+				drifted := model.CloneScenario(scen)
+				rng := rand.New(rand.NewSource(seed))
+				for i := range drifted.Clients {
+					f := 0.9 + 0.2*rng.Float64()
+					if p.absent && i%5 == 0 {
+						f = 0
+					}
+					drifted.Clients[i].ArrivalRate *= f
+					drifted.Clients[i].PredictedRate *= f
+				}
+				ws := newTestSolver(t, drifted, func(c *Config) {
+					c.Workers = 2
+					if p.mutate != nil {
+						p.mutate(c)
+					}
+				})
+				if _, st, err = ws.SolveFromCtx(context.Background(), prev); err != nil {
+					t.Fatal(err)
+				}
+				if st.ReassignSkipped != 0 {
+					t.Errorf("%s warm: ReassignSkipped %d, want 0", label, st.ReassignSkipped)
+				}
+			}
+		}
 	}
 }

@@ -241,7 +241,7 @@ func TestShardPassStateReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud := s.newCloudPass(a)
+	cloud := &reassignState{a: a}
 	type state struct {
 		rs *reassignState
 		ix *alloc.Index

@@ -176,7 +176,7 @@ func (s *Solver) run(ctx context.Context, spanName string, plan *shardPlan,
 	}
 	gsp.End()
 
-	s.improve(ctx, a, &stats, plan, s.newCloudPass(a))
+	s.improve(ctx, a, &stats, plan, &reassignState{a: a})
 	stats.FinalProfit = a.Profit()
 	stats.Attribution.Initial = stats.InitialProfit
 	stats.Attribution.Final = stats.FinalProfit
