@@ -42,9 +42,10 @@
 //
 // The commit path mutates only the rate fields of the owned scenario's
 // clients. The decision path never reads those fields: it prices
-// placements with Index.GainUpperBoundAt, which takes the rates as
-// arguments and reads only immutable client constants (ProcTime,
-// CommTime, DiskNeed, Class) plus the frozen snapshot's aggregates.
+// placements with alloc.PricingTable.Best (exactly the best
+// Index.GainUpperBoundAt, each distinct cluster state priced once), which
+// takes the rates as arguments and reads only immutable client constants
+// (ProcTime, CommTime, DiskNeed, Class) and the frozen snapshot.
 package online
 
 import (
@@ -142,8 +143,8 @@ func DefaultConfig() Config {
 // snapshot is the committed plane: everything a lock-free decision needs,
 // immutable once published.
 type snapshot struct {
-	a  *alloc.Allocation
-	ix *alloc.Index
+	a      *alloc.Allocation
+	prices *alloc.PricingTable // over the allocation's refreshed index
 	// clusterRate is the committed Σλ̃ per cluster.
 	clusterRate []float64
 	// threshold is max(CommitFloor, CommitRel·clusterRate) per cluster.
@@ -313,15 +314,15 @@ func New(scen *model.Scenario, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// publish builds the index and derived per-cluster tables for allocation
-// a and swaps in the new snapshot. Caller holds mu (or is New).
+// publish builds the index, pricing table and per-cluster tables for
+// allocation a and swaps in the new snapshot. Caller holds mu (or is New).
 func (s *Service) publish(a *alloc.Allocation, version uint64) {
 	ix := alloc.NewIndex(a)
 	ix.Refresh()
 	numK := len(s.acc)
 	sn := &snapshot{
 		a:           a,
-		ix:          ix,
+		prices:      alloc.NewPricingTable(ix),
 		clusterRate: make([]float64, numK),
 		threshold:   make([]float64, numK),
 		version:     version,
@@ -367,30 +368,19 @@ func (s *Service) Decide(ev Event) Decision {
 	return d
 }
 
-// decideOffer handles arrivals and rate changes: price the offered rate
-// against every cluster's shaded gain bound, admit on the best positive
-// bound, and fold the load delta into the pending plane.
+// decideOffer handles arrivals and rate changes: find the best shaded
+// gain bound over the clusters (PricingTable.Best), admit it if positive,
+// and fold the load delta into the pending plane.
 func (s *Service) decideOffer(i model.ClientID, rate float64) Decision {
 	if rate <= 0 {
 		// A rate change to zero is a departure in disguise.
 		return s.decideDepart(i)
 	}
-	sn := s.snap.Load()
 	cl := &s.scen.Clients[i] // only immutable fields are read below
-	bestK := -1
-	bestBound := math.Inf(-1)
-	for k := range s.acc {
-		pend := alloc.PendingLoad{
-			Proc: loadFloat(&s.acc[k].pendProc),
-			Comm: loadFloat(&s.acc[k].pendComm),
-		}
-		b, ok := sn.ix.GainUpperBoundAt(i, model.ClusterID(k), rate, rate, pend)
-		if ok && b > bestBound {
-			bestBound = b
-			bestK = k
-		}
-	}
-	admitted := bestK >= 0 && (!s.cfg.Solver.AdmissionControl || bestBound > 0)
+	best, bestBound, found := s.snap.Load().prices.Best(i, rate, func(k model.ClusterID) alloc.PendingLoad {
+		return alloc.PendingLoad{Proc: loadFloat(&s.acc[k].pendProc), Comm: loadFloat(&s.acc[k].pendComm)}
+	})
+	admitted := found && (!s.cfg.Solver.AdmissionControl || bestBound > 0)
 
 	// The desired rate is recorded either way: a rejected offer is
 	// waitlisted, and every commit's re-solve reconsiders it under the
@@ -409,8 +399,8 @@ func (s *Service) decideOffer(i model.ClientID, rate float64) Decision {
 	case admitted:
 		// Newly pending on the advisory cluster: charge the full rate
 		// (nothing was charged while absent or waitlisted).
-		s.home[i].Store(int32(bestK))
-		committed = s.addPending(bestK, rate, cl)
+		s.home[i].Store(int32(best))
+		committed = s.addPending(int(best), rate, cl)
 	}
 	if !admitted {
 		d := s.reject()
@@ -418,7 +408,7 @@ func (s *Service) decideOffer(i model.ClientID, rate float64) Decision {
 		return d
 	}
 	s.admits.Inc()
-	return Decision{Admitted: true, Cluster: model.ClusterID(bestK), Bound: bestBound, Committed: committed}
+	return Decision{Admitted: true, Cluster: best, Bound: bestBound, Committed: committed}
 }
 
 // reject counts a rejected event and returns its decision.
