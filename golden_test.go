@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -29,12 +30,14 @@ const goldenPath = "testdata/golden.json"
 // number of placed clients, and an FNV-64a hash of every client's
 // cluster and portions. The online path also hashes its decision
 // stream: every event's admission, advisory cluster, bound bits and
-// commit flag.
+// commit flag, and the Monte-Carlo path hashes its envelope's four
+// best/worst figures.
 type goldenEntry struct {
 	ProfitBits string `json:"profit_bits"`
 	Placed     int    `json:"placed"`
 	Hash       string `json:"hash"`
 	Decisions  string `json:"decisions,omitempty"`
+	Envelope   string `json:"envelope,omitempty"`
 }
 
 // goldenHash is an FNV-64a hash fed little-endian 64-bit words.
@@ -180,6 +183,28 @@ var goldenPaths = []struct {
 			t.Fatal(err)
 		}
 		return goldenOf(a)
+	}},
+	{"ps", func(t *testing.T, scen *model.Scenario, _ int64, workers int) goldenEntry {
+		a, err := baseline.SolveModifiedPS(scen, baseline.PSConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldenOf(a)
+	}},
+	{"montecarlo", func(t *testing.T, scen *model.Scenario, seed int64, workers int) goldenEntry {
+		cfg := baseline.DefaultMCConfig()
+		cfg.Draws, cfg.Seed, cfg.Workers = 8, seed, workers
+		env, err := baseline.RunMonteCarlo(scen, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := goldenOf(env.Best)
+		h := newGoldenHash()
+		for _, v := range []float64{env.BestInitial, env.WorstInitial, env.BestOptimized, env.WorstOptimized} {
+			h.put(math.Float64bits(v))
+		}
+		e.Envelope = h.String()
+		return e
 	}},
 }
 
