@@ -65,13 +65,11 @@ type Envelope struct {
 // reassignment search, and reports the best/worst envelope (paper
 // Section VI, Figures 4 and 5).
 //
-// Draws fan out over a bounded worker pool; each worker has its own
-// solver, so no two draws share its reassignment pass state, recycles
-// one allocation arena across its draws (alloc.Reset) and keeps only its
-// running best under (optimized profit desc, draw index asc). The
-// per-draw profits are folded into the envelope serially in draw order
-// afterwards, so the result, and every count the solvers publish, is the
-// same for W=1 and W=N.
+// Draws fan out through parallel.Best, which keeps the best optimized
+// allocation; each worker has its own solver, so no two draws share its
+// reassignment pass state. The per-draw profits are folded into the
+// envelope serially in draw order afterwards, so the result, and every
+// count the solvers publish, is the same for W=1 and W=N.
 func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 	if cfg.Draws <= 0 {
 		return Envelope{}, fmt.Errorf("baseline: Draws = %d", cfg.Draws)
@@ -88,31 +86,15 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 		}
 	}
 
-	type drawResult struct {
-		initial, optimized float64
-		err                error
-	}
-	type workerBest struct {
-		a      *alloc.Allocation
-		profit float64
-		index  int
-	}
+	type drawResult struct{ initial, optimized float64 }
 	results := make([]drawResult, n)
-	curs := make([]*alloc.Allocation, workers)
-	bests := make([]workerBest, workers)
-	parallel.For(parallel.Options{Workers: workers, Tel: cfg.Telemetry, Phase: "mc_draws"},
-		n, func(w, d int) {
-			a := curs[w]
-			if a == nil {
-				a = alloc.New(scen)
-			} else {
-				a.Reset()
-			}
+	best, err := parallel.Best(parallel.Options{Workers: workers, Tel: cfg.Telemetry, Phase: "mc_draws"}, n,
+		func() *alloc.Allocation { return alloc.New(scen) },
+		(*alloc.Allocation).Reset,
+		func(w, d int, a *alloc.Allocation) (float64, error) {
 			solver := solvers[w]
 			if err := randomAssign(solver, a, parallel.Rand(cfg.Seed, uint64(d))); err != nil {
-				results[d].err = err
-				curs[w] = a
-				return
+				return 0, err
 			}
 			// First evaluation of a fresh draw settles every ledger entry
 			// (O(clients+servers), unavoidable); the post-search evaluation
@@ -121,40 +103,25 @@ func RunMonteCarlo(scen *model.Scenario, cfg MCConfig) (Envelope, error) {
 			reassignmentSearch(solver, a, cfg.MaxSearchPasses)
 			p1 := a.Profit()
 			results[d] = drawResult{initial: p0, optimized: p1}
-			if b := &bests[w]; b.a == nil || p1 > b.profit || (p1 == b.profit && d < b.index) {
-				curs[w] = b.a
-				*b = workerBest{a: a, profit: p1, index: d}
-			} else {
-				curs[w] = a
-			}
+			return p1, nil
 		})
+	if err != nil {
+		return Envelope{}, err
+	}
 
 	env := Envelope{
 		Draws:          n,
+		Best:           best,
 		BestInitial:    math.Inf(-1),
 		WorstInitial:   math.Inf(1),
 		BestOptimized:  math.Inf(-1),
 		WorstOptimized: math.Inf(1),
 	}
-	for d := range results {
-		r := &results[d]
-		if r.err != nil {
-			return Envelope{}, r.err
-		}
+	for _, r := range results {
 		env.BestInitial = math.Max(env.BestInitial, r.initial)
 		env.WorstInitial = math.Min(env.WorstInitial, r.initial)
 		env.BestOptimized = math.Max(env.BestOptimized, r.optimized)
 		env.WorstOptimized = math.Min(env.WorstOptimized, r.optimized)
-	}
-	bestProfit, bestIndex := math.Inf(-1), n
-	for w := range bests {
-		b := &bests[w]
-		if b.a == nil {
-			continue
-		}
-		if env.Best == nil || b.profit > bestProfit || (b.profit == bestProfit && b.index < bestIndex) {
-			env.Best, bestProfit, bestIndex = b.a, b.profit, b.index
-		}
 	}
 	return env, nil
 }

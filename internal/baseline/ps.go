@@ -54,49 +54,16 @@ func SolveModifiedPS(scen *model.Scenario, cfg PSConfig) (*alloc.Allocation, err
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 
-	// The sweep settings are independent; fan them out. Each worker
-	// recycles one allocation arena and keeps its best attempt under
-	// (profit desc, fraction index asc); the global winner under the
-	// same order is the one a sequential sweep would keep, for any
-	// worker count. Each attempt's first Profit() settles its whole
-	// ledger once; any later re-evaluation of the winner is incremental.
-	type workerBest struct {
-		a      *alloc.Allocation
-		profit float64
-		index  int
-	}
-	n := len(psActiveFractions)
-	workers := parallel.Bound(cfg.Workers, n)
-	curs := make([]*alloc.Allocation, workers)
-	bests := make([]workerBest, workers)
-	parallel.For(parallel.Options{Workers: workers, Phase: "ps_sweep"}, n, func(w, idx int) {
-		a := curs[w]
-		if a == nil {
-			a = alloc.New(scen)
-		} else {
-			a.Reset()
-		}
-		psAttempt(a, scen, psActiveFractions[idx])
-		p := a.Profit()
-		if b := &bests[w]; b.a == nil || p > b.profit || (p == b.profit && idx < b.index) {
-			curs[w] = b.a
-			*b = workerBest{a: a, profit: p, index: idx}
-		} else {
-			curs[w] = a
-		}
-	})
-	var best *alloc.Allocation
-	bestProfit, bestIndex := math.Inf(-1), n
-	for w := range bests {
-		b := &bests[w]
-		if b.a == nil {
-			continue
-		}
-		if best == nil || b.profit > bestProfit || (b.profit == bestProfit && b.index < bestIndex) {
-			best, bestProfit, bestIndex = b.a, b.profit, b.index
-		}
-	}
-	return best, nil
+	// The sweep settings are independent; parallel.Best fans them out.
+	// Each attempt's first Profit() settles its whole ledger once; any
+	// later re-evaluation of the winner is incremental.
+	return parallel.Best(parallel.Options{Workers: cfg.Workers, Phase: "ps_sweep"}, len(psActiveFractions),
+		func() *alloc.Allocation { return alloc.New(scen) },
+		(*alloc.Allocation).Reset,
+		func(_, idx int, a *alloc.Allocation) (float64, error) {
+			psAttempt(a, scen, psActiveFractions[idx])
+			return a.Profit(), nil
+		})
 }
 
 // psAttempt builds one PS solution with the given active fraction into

@@ -34,14 +34,6 @@ type ManagerConfig struct {
 	Telemetry *telemetry.Set
 }
 
-// The distributed improvement loop stops after maxImproveRounds rounds,
-// or earlier once a round gains less than improveTolerance of the profit
-// relatively — the same stop rule as core's local search.
-const (
-	maxImproveRounds = 20
-	improveTolerance = 1e-4
-)
-
 // maxReassignPasses bounds the central reassignment polish: passes of
 // the cloud-level reassignment pipeline over the merged allocation after
 // the distributed improvement rounds. Cross-cluster client moves are a
@@ -198,8 +190,10 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 
 	// profits holds each cluster's profit after the latest round.
 	profits := make([]float64, len(m.agents))
+	// The rounds stop by core's local-search rule: core.Steady, within
+	// the default MaxLocalSearchIters budget.
 	prev := bestProfit
-	for round := 0; round < maxImproveRounds; round++ {
+	for round := 0; round < core.DefaultConfig().MaxLocalSearchIters; round++ {
 		stats.ImproveRounds = round + 1
 		rsp, rctx := tel.StartCtx(ctx, "manager.improve_round")
 		t0 := time.Now()
@@ -213,7 +207,7 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 		rsp.Attr("profit", total)
 		rsp.Attr("delta", total-prev)
 		rsp.End()
-		if total-prev <= improveTolerance*(1+abs(prev)) {
+		if core.Steady(prev, total) {
 			prev = total
 			break
 		}
@@ -471,11 +465,4 @@ func (m *Manager) Close() error {
 		errs = append(errs, ag.Close())
 	}
 	return errors.Join(errs...)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -109,7 +109,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: AlphaGranularity = %d (want 1..%d)", c.AlphaGranularity, math.MaxInt16)
 	case c.MaxLocalSearchIters < 0:
 		return fmt.Errorf("core: MaxLocalSearchIters = %d", c.MaxLocalSearchIters)
-	case c.ShadowPriceScale <= 0:
+	case !(c.ShadowPriceScale > 0): // NaN too
 		return fmt.Errorf("core: ShadowPriceScale = %v", c.ShadowPriceScale)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Workers = %d", c.Workers)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -197,63 +198,33 @@ func (s *Solver) fanOpts(ctx context.Context, phase string) parallel.Options {
 }
 
 // multiStart is the cold solve's initial-solution builder: it runs the
-// NumInitSolutions greedy starts on the fan-out engine and returns the
-// winner under (profit desc, start index asc). Each worker tallies its
-// starts' index counts apart; they fold into st once the fan-out ends.
+// NumInitSolutions greedy starts through parallel.Best and returns its
+// winner. Each worker tallies its starts' index counts apart; they fold
+// into st once the fan-out ends.
 func (s *Solver) multiStart(ctx context.Context, gsp *telemetry.Span, st *Stats) (*alloc.Allocation, error) {
 	n := s.cfg.NumInitSolutions
 	gsp.Attr("starts", n)
-	workers := parallel.Bound(s.cfg.Workers, n)
-	// Per-worker state: cur is the recycled arena for the next start,
-	// best the worker's winner so far under the global total order.
-	type workerBest struct {
-		a      *alloc.Allocation
-		profit float64
-		index  int
-	}
-	curs := make([]*alloc.Allocation, workers)
-	bests := make([]workerBest, workers)
-	tallies := make([]Stats, workers)
+	tallies := make([]Stats, parallel.Bound(s.cfg.Workers, n))
 	ref := telemetry.RefFromContext(ctx)
-	err := parallel.ForErr(s.fanOpts(ctx, "multistart"), n, func(w, iter int) error {
-		a := curs[w]
-		if a == nil {
-			a = alloc.New(s.scen)
+	best, err := parallel.Best(s.fanOpts(ctx, "multistart"), n,
+		func() *alloc.Allocation {
+			a := alloc.New(s.scen)
 			a.Instrument(s.cfg.Telemetry)
-		} else {
-			a.Reset()
-		}
-		rng := parallel.Rand(s.cfg.Seed, uint64(iter))
-		if _, err := s.place(a, shuffled(rng, s.clients), s.all, ref, &tallies[w]); err != nil {
-			curs[w] = a
-			return err
-		}
-		p := a.Profit()
-		if b := &bests[w]; b.a == nil || p > b.profit || (p == b.profit && iter < b.index) {
-			curs[w] = b.a
-			*b = workerBest{a: a, profit: p, index: iter}
-		} else {
-			curs[w] = a
-		}
-		return nil
-	})
+			return a
+		},
+		(*alloc.Allocation).Reset,
+		func(w, iter int, a *alloc.Allocation) (float64, error) {
+			rng := parallel.Rand(s.cfg.Seed, uint64(iter))
+			if _, err := s.place(a, shuffled(rng, s.clients), s.all, ref, &tallies[w]); err != nil {
+				return 0, err
+			}
+			return a.Profit(), nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	for w := range tallies {
 		st.add(&tallies[w])
-	}
-	var best *alloc.Allocation
-	var bestProfit float64
-	bestIndex := n
-	for w := range bests {
-		b := &bests[w]
-		if b.a == nil {
-			continue
-		}
-		if best == nil || b.profit > bestProfit || (b.profit == bestProfit && b.index < bestIndex) {
-			best, bestProfit, bestIndex = b.a, b.profit, b.index
-		}
 	}
 	if best == nil {
 		return nil, errors.New("core: no initial solution produced")
@@ -296,6 +267,13 @@ func (s *Solver) ImproveLocalCtx(ctx context.Context, a *alloc.Allocation, stats
 // the local search counts as steady and stops.
 const steadyTolerance = 1e-4
 
+// Steady is the local search's stop rule, which the cluster manager's
+// round loop shares: a round that took the profit from prev to cur
+// gained less than steadyTolerance of it relatively.
+func Steady(prev, cur float64) bool {
+	return cur-prev <= steadyTolerance*(1+math.Abs(prev))
+}
+
 // improve is the round loop of every solve: sweep the partition (plan's
 // shards, or the whole cloud when plan is nil), then run the whole-cloud
 // reassignment pass on cloud's state — a central-manager move, the only
@@ -334,7 +312,7 @@ func (s *Solver) improve(ctx context.Context, a *alloc.Allocation, stats *Stats,
 			rsp.Attr("delta", p-prev)
 		}
 		rsp.End()
-		if p-prev <= steadyTolerance*(1+absf(prev)) {
+		if Steady(prev, p) {
 			break
 		}
 		prev = p
@@ -469,11 +447,4 @@ func (s *Solver) clusterMembers(a *alloc.Allocation) [][]model.ClientID {
 		}
 	}
 	return members
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -64,6 +64,16 @@ func TestNewSolverValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNaNShadowPriceScale: a NaN scale fails the "> 0"
+// check like a non-positive one; it would make every η NaN.
+func TestConfigRejectsNaNShadowPriceScale(t *testing.T) {
+	c := DefaultConfig()
+	c.ShadowPriceScale = math.NaN()
+	if err := c.Validate(); err == nil {
+		t.Fatal("NaN ShadowPriceScale accepted")
+	}
+}
+
 func TestAssignDistributeProducesFeasiblePortions(t *testing.T) {
 	scen := smallScenario(t, 10, 2)
 	s := newTestSolver(t, scen, nil)

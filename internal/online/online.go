@@ -230,8 +230,10 @@ type Service struct {
 // commit goroutine. Clients with zero rates are absent until they
 // arrive.
 func New(scen *model.Scenario, cfg Config) (*Service, error) {
-	if cfg.CommitRel < 0 || cfg.CommitFloor < 0 {
-		return nil, fmt.Errorf("online: negative commit threshold (rel=%v floor=%v)", cfg.CommitRel, cfg.CommitFloor)
+	// NaN is refused too: it would make every event commit. An infinite
+	// floor stays legal and means "never commit".
+	if !(cfg.CommitRel >= 0) || !(cfg.CommitFloor >= 0) {
+		return nil, fmt.Errorf("online: negative or NaN commit threshold (rel=%v floor=%v)", cfg.CommitRel, cfg.CommitFloor)
 	}
 	cfg.Solver.Telemetry = cfg.Telemetry
 	own := model.CloneScenario(scen)

@@ -72,6 +72,25 @@ func drainChurn(s *Service, c *Churn) []Decision {
 	}
 }
 
+// TestNewRejectsNaNCommitThreshold: a NaN CommitRel or CommitFloor is
+// refused like a negative one (a NaN threshold would commit on nearly
+// every event), while an infinite floor, "never commit", is accepted.
+func TestNewRejectsNaNCommitThreshold(t *testing.T) {
+	scen := testScenario(t, 20, 1, 0)
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.CommitRel = math.NaN() },
+		func(c *Config) { c.CommitFloor = math.NaN() },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if s, err := New(scen, cfg); err == nil {
+			s.Close()
+			t.Fatalf("NaN threshold accepted (rel=%v floor=%v)", cfg.CommitRel, cfg.CommitFloor)
+		}
+	}
+	newTestService(t, scen, func(c *Config) { c.CommitFloor = math.Inf(1) }).Close()
+}
+
 // TestDeterministicReplay pins the synchronous-mode determinism claim:
 // the same scenario, config, and event stream yield byte-identical
 // decision sequences and the same committed profit.

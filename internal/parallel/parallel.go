@@ -3,7 +3,8 @@
 // per-cluster evaluation, sweep parts (clusters or shards) and
 // reassignment scoring, the Monte-Carlo draw loop, the Proportional-Share
 // active-fraction sweep and the experiment scenario jobs all route
-// through it.
+// through it. Best is its best-of-N search: the multi-start solve, the
+// Monte-Carlo draws and the PS sweep keep their winner through it.
 //
 // Two properties make the engine safe to drop into result-bearing code:
 //
@@ -24,6 +25,7 @@
 package parallel
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"runtime"
@@ -178,6 +180,62 @@ func ForErr(o Options, n int, fn func(worker, task int) error) error {
 		return firstErr.err
 	}
 	return nil
+}
+
+// Best runs try(worker, task, arena) for every task in [0, n) through
+// ForErr and returns the arena of the winning task: the highest score,
+// ties to the lowest task (beats). A failed task is no candidate, and
+// the lowest failing task's error is returned with the zero A, as ForErr
+// does; with no task the zero A is returned. Each worker holds at most
+// two arenas, its best so far and a spare: fresh makes one, and reset
+// empties a used spare before the next task gets it.
+func Best[A any](o Options, n int, fresh func() A, reset func(A), try func(worker, task int, arena A) (float64, error)) (A, error) {
+	type slot struct {
+		best, spare A
+		haveSpare   bool
+		score       float64
+		task        int // of best; -1 before the worker's first candidate
+	}
+	slots := make([]slot, Bound(o.Workers, n))
+	for w := range slots {
+		slots[w].task = -1
+	}
+	err := ForErr(o, n, func(w, t int) error {
+		s := &slots[w]
+		a := s.spare
+		if s.haveSpare {
+			reset(a)
+		} else {
+			a = fresh()
+		}
+		p, err := try(w, t, a)
+		if err != nil || !beats(p, t, s.score, s.task) {
+			s.spare, s.haveSpare = a, true
+			return err
+		}
+		s.spare, s.haveSpare = s.best, s.task >= 0
+		s.best, s.score, s.task = a, p, t
+		return nil
+	})
+	win := slot{task: -1}
+	if err != nil {
+		return win.best, err
+	}
+	for _, s := range slots {
+		if s.task >= 0 && beats(s.score, s.task, win.score, win.task) {
+			win = s
+		}
+	}
+	return win.best, nil
+}
+
+// beats is Best's order: score p of task t ranks above score q of task u
+// (u < 0: no task yet) when it is higher, or equal with t < u. A NaN ranks
+// below every number (cmp.Compare), so the order is total and the winner
+// is the sequential first maximum at every worker count.
+func beats(p float64, t int, q float64, u int) bool {
+	c := cmp.Compare(p, q)
+	return u < 0 || c > 0 || (c == 0 && t < u)
 }
 
 // fanTel holds one fan-out's resolved metric handles; nil disables.

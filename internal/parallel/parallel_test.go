@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -141,5 +144,83 @@ func TestFanoutTelemetry(t *testing.T) {
 	}
 	if got := set.Gauge(telemetry.Name("fanout_utilization", "phase", "test_phase")).Value(); got < 0 || got > 1.0001 {
 		t.Errorf("fanout_utilization = %v outside [0, 1]", got)
+	}
+}
+
+// bestArena is TestBestWorkerEquiv's arena: task is the task that last
+// filled it (-1 when empty) and busy guards against two running tasks
+// sharing it.
+type bestArena struct {
+	task int
+	busy atomic.Bool
+}
+
+// TestBestWorkerEquiv: Best picks the task a sequential first-maximum
+// loop picks under cmp.Compare (ties to the lowest task, NaN below every
+// number, even as the first candidate), runs every task once, returns
+// the lowest failing task's error, calls fresh at most twice per worker
+// and never hands one arena to two running tasks.
+func TestBestWorkerEquiv(t *testing.T) {
+	const n = 64
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = float64(i * 37 % 11) // 10 first at task 8, tied at 19, 30, ...
+	}
+	scores[0], scores[19] = math.NaN(), math.NaN()
+	want := -1
+	for i, s := range scores {
+		if want < 0 || cmp.Compare(s, scores[want]) > 0 {
+			want = i
+		}
+	}
+	if want != 8 {
+		t.Fatalf("reference loop picked task %d, want 8", want)
+	}
+	for _, fail := range [][]int{nil, {41, 3, 8}} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			for rep := 0; rep < 20; rep++ {
+				var fresh atomic.Int32
+				runs := make([]atomic.Int32, n)
+				got, err := Best(Options{Workers: workers}, n,
+					func() *bestArena { fresh.Add(1); return &bestArena{task: -1} },
+					func(a *bestArena) { a.task = -1 },
+					func(_, task int, a *bestArena) (float64, error) {
+						runs[task].Add(1)
+						if !a.busy.CompareAndSwap(false, true) {
+							t.Errorf("task %d: arena already in use", task)
+						}
+						defer a.busy.Store(false)
+						if a.task != -1 {
+							t.Errorf("task %d: arena of task %d not emptied", task, a.task)
+						}
+						a.task = task
+						runtime.Gosched()
+						for _, f := range fail {
+							if task == f {
+								return math.Inf(1), fmt.Errorf("task %d failed", task)
+							}
+						}
+						return scores[task], nil
+					})
+				name := fmt.Sprintf("fail=%v workers=%d", fail, workers)
+				for task := range runs {
+					if c := runs[task].Load(); c != 1 {
+						t.Fatalf("%s: task %d ran %d times", name, task, c)
+					}
+				}
+				if f, max := fresh.Load(), 2*Bound(workers, n); int(f) > max {
+					t.Fatalf("%s: fresh called %d times, want at most %d", name, f, max)
+				}
+				if fail != nil {
+					if err == nil || err.Error() != "task 3 failed" || got != nil {
+						t.Fatalf("%s: got (%v, %v), want (nil, task 3's error)", name, got, err)
+					}
+					continue
+				}
+				if err != nil || got == nil || got.task != want {
+					t.Fatalf("%s: got (%+v, %v), want task %d", name, got, err, want)
+				}
+			}
+		}
 	}
 }
