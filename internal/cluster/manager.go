@@ -190,8 +190,7 @@ func (m *Manager) SolveCtx(ctx context.Context) (*alloc.Allocation, ManagerStats
 
 	// profits holds each cluster's profit after the latest round.
 	profits := make([]float64, len(m.agents))
-	// The rounds stop by core's local-search rule: core.Steady, within
-	// the default MaxLocalSearchIters budget.
+	// The rounds share core's local-search stop rule and round budget.
 	prev := bestProfit
 	for round := 0; round < core.DefaultConfig().MaxLocalSearchIters; round++ {
 		stats.ImproveRounds = round + 1

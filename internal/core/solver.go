@@ -116,10 +116,8 @@ func (s *Solver) Scenario() *model.Scenario { return s.scen }
 // The greedy starts fan out over a bounded worker pool (Config.Workers).
 // Each start derives its own RNG by seed-splitting from Config.Seed —
 // start i sees the same random client order at any worker count — and
-// the winner is reduced under the total order (profit descending, start
-// index ascending), so the solve is bit-identical for W=1 and W=N. Each
-// worker recycles one allocation arena across its starts (alloc.Reset),
-// keeping only its running best.
+// parallel.Best keeps the winner, so the solve is bit-identical for W=1
+// and W=N.
 func (s *Solver) Solve() (*alloc.Allocation, Stats, error) {
 	return s.SolveCtx(context.Background())
 }

@@ -217,10 +217,11 @@ func Best[A any](o Options, n int, fresh func() A, reset func(A), try func(worke
 		s.best, s.score, s.task = a, p, t
 		return nil
 	})
-	win := slot{task: -1}
 	if err != nil {
-		return win.best, err
+		var zero A
+		return zero, err
 	}
+	win := slot{task: -1}
 	for _, s := range slots {
 		if s.task >= 0 && beats(s.score, s.task, win.score, win.task) {
 			win = s
