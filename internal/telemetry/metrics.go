@@ -15,6 +15,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -89,10 +90,10 @@ func (g *Gauge) Value() float64 {
 // at the end. All hot-path operations are atomic; methods are safe on a
 // nil receiver.
 type Histogram struct {
-	upper   []float64
-	counts  []atomic.Int64 // len(upper)+1, last is +Inf
-	sumBits atomic.Uint64
-	count   atomic.Int64
+	upper  []float64
+	counts []atomic.Int64 // len(upper)+1, last is +Inf
+	sum    Gauge
+	count  atomic.Int64
 }
 
 // DurationBuckets spans 100µs to 10min. The upper decades matter:
@@ -117,7 +118,12 @@ var MicroBuckets = []float64{
 	1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1,
 }
 
+// newHistogram builds a histogram over the given bucket upper bounds
+// (DurationBuckets when none are given).
 func newHistogram(upper []float64) *Histogram {
+	if len(upper) == 0 {
+		upper = DurationBuckets
+	}
 	u := append([]float64(nil), upper...)
 	sort.Float64s(u)
 	return &Histogram{upper: u, counts: make([]atomic.Int64, len(u)+1)}
@@ -139,13 +145,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[idx].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.sum.Add(v)
 }
 
 // ObserveSince records the seconds elapsed since t0.
@@ -169,7 +169,48 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sumBits.Load())
+	return h.sum.Value()
+}
+
+// metric is what the registry exports of each kind: its Prometheus
+// TYPE, its sample lines, and its expvar (JSON) value.
+type metric interface {
+	promType() string
+	writeProm(w io.Writer, family, labels string)
+	expvarValue() string
+}
+
+func (*Counter) promType() string   { return "counter" }
+func (*Gauge) promType() string     { return "gauge" }
+func (*Histogram) promType() string { return "histogram" }
+
+func (c *Counter) writeProm(w io.Writer, family, labels string) {
+	fmt.Fprintf(w, "%s%s %d\n", family, braced(labels), c.Value())
+}
+
+func (g *Gauge) writeProm(w io.Writer, family, labels string) {
+	fmt.Fprintf(w, "%s%s %s\n", family, braced(labels), formatFloat(g.Value()))
+}
+
+// writeProm renders one histogram family member: cumulative _bucket
+// series (the le label merged into any existing labels), then _sum and
+// _count.
+func (h *Histogram) writeProm(w io.Writer, family, labels string) {
+	cum := int64(0)
+	for i, ub := range h.upper {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", family, labelPrefix(labels), formatFloat(ub), cum)
+	}
+	cum += h.counts[len(h.upper)].Load()
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", family, labelPrefix(labels), cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", family, braced(labels), formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", family, braced(labels), h.Count())
+}
+
+func (c *Counter) expvarValue() string { return fmt.Sprintf("%d", c.Value()) }
+func (g *Gauge) expvarValue() string   { return fmt.Sprintf("%g", g.Value()) }
+func (h *Histogram) expvarValue() string {
+	return fmt.Sprintf(`{"count":%d,"sum":%g}`, h.Count(), h.Sum())
 }
 
 // Registry holds named metrics. Metric handles are created once
@@ -177,21 +218,14 @@ func (h *Histogram) Sum() float64 {
 // only taken on (rare) creation and on export.
 type Registry struct {
 	mu        sync.RWMutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
+	metrics   map[string]metric
 	helps     map[string]string // keyed by family (name sans labels)
 	published bool
 }
 
 // newRegistry returns an empty registry.
 func newRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		helps:    make(map[string]string),
-	}
+	return &Registry{metrics: make(map[string]metric), helps: make(map[string]string)}
 }
 
 // Name formats a metric name with label pairs, deterministically:
@@ -237,75 +271,70 @@ func (r *Registry) Help(family, help string) {
 // Counter returns the counter with the given full name (create on first
 // use). Nil-safe: a nil registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge with the given full name (create on first use).
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram with the given full name, creating it
 // with the given bucket upper bounds on first use (later calls reuse the
 // original buckets).
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
+	return lookup(r, name, func() *Histogram { return newHistogram(buckets) })
+}
+
+// lookup is the get-or-create behind Counter, Gauge and Histogram (the
+// nil handle on a nil registry). A name holds one kind: asking for
+// another kind under a name already taken returns a fresh detached
+// handle, which works but is never exported.
+func lookup[M metric](r *Registry, name string, fresh func() M) M {
+	var m M
 	if r == nil {
-		return nil
+		return m
 	}
 	r.mu.RLock()
-	h := r.hists[name]
+	m, ok := r.metrics[name].(M)
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if ok {
+		return m
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		if len(buckets) == 0 {
-			buckets = DurationBuckets
-		}
-		h = newHistogram(buckets)
-		r.hists[name] = h
+	old, taken := r.metrics[name]
+	if m, ok := old.(M); ok {
+		return m
 	}
-	return h
+	m = fresh()
+	if !taken {
+		r.metrics[name] = m
+	}
+	return m
 }
 
-// row is one exportable sample.
-type row struct {
-	family string
-	labels string
-	kind   string // counter, gauge, histogram
-	text   func(w io.Writer, full string)
+// entry is one registered metric with its name split for export.
+type entry struct {
+	name, family, labels string
+	m                    metric
+}
+
+// sorted lists the registered metrics by family, then labels: the order
+// both exports walk. The caller holds r.mu.
+func (r *Registry) sorted() []entry {
+	es := make([]entry, 0, len(r.metrics))
+	for name, m := range r.metrics {
+		fam, lab := splitName(name)
+		es = append(es, entry{name: name, family: fam, labels: lab, m: m})
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].family != es[j].family {
+			return es[i].family < es[j].family
+		}
+		return es[i].labels < es[j].labels
+	})
+	return es
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -315,71 +344,28 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		return
 	}
 	r.mu.RLock()
-	rows := make([]row, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		fam, lab := splitName(name)
-		v := c.Value()
-		rows = append(rows, row{family: fam, labels: lab, kind: "counter",
-			text: func(w io.Writer, full string) { fmt.Fprintf(w, "%s %d\n", full, v) }})
-	}
-	for name, g := range r.gauges {
-		fam, lab := splitName(name)
-		v := g.Value()
-		rows = append(rows, row{family: fam, labels: lab, kind: "gauge",
-			text: func(w io.Writer, full string) { fmt.Fprintf(w, "%s %s\n", full, formatFloat(v)) }})
-	}
-	for name, h := range r.hists {
-		fam, lab := splitName(name)
-		h := h
-		rows = append(rows, row{family: fam, labels: lab, kind: "histogram",
-			text: func(w io.Writer, full string) { writeHistogram(w, fam, lab, h) }})
-	}
-	helps := make(map[string]string, len(r.helps))
-	for k, v := range r.helps {
-		helps[k] = v
-	}
+	es := r.sorted()
+	helps := maps.Clone(r.helps)
 	r.mu.RUnlock()
-
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].family != rows[j].family {
-			return rows[i].family < rows[j].family
-		}
-		return rows[i].labels < rows[j].labels
-	})
 	lastFam := ""
-	for _, rw := range rows {
-		if rw.family != lastFam {
-			if help := helps[rw.family]; help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", rw.family, help)
+	for _, e := range es {
+		if e.family != lastFam {
+			if help := helps[e.family]; help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", e.family, help)
 			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", rw.family, rw.kind)
-			lastFam = rw.family
+			fmt.Fprintf(w, "# TYPE %s %s\n", e.family, e.m.promType())
+			lastFam = e.family
 		}
-		full := rw.family
-		if rw.labels != "" {
-			full += "{" + rw.labels + "}"
-		}
-		rw.text(w, full)
+		e.m.writeProm(w, e.family, e.labels)
 	}
 }
 
-// writeHistogram renders one histogram family member: cumulative
-// _bucket series (the le label merged into any existing labels), then
-// _sum and _count.
-func writeHistogram(w io.Writer, family, labels string, h *Histogram) {
-	cum := int64(0)
-	for i, ub := range h.upper {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", family, labelPrefix(labels), formatFloat(ub), cum)
+// braced wraps a non-empty label body in braces.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
 	}
-	cum += h.counts[len(h.upper)].Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", family, labelPrefix(labels), cum)
-	brace := ""
-	if labels != "" {
-		brace = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", family, brace, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", family, brace, h.Count())
+	return "{" + labels + "}"
 }
 
 func labelPrefix(labels string) string {
@@ -400,34 +386,15 @@ func (r *Registry) String() string {
 		return "{}"
 	}
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	es := r.sorted()
+	r.mu.RUnlock()
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, n := range names {
+	for i, e := range es {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%q:", n)
-		switch {
-		case r.counters[n] != nil:
-			fmt.Fprintf(&b, "%d", r.counters[n].Value())
-		case r.gauges[n] != nil:
-			fmt.Fprintf(&b, "%g", r.gauges[n].Value())
-		default:
-			h := r.hists[n]
-			fmt.Fprintf(&b, `{"count":%d,"sum":%g}`, h.Count(), h.Sum())
-		}
+		fmt.Fprintf(&b, "%q:%s", e.name, e.m.expvarValue())
 	}
 	b.WriteByte('}')
 	return b.String()

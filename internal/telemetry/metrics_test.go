@@ -120,6 +120,27 @@ func TestPublishExpvar(t *testing.T) {
 	}
 }
 
+// TestNameHoldsOneKind: a second kind asked for under a taken name gets
+// a working but detached handle; only the first kind is exported.
+func TestNameHoldsOneKind(t *testing.T) {
+	reg := newRegistry()
+	reg.Counter("x").Add(2)
+	g := reg.Gauge("x")
+	g.Set(7)
+	reg.Histogram("x", nil).Observe(1)
+	if g.Value() != 7 || reg.Gauge("x") == g {
+		t.Fatalf("gauge under a counter's name: value %v, registered %v", g.Value(), reg.Gauge("x") == g)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if want := "# TYPE x counter\nx 2\n"; b.String() != want {
+		t.Errorf("exposition = %q, want %q", b.String(), want)
+	}
+	if got := reg.String(); got != `{"x":2}` {
+		t.Errorf("expvar = %s", got)
+	}
+}
+
 // TestNilSafety: every operation on nil handles must be a no-op.
 func TestNilSafety(t *testing.T) {
 	var (

@@ -186,12 +186,7 @@ func (t *Tracer) Start(name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	traceID := deriveID(ID(t.seed), t.roots.Add(1)-1)
-	return Span{
-		tr: t, name: name, start: time.Now(),
-		ref:  TraceRef{TraceID: traceID, SpanID: traceID},
-		kids: new(atomic.Uint64),
-	}
+	return t.startUnder(spanCtx{}, name, 0, false)
 }
 
 // StartCtx opens a span as a child of the span in ctx (a fresh root when
@@ -200,15 +195,7 @@ func (t *Tracer) Start(name string) Span {
 // unchanged, without reading the clock — the disabled path stays
 // allocation-free.
 func (t *Tracer) StartCtx(ctx context.Context, name string) (Span, context.Context) {
-	if t == nil {
-		return Span{}, ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	parent, _ := ctx.Value(spanCtxKey{}).(spanCtx)
-	sp := t.startUnder(parent, name, 0, false)
-	return sp, context.WithValue(ctx, spanCtxKey{}, spanCtx{ref: sp.ref, kids: sp.kids})
+	return t.startCtx(ctx, name, 0, false)
 }
 
 // StartCtxAt is StartCtx with an explicit child index instead of the
@@ -217,6 +204,11 @@ func (t *Tracer) StartCtx(ctx context.Context, name string) (Span, context.Conte
 // scheduling order. Indexes live in a separate namespace from counter-
 // assigned ones, so mixing both under one parent cannot collide.
 func (t *Tracer) StartCtxAt(ctx context.Context, name string, index int) (Span, context.Context) {
+	return t.startCtx(ctx, name, uint64(index), true)
+}
+
+// startCtx is the body of StartCtx and StartCtxAt.
+func (t *Tracer) startCtx(ctx context.Context, name string, index uint64, indexed bool) (Span, context.Context) {
 	if t == nil {
 		return Span{}, ctx
 	}
@@ -224,7 +216,7 @@ func (t *Tracer) StartCtxAt(ctx context.Context, name string, index int) (Span, 
 		ctx = context.Background()
 	}
 	parent, _ := ctx.Value(spanCtxKey{}).(spanCtx)
-	sp := t.startUnder(parent, name, uint64(index), true)
+	sp := t.startUnder(parent, name, index, indexed)
 	return sp, context.WithValue(ctx, spanCtxKey{}, spanCtx{ref: sp.ref, kids: sp.kids})
 }
 

@@ -34,54 +34,46 @@ func New(log *slog.Logger) *Set {
 	}
 }
 
-// Counter resolves a counter handle (nil when disabled).
-func (s *Set) Counter(name string) *Counter {
+// registry and tracer are the set's nil-safe parts: nil on a nil set,
+// and the nil handles they give are themselves no-ops.
+func (s *Set) registry() *Registry {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Counter(name)
+	return s.Metrics
 }
 
-// Gauge resolves a gauge handle (nil when disabled).
-func (s *Set) Gauge(name string) *Gauge {
+func (s *Set) tracer() *Tracer {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Gauge(name)
+	return s.Tracer
 }
+
+// Counter resolves a counter handle (nil when disabled).
+func (s *Set) Counter(name string) *Counter { return s.registry().Counter(name) }
+
+// Gauge resolves a gauge handle (nil when disabled).
+func (s *Set) Gauge(name string) *Gauge { return s.registry().Gauge(name) }
 
 // Histogram resolves a histogram handle (nil when disabled).
 func (s *Set) Histogram(name string, buckets []float64) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.Metrics.Histogram(name, buckets)
+	return s.registry().Histogram(name, buckets)
 }
 
 // Start opens a root span on the set's tracer (inert on a disabled set).
-func (s *Set) Start(name string) Span {
-	if s == nil {
-		return Span{}
-	}
-	return s.Tracer.Start(name)
-}
+func (s *Set) Start(name string) Span { return s.tracer().Start(name) }
 
 // StartCtx opens a span as a child of the span in ctx and returns the
 // derived context (inert, ctx unchanged, on a disabled set).
 func (s *Set) StartCtx(ctx context.Context, name string) (Span, context.Context) {
-	if s == nil {
-		return Span{}, ctx
-	}
-	return s.Tracer.StartCtx(ctx, name)
+	return s.tracer().StartCtx(ctx, name)
 }
 
 // StartCtxAt is StartCtx with an explicit child index
 // (Tracer.StartCtxAt), for fan-out sites.
 func (s *Set) StartCtxAt(ctx context.Context, name string, index int) (Span, context.Context) {
-	if s == nil {
-		return Span{}, ctx
-	}
-	return s.Tracer.StartCtxAt(ctx, name, index)
+	return s.tracer().StartCtxAt(ctx, name, index)
 }
 
 // FlightRecorder returns the set's flight recorder (nil when disabled);
