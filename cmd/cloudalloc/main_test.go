@@ -109,6 +109,23 @@ func TestControllerValidation(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNaN: strconv.ParseFloat accepts "NaN", which fails
+// every comparison; a threshold of NaN never re-decides.
+func TestParseRejectsNaN(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		err  func() error
+	}{
+		{"threshold", func() error { _, err := parsePolicy("threshold:NaN"); return err }},
+		{"ewma", func() error { _, err := parsePredictor("ewma:NaN"); return err }},
+		{"holt", func() error { _, err := parsePredictor("holt:NaN,0.3"); return err }},
+	} {
+		if tt.err() == nil {
+			t.Errorf("%s NaN accepted", tt.name)
+		}
+	}
+}
+
 func TestTraceValidation(t *testing.T) {
 	if err := runTrace(nil); err == nil {
 		t.Fatal("missing scenario accepted")

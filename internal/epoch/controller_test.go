@@ -94,6 +94,17 @@ func TestGenerateTraceValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateTraceRejectsNonFiniteNoise: a NaN sigma used to pass the
+// sign check and silently mean "no noise"; +Inf sigma would turn every
+// rate into 0, +Inf or NaN.
+func TestGenerateTraceRejectsNonFiniteNoise(t *testing.T) {
+	for _, sigma := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := GenerateTrace([]float64{1}, 5, nil, sigma, 1); err == nil {
+			t.Errorf("noiseSigma %v accepted", sigma)
+		}
+	}
+}
+
 func TestTraceCSVRoundTrip(t *testing.T) {
 	tr, err := GenerateTrace(baseRates(5), 6, nil, 0.1, 2)
 	if err != nil {

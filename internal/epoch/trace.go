@@ -88,7 +88,7 @@ func GenerateTrace(base []float64, epochs int, patterns []Pattern, noiseSigma fl
 	if len(base) == 0 {
 		return nil, fmt.Errorf("epoch: no base rates")
 	}
-	if noiseSigma < 0 {
+	if !(noiseSigma >= 0) || math.IsInf(noiseSigma, 1) {
 		return nil, fmt.Errorf("epoch: noiseSigma = %v", noiseSigma)
 	}
 	rng := rand.New(rand.NewSource(seed))

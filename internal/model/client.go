@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Client is one application workload with an SLA.
@@ -29,11 +30,13 @@ func (cl Client) Validate(c *Cloud) error {
 	if int(cl.Class) < 0 || int(cl.Class) >= len(c.UtilityClasses) {
 		return fmt.Errorf("client %d: unknown utility class %d", cl.ID, cl.Class)
 	}
-	if cl.ArrivalRate < 0 {
-		return fmt.Errorf("client %d: negative arrival rate", cl.ID)
+	// NaN fails every comparison, so each check below is written to
+	// pass only on valid values; rates must also be finite.
+	if !(cl.ArrivalRate >= 0) || math.IsInf(cl.ArrivalRate, 1) {
+		return fmt.Errorf("client %d: arrival rate %v is not finite and non-negative", cl.ID, cl.ArrivalRate)
 	}
-	if cl.PredictedRate < 0 {
-		return fmt.Errorf("client %d: negative predicted rate", cl.ID)
+	if !(cl.PredictedRate >= 0) || math.IsInf(cl.PredictedRate, 1) {
+		return fmt.Errorf("client %d: predicted rate %v is not finite and non-negative", cl.ID, cl.PredictedRate)
 	}
 	// Both rates zero marks an absent client (departed, or not yet
 	// arrived — the online service models churn this way); exactly one
@@ -41,11 +44,12 @@ func (cl Client) Validate(c *Cloud) error {
 	if (cl.ArrivalRate == 0) != (cl.PredictedRate == 0) {
 		return fmt.Errorf("client %d: one of arrival/predicted rate is zero, the other positive", cl.ID)
 	}
-	if cl.ProcTime <= 0 || cl.CommTime <= 0 {
+	if !(cl.ProcTime > 0 && cl.CommTime > 0) {
 		return fmt.Errorf("client %d: non-positive execution time", cl.ID)
 	}
-	if cl.DiskNeed < 0 {
-		return fmt.Errorf("client %d: negative disk need", cl.ID)
+	// +Inf disk need is legal: such a client fits on no server.
+	if !(cl.DiskNeed >= 0) {
+		return fmt.Errorf("client %d: negative or NaN disk need", cl.ID)
 	}
 	return nil
 }

@@ -113,10 +113,11 @@ func (c *Cloud) Validate() error {
 		if sc.ID != ServerClassID(i) {
 			return fmt.Errorf("cloud: server class %d has ID %d", i, sc.ID)
 		}
-		if sc.ProcCap <= 0 || sc.StoreCap <= 0 || sc.CommCap <= 0 {
+		// Written so that NaN, which fails every comparison, is rejected.
+		if !(sc.ProcCap > 0 && sc.StoreCap > 0 && sc.CommCap > 0) {
 			return fmt.Errorf("cloud: server class %d has non-positive capacity", i)
 		}
-		if sc.FixedCost < 0 || sc.UtilizationCost < 0 {
+		if !(sc.FixedCost >= 0 && sc.UtilizationCost >= 0) {
 			return fmt.Errorf("cloud: server class %d has negative cost", i)
 		}
 	}
@@ -124,7 +125,7 @@ func (c *Cloud) Validate() error {
 		if uc.ID != UtilityClassID(i) {
 			return fmt.Errorf("cloud: utility class %d has ID %d", i, uc.ID)
 		}
-		if uc.Base < 0 || uc.Slope < 0 {
+		if !(uc.Base >= 0 && uc.Slope >= 0) {
 			return fmt.Errorf("cloud: utility class %d has negative parameter", i)
 		}
 	}
@@ -158,11 +159,11 @@ func (c *Cloud) Validate() error {
 			return fmt.Errorf("cloud: server %d declares cluster %d but is listed in %d",
 				ji, srv.Cluster, home)
 		}
-		if srv.PreProcShare < 0 || srv.PreProcShare > 1 ||
-			srv.PreCommShare < 0 || srv.PreCommShare > 1 {
+		if !(srv.PreProcShare >= 0 && srv.PreProcShare <= 1 &&
+			srv.PreCommShare >= 0 && srv.PreCommShare <= 1) {
 			return fmt.Errorf("cloud: server %d has pre-allocated share outside [0,1]", ji)
 		}
-		if srv.PreDisk < 0 || srv.PreDisk > c.ServerClasses[srv.Class].StoreCap {
+		if !(srv.PreDisk >= 0 && srv.PreDisk <= c.ServerClasses[srv.Class].StoreCap) {
 			return fmt.Errorf("cloud: server %d has invalid pre-allocated disk", ji)
 		}
 	}

@@ -254,6 +254,42 @@ func TestAbsentClientValidates(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: every float field rejects NaN, and the
+// two rates reject ±Inf. The rates matter most: the epoch controller
+// writes predictor forecasts into them before a solve. +Inf DiskNeed
+// stays legal and means "fits nowhere".
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tt := range []struct {
+		name   string
+		mutate func(s *Scenario)
+	}{
+		{"NaN rates", func(s *Scenario) { s.Clients[0].ArrivalRate, s.Clients[0].PredictedRate = nan, nan }},
+		{"+Inf rates", func(s *Scenario) { s.Clients[0].ArrivalRate, s.Clients[0].PredictedRate = inf, inf }},
+		{"-Inf rates", func(s *Scenario) { s.Clients[0].ArrivalRate, s.Clients[0].PredictedRate = -inf, -inf }},
+		{"+Inf predicted rate", func(s *Scenario) { s.Clients[0].PredictedRate = inf }},
+		{"NaN proc time", func(s *Scenario) { s.Clients[0].ProcTime = nan }},
+		{"NaN comm time", func(s *Scenario) { s.Clients[0].CommTime = nan }},
+		{"NaN disk need", func(s *Scenario) { s.Clients[0].DiskNeed = nan }},
+		{"NaN capacity", func(s *Scenario) { s.Cloud.ServerClasses[0].StoreCap = nan }},
+		{"NaN cost", func(s *Scenario) { s.Cloud.ServerClasses[1].UtilizationCost = nan }},
+		{"NaN utility", func(s *Scenario) { s.Cloud.UtilityClasses[0].Base = nan }},
+		{"NaN pre share", func(s *Scenario) { s.Cloud.Servers[1].PreCommShare = nan }},
+		{"NaN pre disk", func(s *Scenario) { s.Cloud.Servers[2].PreDisk = nan }},
+	} {
+		s := tinyScenario()
+		tt.mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s accepted", tt.name)
+		}
+	}
+	s := tinyScenario()
+	s.Clients[1].DiskNeed = inf
+	if err := s.Validate(); err != nil {
+		t.Errorf("+Inf disk need rejected: %v", err)
+	}
+}
+
 // TestCloneScenarioIsDeep pins that mutating a clone's rates and cluster
 // membership never leaks into the original.
 func TestCloneScenarioIsDeep(t *testing.T) {

@@ -47,7 +47,7 @@ type EWMA struct {
 
 // NewEWMA builds an exponential smoother (0 < alpha ≤ 1).
 func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		return nil, fmt.Errorf("predict: EWMA alpha = %v", alpha)
 	}
 	return &EWMA{Alpha: alpha}, nil
@@ -85,7 +85,7 @@ type Holt struct {
 
 // NewHolt builds a Holt linear smoother (gains in (0,1]).
 func NewHolt(alpha, beta float64) (*Holt, error) {
-	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 {
+	if !(alpha > 0 && alpha <= 1 && beta > 0 && beta <= 1) {
 		return nil, fmt.Errorf("predict: Holt gains α=%v β=%v", alpha, beta)
 	}
 	return &Holt{Alpha: alpha, Beta: beta}, nil

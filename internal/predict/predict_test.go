@@ -101,6 +101,24 @@ func TestHoltTracksRamp(t *testing.T) {
 	}
 }
 
+// TestGainsRejectNaN: NaN fails every comparison, so the gain checks
+// must be written to pass only on gains in (0, 1].
+func TestGainsRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tt := range []struct {
+		name string
+		make func() (Predictor, error)
+	}{
+		{"ewma alpha", func() (Predictor, error) { return NewEWMA(nan) }},
+		{"holt alpha", func() (Predictor, error) { return NewHolt(nan, 0.3) }},
+		{"holt beta", func() (Predictor, error) { return NewHolt(0.3, nan) }},
+	} {
+		if _, err := tt.make(); err == nil {
+			t.Errorf("%s NaN accepted", tt.name)
+		}
+	}
+}
+
 func TestSlidingMean(t *testing.T) {
 	p, err := NewSlidingMean(2)
 	if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/alloc"
@@ -100,7 +101,7 @@ type portionQueues struct {
 
 // Simulate runs the discrete-event simulation of allocation a.
 func Simulate(a *alloc.Allocation, cfg Config) (*Result, error) {
-	if cfg.Horizon <= 0 {
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
 		return nil, fmt.Errorf("sim: invalid horizon %v", cfg.Horizon)
 	}
 	warmup := cfg.Horizon / 10 // measurements before this are discarded

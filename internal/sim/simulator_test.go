@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -106,6 +107,32 @@ func TestSimulateConfigValidation(t *testing.T) {
 	}
 	if _, err := Simulate(a, Config{Horizon: -10}); err == nil {
 		t.Fatal("negative horizon accepted")
+	}
+}
+
+// TestSimulateRejectsNonFiniteHorizon: a NaN or +Inf horizon never ends
+// the event loop, so it must be refused up front. Each call runs on its
+// own goroutine so that a regression fails here instead of hanging.
+func TestSimulateRejectsNonFiniteHorizon(t *testing.T) {
+	scen := singleQueueScenario(t)
+	a := alloc.New(scen)
+	if err := a.Assign(0, 0, []alloc.Portion{{Server: 0, Alpha: 1, ProcShare: 0.5, CommShare: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{math.NaN(), math.Inf(1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Simulate(a, Config{Horizon: h, Seed: 1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("horizon %v accepted", h)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("horizon %v: Simulate still running after 5s", h)
+		}
 	}
 }
 

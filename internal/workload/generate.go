@@ -96,7 +96,7 @@ func (c Config) Validate() error {
 	case c.MinServersPerCluster <= 0 || c.MaxServersPerCluster < c.MinServersPerCluster:
 		return fmt.Errorf("workload: servers per cluster range [%d,%d]",
 			c.MinServersPerCluster, c.MaxServersPerCluster)
-	case c.PredictionFactor <= 0 || c.PredictionFactor > 1:
+	case !(c.PredictionFactor > 0 && c.PredictionFactor <= 1):
 		return fmt.Errorf("workload: PredictionFactor = %v", c.PredictionFactor)
 	}
 	for _, r := range []struct {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -115,6 +116,26 @@ func TestPredictionFactor(t *testing.T) {
 		want := cl.ArrivalRate * 0.8
 		if diff := cl.PredictedRate - want; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("predicted %v, want %v", cl.PredictedRate, want)
+		}
+	}
+}
+
+// TestConfigValidateRejectsNaN: NaN fails every comparison, so a sign or
+// range check written as "reject if out of range" lets it through.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tt := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"prediction factor", func(c *Config) { c.PredictionFactor = nan }},
+		{"arrival range min", func(c *Config) { c.Arrival.Min = nan }},
+		{"disk range max", func(c *Config) { c.DiskNeed.Max = nan }},
+	} {
+		cfg := DefaultConfig()
+		tt.mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s NaN accepted", tt.name)
 		}
 	}
 }
