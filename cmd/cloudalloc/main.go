@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -165,15 +166,7 @@ func runSolve(args []string) error {
 
 	printBreakdown(a)
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			return err
-		}
-		if err := a.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*save, a.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("allocation written to %s\n", *save)
@@ -189,32 +182,20 @@ func runSolve(args []string) error {
 			res.Completed, res.Profit, res.AnalyticValue)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := cloudalloc.WriteChromeTrace(f, tel.Tracer.Snapshot()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*traceOut, func(w io.Writer) error {
+			return cloudalloc.WriteChromeTrace(w, tel.Tracer.Snapshot())
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 	if *flightOut != "" {
 		events := tel.Flight.Snapshot()
-		f, err := os.Create(*flightOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*flightOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(events)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("flight recorder: %d retained events written to %s\n", len(events), *flightOut)
@@ -223,6 +204,20 @@ func runSolve(args []string) error {
 		tel.Metrics.WritePrometheus(os.Stderr)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write. It returns the first
+// error, Close's included: a failed Close can lose what was written.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printAttribution reports where the profit came from, phase by phase:
