@@ -280,3 +280,35 @@ func TestGoldenBehaviour(t *testing.T) {
 		t.Errorf("%s holds %d entries, the test produces %d", goldenPath, len(wantMap), len(got))
 	}
 }
+
+// TestUnitScaling pins the one unit relation that holds exactly today:
+// capacities are normalised, so doubling every capacity together with
+// every per-request time and disk need leaves the exact path's
+// allocation and profit bit-identical on the golden instances. Money
+// scaling does not hold yet (absolute money thresholds in the solver).
+func TestUnitScaling(t *testing.T) {
+	for _, n := range []int{50, 200} {
+		for _, seed := range []int64{1, 2} {
+			wcfg := workload.DefaultConfig()
+			wcfg.NumClients = n
+			wcfg.Seed = seed
+			scen, err := workload.Generate(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scaled := model.CloneScenario(scen)
+			for i := range scaled.Cloud.ServerClasses {
+				sc := &scaled.Cloud.ServerClasses[i]
+				sc.ProcCap, sc.CommCap, sc.StoreCap = 2*sc.ProcCap, 2*sc.CommCap, 2*sc.StoreCap
+			}
+			for i := range scaled.Clients {
+				cl := &scaled.Clients[i]
+				cl.ProcTime, cl.CommTime, cl.DiskNeed = 2*cl.ProcTime, 2*cl.CommTime, 2*cl.DiskNeed
+			}
+			exact := func(*core.Config) {}
+			if got, want := goldenSolve(t, scaled, exact), goldenSolve(t, scen, exact); got != want {
+				t.Errorf("N=%d seed=%d: capacity and time ×2 give %+v, unscaled %+v", n, seed, got, want)
+			}
+		}
+	}
+}
