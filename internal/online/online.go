@@ -103,7 +103,9 @@ type Decision struct {
 type Config struct {
 	// Solver configures the commit-time re-solves. Seed fixes the
 	// decision stream in synchronous mode; Workers bounds the solver's
-	// internal fan-out (internal/parallel).
+	// internal fan-out (internal/parallel). New overwrites
+	// Solver.Telemetry with Config.Telemetry, so the re-solves report
+	// to the service's set.
 	Solver core.Config
 	// CommitRel is the relative commit threshold: a cluster commits when
 	// its |net Δλ̃| reaches CommitRel × the cluster's committed rate.
